@@ -7,7 +7,7 @@ integrals against an independent Monte Carlo simulator, and compares
 against the uniform-deployment baseline.
 """
 
-from .analytic import DetectionReport, detection_probability, full_report, p_total, uniform_p_single
+from .analytic import DetectionReport, detection_probability, full_report, uniform_p_single
 from .config import ExperimentConfig, config_from_dict, load_config
 from .distributions import (
     Correlated2DParams,
@@ -37,7 +37,7 @@ from .geometry import (
     point_segment_distance,
 )
 from .montecarlo import DetectionEstimate, SweepResult, derive_trial_seed, estimate_detection, run_trial, sweep
-from .numerics import QuadratureError, QuadratureSpec, erf_approx, integrate_1d, integrate_2d
+from .numerics import QuadratureError, QuadratureSpec, integrate_1d, integrate_2d
 from .rng import RandomSeed, SplitMix64, mix64
 
 __version__ = "0.1.0"

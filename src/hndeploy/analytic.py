@@ -1,33 +1,32 @@
 """Analytic detection probability under half-normal deployment.
 
 The single-sensor hit probability is the half-plane deployment density
-integrated over the intrusion capsule, split into its three parts:
+(x half-normal, y normal, same sigma) integrated over the intrusion
+capsule, split into its three parts:
 
   * rectangle  x in [S-d, S], y in [-r, r]
   * left half-disk centered at the path end (S-d, 0)
   * right half-disk centered at the entry point (S, 0)
 
+The density separates, so the rectangle is closed form in math.erf and
+each half-disk is a single 1D quadrature over the polar angle. Given a
+bounded region, the density is truncated to it and renormalized, which is
+the distribution a bounded deployment actually samples by rejection.
+
 With N independently placed sensors, at-least-one detection is
 P_d = 1 - (1 - p_total)^N. The uniform baseline uses capsule area over
 region area for the same quantity.
-
-All integrals here assume the untruncated half-plane density; when sensors
-are actually sampled inside a bounded region, analytic and empirical values
-agree only if the region keeps at least ~6 sigma of mass around every
-integration domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Tuple
 
-from .distributions import HalfNormalParams, halfplane_pdf
-from .geometry import IntruderScenario, Rectangle
-from .numerics import QuadratureSpec, integrate_2d
-
-Density = Callable[[float, float], float]
+from .distributions import HalfNormalParams
+from .geometry import IntruderScenario, Rectangle, capsule_area
+from .numerics import QuadratureSpec, integrate_1d
 
 
 @dataclass(frozen=True)
@@ -67,74 +66,53 @@ def _not_detected(p_single: float, n: int) -> float:
     return math.exp(n * math.log1p(-p_single))
 
 
-def rect_probability(density: Density, scenario: IntruderScenario, r: float,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of `density` over the capsule rectangle."""
-    if scenario.distance_d == 0.0:
-        return 0.0
-    x_lo = scenario.start_s - scenario.distance_d
-    x_hi = scenario.start_s
-    return integrate_2d(density, (x_lo, x_hi), (-r, r), spec)
+def _capsule_parts(scenario: IntruderScenario, r: float, sigma: float,
+                   region: Optional[Rectangle],
+                   spec: QuadratureSpec) -> Tuple[float, float, float]:
+    """(rectangle, left half-disk, right half-disk) probabilities.
 
+    The half-plane density separates into a half-normal x and a normal y,
+    so the rectangle is a product of erf differences and each half-disk is
+    one integral over the polar angle theta in [0, pi/2], with the disk's
+    chord at x = c +/- r cos(theta) contributing its y-mass times
+    dx = r sin(theta) dtheta. Everything is clipped to the region (x >= 0
+    always) and divided by the region's own mass; with no region the
+    bounds are infinite and that mass is exactly 1.
+    """
+    if not r > 0.0:
+        raise ValueError(f"sensing range must be positive, got {r}")
+    k = 1.0 / (HalfNormalParams(sigma).sigma * math.sqrt(2.0))
+    x_lo, x_hi, y_lo, y_hi = 0.0, math.inf, -math.inf, math.inf
+    if region is not None:
+        x_lo, x_hi = max(x_lo, region.x_min), region.x_max
+        y_lo, y_hi = region.y_min, region.y_max
 
-def left_disk_probability(density: Density, scenario: IntruderScenario, r: float,
-                          spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of `density` over the half-disk behind the path end (S-d, 0)."""
-    center = scenario.start_s - scenario.distance_d
-    # density vanishes for x < 0, clip the domain there
-    x_lo = max(0.0, center - r)
-    if x_lo >= center:
-        return 0.0
+    def mass(lo: float, hi: float) -> float:
+        # P(lo <= Y <= hi) for Y ~ Normal(0, sigma^2); twice it for x >= 0
+        return 0.5 * (math.erf(hi * k) - math.erf(lo * k)) if lo < hi else 0.0
 
-    def bounds(x: float):
-        half = math.sqrt(max(0.0, r * r - (x - center) ** 2))
-        return (-half, half)
+    region_mass = 2.0 * mass(x_lo, x_hi) * mass(y_lo, y_hi)
+    if region_mass == 0.0:
+        raise ValueError(f"region {region} carries no deployment mass at sigma={sigma}")
+    end, start = scenario.start_s - scenario.distance_d, scenario.start_s
+    rect = 2.0 * mass(max(x_lo, end), min(x_hi, start)) * mass(max(y_lo, -r), min(y_hi, r))
+    pdf_scale = 2.0 * k / math.sqrt(math.pi)
 
-    return integrate_2d(density, (x_lo, center), bounds, spec)
+    def half_disk(center: float, side: float) -> float:
+        # cos(theta) range that keeps x = center + side r cos(theta) in [x_lo, x_hi]
+        lo, hi = sorted(((x_lo - center) * side / r, (x_hi - center) * side / r))
+        if hi < 0.0 or lo > 1.0:
+            return 0.0
 
+        def chord(theta: float) -> float:
+            x = center + side * r * math.cos(theta)
+            h = r * math.sin(theta)
+            return pdf_scale * math.exp(-(x * k) ** 2) * mass(max(y_lo, -h), min(y_hi, h)) * h
 
-def right_disk_probability(density: Density, scenario: IntruderScenario, r: float,
-                           spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of `density` over the half-disk ahead of the entry point (S, 0)."""
-    center = scenario.start_s
+        return integrate_1d(chord, math.acos(min(1.0, hi)), math.acos(max(0.0, lo)), spec)
 
-    def bounds(x: float):
-        half = math.sqrt(max(0.0, r * r - (x - center) ** 2))
-        return (-half, half)
-
-    return integrate_2d(density, (center, center + r), bounds, spec)
-
-
-def p_rect(scenario: IntruderScenario, r: float, sigma: float,
-           spec: QuadratureSpec = QuadratureSpec()) -> float:
-    return rect_probability(_density(sigma), scenario, r, spec)
-
-
-def p_left_disk(scenario: IntruderScenario, r: float, sigma: float,
-                spec: QuadratureSpec = QuadratureSpec()) -> float:
-    return left_disk_probability(_density(sigma), scenario, r, spec)
-
-
-def p_right_disk(scenario: IntruderScenario, r: float, sigma: float,
-                 spec: QuadratureSpec = QuadratureSpec()) -> float:
-    return right_disk_probability(_density(sigma), scenario, r, spec)
-
-
-def p_total(scenario: IntruderScenario, r: float, sigma: float,
-            spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Probability one half-plane-deployed sensor lands in the capsule."""
-    density = _density(sigma)
-    total = (
-        rect_probability(density, scenario, r, spec)
-        + left_disk_probability(density, scenario, r, spec)
-        + right_disk_probability(density, scenario, r, spec)
-    )
-    return min(1.0, max(0.0, total))
-
-
-def _density(sigma: float) -> Density:
-    params = HalfNormalParams(sigma)
-    return lambda x, y: halfplane_pdf(x, y, params)
+    return (rect / region_mass, half_disk(end, -1.0) / region_mass,
+            half_disk(start, 1.0) / region_mass)
 
 
 def uniform_p_single(scenario: IntruderScenario, r: float, region: Rectangle) -> float:
@@ -151,26 +129,28 @@ def uniform_p_single(scenario: IntruderScenario, r: float, region: Rectangle) ->
         raise ValueError(
             f"capsule [{x_lo}, {x_hi}] x [-{r}, {r}] is not contained in the region"
         )
-    from .geometry import capsule_area
-
     return capsule_area(scenario.distance_d, r) / region.area
 
 
 def full_report(scenario: IntruderScenario, r: float, sigma: float, n: int,
                 region: Optional[Rectangle] = None,
                 spec: QuadratureSpec = QuadratureSpec()) -> DetectionReport:
-    """All analytic detection quantities for one scenario."""
+    """All analytic detection quantities for one scenario.
+
+    With a region, the half-normal values are for the density truncated to
+    it, and the uniform baseline is filled in when the capsule lies inside.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    density = _density(sigma)
-    rect = rect_probability(density, scenario, r, spec)
-    left = left_disk_probability(density, scenario, r, spec)
-    right = right_disk_probability(density, scenario, r, spec)
+    rect, left, right = _capsule_parts(scenario, r, sigma, region, spec)
     total = min(1.0, max(0.0, rect + left + right))
     p_not = _not_detected(total, n)
     baseline = None
     if region is not None:
-        baseline = uniform_p_single(scenario, r, region)
+        try:
+            baseline = uniform_p_single(scenario, r, region)
+        except ValueError:
+            pass  # the capsule leaves the region; the truncated values still hold
     return DetectionReport(
         p_rect=rect,
         p_left=left,

@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import HalfPlane, Point, Rectangle, Region
-from .numerics import erf_approx
 from .rng import RandomSeed, normal_draws, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -108,7 +107,7 @@ def half_normal_cdf(y: float, params: HalfNormalParams) -> float:
         raise ValueError(f"y must be finite, got {y}")
     if y < 0.0:
         return 0.0
-    return erf_approx(y / (params.sigma * math.sqrt(2.0)))
+    return math.erf(y / (params.sigma * math.sqrt(2.0)))
 
 
 def half_normal_mean(params: HalfNormalParams) -> float:

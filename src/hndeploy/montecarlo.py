@@ -17,7 +17,8 @@ from typing import List, Optional
 import numpy as np
 
 from .analytic import detection_probability, full_report, uniform_p_single
-from .distributions import DeploymentKind, DeploymentModel, sample_deployment, sample_positions
+from .distributions import (DeploymentKind, DeploymentModel, SamplingError, sample_deployment,
+                            sample_positions)
 from .geometry import IntruderScenario, Rectangle, detects_any
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import RandomSeed, derive_stream_seed, mix64, raw_draws
@@ -125,7 +126,7 @@ def _analytic_value(kind: DeploymentKind, scenario: IntruderScenario, r: float,
                     sigma: Optional[float], n: int, region: Rectangle,
                     spec: QuadratureSpec) -> Optional[float]:
     if kind == DeploymentKind.HALF_NORMAL:
-        return full_report(scenario, r, sigma, n, spec=spec).p_d
+        return full_report(scenario, r, sigma, n, region=region, spec=spec).p_d
     if kind == DeploymentKind.UNIFORM:
         return detection_probability(uniform_p_single(scenario, r, region), n)
     return None  # strip / quadrant: Monte Carlo only
@@ -136,9 +137,10 @@ def sweep(config) -> SweepResult:
 
     Rows are ordered by (model, N, sigma, S, d, r); row i uses the
     substream derive_trial_seed(master, i) as its own master seed, so the
-    whole result is reproducible from the config alone. Invalid
-    combinations (d > S, capsule outside the region) are reported in the
-    row status instead of aborting the sweep.
+    whole result is reproducible from the config alone. A row that fails
+    (d > S, a uniform capsule outside the region, a region the deployment
+    cannot be sampled in) reports the failure as its status and keeps
+    whatever it computed; the rest of the sweep still runs.
     """
     combos = sorted(
         (kind.value, n, sigma, s, d, r)
@@ -156,26 +158,20 @@ def sweep(config) -> SweepResult:
     for index, (kind_name, n, sigma, s, d, r) in enumerate(combos):
         kind = DeploymentKind(kind_name)
         row_seed = derive_trial_seed(config.master_seed, index)
-        sigma_out = sigma
+        p_analytic = p_hat = ci = None
+        status = "ok"
         try:
             scenario = IntruderScenario(start_s=s, distance_d=d)
-        except ValueError as exc:
-            rows.append(SweepRow(kind_name, sigma_out, n, s, d, r, config.trials,
-                                 None, None, None, row_seed, f"invalid: {exc}"))
-            continue
-        model = DeploymentModel(kind=kind, region=config.region, sigma=sigma)
-        try:
+            model = DeploymentModel(kind=kind, region=config.region, sigma=sigma)
             p_analytic = _analytic_value(kind, scenario, r, sigma, n, config.region, spec)
-        except (ValueError, QuadratureError) as exc:
-            rows.append(SweepRow(kind_name, sigma_out, n, s, d, r, config.trials,
-                                 None, None, None, row_seed, f"invalid: {exc}"))
-            continue
-        estimate = estimate_detection(model, n, scenario, r, config.trials,
-                                      RandomSeed(row_seed), workers=config.workers)
-        rows.append(SweepRow(kind_name, sigma_out, n, s, d, r, config.trials,
-                             p_analytic, estimate.p_hat, estimate.ci_half_width,
-                             row_seed))
-        any_ok = True
+            estimate = estimate_detection(model, n, scenario, r, config.trials,
+                                          RandomSeed(row_seed), workers=config.workers)
+            p_hat, ci = estimate.p_hat, estimate.ci_half_width
+            any_ok = True
+        except (ValueError, QuadratureError, SamplingError) as exc:
+            status = f"invalid: {exc}"
+        rows.append(SweepRow(kind_name, sigma, n, s, d, r, config.trials, p_analytic,
+                             p_hat, ci, row_seed, status))
     if rows and not any_ok:
         raise ValueError("every sweep row is invalid; nothing to estimate")
     return SweepResult(rows=rows)

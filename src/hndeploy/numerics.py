@@ -1,72 +1,14 @@
-"""Error function and adaptive Simpson quadrature (1D and iterated 2D).
+"""Adaptive Simpson quadrature (1D and iterated 2D).
 
-erf is computed in-house so the whole numerical stack is self-contained:
-the Maclaurin series for |x| <= 2 (alternating, remainder bounded by the
-first dropped term, iterated to below 1e-18) and the standard continued
-fraction for erfc beyond, evaluated with the modified Lentz algorithm.
-Both pieces are accurate to well under 1e-12 absolute; tests verify the
-1e-9 contract against direct quadrature of the Gaussian density.
+integrate_1d drives the analytic half-disk integrals; integrate_2d serves
+the density normalization checks and the 2D reference the analytic
+capsule parts are tested against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
-
-_SQRT_PI = math.sqrt(math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
-
-
-def erf_approx(x: float) -> float:
-    """Error function, |erf_approx(x) - erf(x)| <= 1e-9; odd in x."""
-    if not math.isfinite(x):
-        raise ValueError(f"erf_approx requires finite input, got {x}")
-    if x < 0.0:
-        return -erf_approx(-x)
-    if x == 0.0:
-        return 0.0
-    if x <= 2.0:
-        return _erf_series(x)
-    if x >= 6.0:
-        # erfc(6) < 2.2e-17, below double resolution of 1 - erf
-        return 1.0
-    return 1.0 - _erfc_cf(x)
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) * sum_k (-1)^k x^(2k+1) / (k! (2k+1))
-    term = x
-    total = x
-    x2 = x * x
-    k = 0
-    while abs(term) > 1e-18:
-        k += 1
-        term *= -x2 / k
-        total += term / (2 * k + 1)
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, 200):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / (_SQRT_PI * f)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .distributions import (
 )
 from .geometry import HalfPlane, IntruderScenario, Rectangle, capsule_area
 from .montecarlo import estimate_detection
-from .numerics import QuadratureSpec, erf_approx, integrate_1d, integrate_2d
+from .numerics import QuadratureSpec, integrate_1d, integrate_2d
 from .rng import RandomSeed, uniform_draws
 
 # asymptotic Kolmogorov-Smirnov critical value at significance 0.01
@@ -120,6 +120,30 @@ def check_sampler_ks() -> CheckResult:
                   f"KS statistic {stat:.5f} vs critical {critical:.5f}")
 
 
+def reference_capsule_parts(scenario: IntruderScenario, r: float, sigma: float,
+                            spec: QuadratureSpec) -> Tuple[float, float, float]:
+    """(rectangle, left, right) capsule parts by 2D quadrature of halfplane_pdf.
+
+    The independent reference for the separable analytic parts; the left
+    half-disk domain is clipped at x = 0 where the density vanishes.
+    """
+    params = HalfNormalParams(sigma)
+    end, start = scenario.start_s - scenario.distance_d, scenario.start_s
+
+    def density(x: float, y: float) -> float:
+        return halfplane_pdf(x, y, params)
+
+    def chord(center: float):
+        def bounds(x: float) -> Tuple[float, float]:
+            half = math.sqrt(max(0.0, r * r - (x - center) ** 2))
+            return (-half, half)
+        return bounds
+
+    return (integrate_2d(density, (end, start), (-r, r), spec),
+            integrate_2d(density, (max(0.0, end - r), end), chord(end), spec),
+            integrate_2d(density, (start, start + r), chord(start), spec))
+
+
 def check_closed_form_spots() -> CheckResult:
     ok = True
     details = []
@@ -129,13 +153,13 @@ def check_closed_form_spots() -> CheckResult:
     a = capsule_area(2.0, 1.0)
     ok &= abs(a - (4.0 + math.pi)) <= 1e-12
     details.append(f"capsule_area(2,1)={a:.12f}")
-    scenario = IntruderScenario(start_s=1.0, distance_d=1.0)
-    from .analytic import p_rect
-
-    quad = p_rect(scenario, 1.0, 1.0)
-    closed = erf_approx(1.0 / math.sqrt(2.0)) ** 2
-    ok &= abs(quad - closed) <= 1e-6
-    details.append(f"p_rect separable delta {abs(quad - closed):.2e}")
+    scenario = IntruderScenario(start_s=1.0, distance_d=0.8)  # left disk clipped at x = 0
+    report = full_report(scenario, 1.0, 1.0, 1)
+    reference = reference_capsule_parts(scenario, 1.0, 1.0, QuadratureSpec(1e-9))
+    parts = (report.p_rect, report.p_left, report.p_right)
+    gap = max(abs(part - ref) for part, ref in zip(parts, reference))
+    ok &= gap <= 1e-8
+    details.append(f"capsule parts vs 2D quadrature delta {gap:.2e}")
     return _check("closed_form_spots", bool(ok), "; ".join(details))
 
 

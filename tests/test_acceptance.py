@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hndeploy.analytic import detection_probability, full_report, p_rect
+from hndeploy.analytic import detection_probability, full_report
 from hndeploy.cli import sweep_csv
 from hndeploy.config import ExperimentConfig
 from hndeploy.distributions import (
@@ -99,7 +99,7 @@ def test_criterion_4_closed_form_spot_checks():
     d_err = abs(detection_probability(0.1, 10) - 0.6513215599)
     a_err = abs(capsule_area(2.0, 1.0) - (4.0 + math.pi))
     scenario = IntruderScenario(start_s=1.0, distance_d=1.0)
-    r_err = abs(p_rect(scenario, 1.0, 1.0) - math.erf(1.0 / math.sqrt(2.0)) ** 2)
+    r_err = abs(full_report(scenario, 1.0, 1.0, 1).p_rect - math.erf(1.0 / math.sqrt(2.0)) ** 2)
     _report("closed_form_spot_checks",
             d_err <= 1e-9 and a_err <= 1e-12 and r_err <= 1e-6,
             f"detection_err={d_err:.2e} area_err={a_err:.2e} rect_err={r_err:.2e}")

@@ -3,26 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from hndeploy.analytic import (
-    detection_probability,
-    full_report,
-    left_disk_probability,
-    p_left_disk,
-    p_rect,
-    p_right_disk,
-    p_total,
-    rect_probability,
-    right_disk_probability,
-    uniform_p_single,
-)
-from hndeploy.distributions import HalfNormalParams, halfplane_pdf
+from hndeploy.analytic import detection_probability, full_report, uniform_p_single
 from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, capsule_area
 from hndeploy.numerics import QuadratureSpec
-from hndeploy.rng import RandomSeed, normal_draws
+from hndeploy.rng import normal_draws
+from hndeploy.validate import reference_capsule_parts
+
+
+def _report(s, d, r, sigma, spec=QuadratureSpec(), region=None):
+    return full_report(IntruderScenario(start_s=s, distance_d=d), r, sigma, 1,
+                       region=region, spec=spec)
 
 
 def _closed_form_rect(s, d, r, sigma):
-    # separable oracle via the stdlib error function (independent of our erf)
     x_part = math.erf(s / (sigma * math.sqrt(2))) - math.erf((s - d) / (sigma * math.sqrt(2)))
     y_part = math.erf(r / (sigma * math.sqrt(2)))
     return x_part * y_part
@@ -30,19 +23,16 @@ def _closed_form_rect(s, d, r, sigma):
 
 class TestPRect:
     def test_zero_distance(self):
-        scenario = IntruderScenario(start_s=3.0, distance_d=0.0)
-        assert p_rect(scenario, 1.0, 1.0) == 0.0
+        assert _report(3.0, 0.0, 1.0, 1.0).p_rect == 0.0
 
     def test_unit_case(self):
-        scenario = IntruderScenario(start_s=1.0, distance_d=1.0)
         expected = math.erf(1.0 / math.sqrt(2.0)) ** 2
-        assert p_rect(scenario, 1.0, 1.0) == pytest.approx(expected, abs=1e-6)
-        assert p_rect(scenario, 1.0, 1.0) == pytest.approx(0.4660649, abs=1e-6)
+        assert _report(1.0, 1.0, 1.0, 1.0).p_rect == pytest.approx(expected, abs=1e-6)
+        assert _report(1.0, 1.0, 1.0, 1.0).p_rect == pytest.approx(0.4660649, abs=1e-6)
 
     def test_wide_rectangle_saturates_y(self):
         sigma = 1.0
-        scenario = IntruderScenario(start_s=3.0 * sigma, distance_d=3.0 * sigma)
-        value = p_rect(scenario, 12.0 * sigma, sigma)
+        value = _report(3.0 * sigma, 3.0 * sigma, 12.0 * sigma, sigma).p_rect
         expected = math.erf(3.0 / math.sqrt(2.0))  # F(3 sigma) - F(0)
         assert value == pytest.approx(expected, abs=1e-6)
         assert expected == pytest.approx(0.9973, abs=1e-4)
@@ -53,26 +43,21 @@ class TestPRect:
             for frac in np.linspace(0.1, 0.9, 5):
                 for sigma in np.linspace(0.8, 6.0, 5):
                     for r in (0.5, 1.0, 2.0):
-                        scenario = IntruderScenario(start_s=float(s),
-                                                    distance_d=float(s * frac))
-                        quad = p_rect(scenario, r, float(sigma), spec)
+                        value = _report(float(s), float(s * frac), r, float(sigma), spec).p_rect
                         closed = _closed_form_rect(s, s * frac, r, sigma)
-                        assert quad == pytest.approx(closed, abs=1e-7)
+                        assert value == pytest.approx(closed, abs=1e-7)
 
 
 class TestHalfDisks:
     def test_vanishing_radius(self):
-        scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
-        assert p_left_disk(scenario, 1e-6, 5.0) == pytest.approx(0.0, abs=1e-9)
-        assert p_right_disk(scenario, 1e-6, 5.0) == pytest.approx(0.0, abs=1e-9)
+        report = _report(5.0, 3.0, 1e-6, 5.0)
+        assert report.p_left == pytest.approx(0.0, abs=1e-9)
+        assert report.p_right == pytest.approx(0.0, abs=1e-9)
 
     def test_disks_tile_full_disk_when_stationary(self):
         # d = 0: left and right half-disks reassemble the disk at (S, 0)
-        scenario = IntruderScenario(start_s=5.0, distance_d=0.0)
         sigma, r = 5.0, 1.0
-        left = p_left_disk(scenario, r, sigma)
-        right = p_right_disk(scenario, r, sigma)
-        params = HalfNormalParams(sigma)
+        report = _report(5.0, 0.0, r, sigma)
         # independent full-disk value by polar-like sampling oracle
         n = 2_000_000
         seeds = np.uint64(2718)
@@ -81,28 +66,23 @@ class TestHalfDisks:
         hit = (x - 5.0) ** 2 + y ** 2 <= r * r
         p = hit.mean()
         se = math.sqrt(p * (1 - p) / n)
-        assert left + right == pytest.approx(p, abs=3 * se)
+        assert report.p_left + report.p_right == pytest.approx(p, abs=3 * se)
 
     def test_right_disk_negligible_far_from_target(self):
-        scenario = IntruderScenario(start_s=30.0, distance_d=1.0)
-        assert p_right_disk(scenario, 1.0, 2.0) == pytest.approx(0.0, abs=1e-9)
+        assert _report(30.0, 1.0, 1.0, 2.0).p_right == pytest.approx(0.0, abs=1e-9)
 
     def test_left_disk_clips_at_target_boundary(self):
         # S - d - r < 0: the domain is clipped where the density vanishes
-        scenario = IntruderScenario(start_s=1.0, distance_d=0.8)
-        value = p_left_disk(scenario, 1.0, 1.0)
+        value = _report(1.0, 0.8, 1.0, 1.0).p_left
         assert 0.0 < value < 1.0
 
 
 class TestPTotal:
     def test_components_sum(self):
-        scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
-        sigma, r = 5.0, 1.0
-        total = p_total(scenario, r, sigma)
-        parts = (p_rect(scenario, r, sigma) + p_left_disk(scenario, r, sigma)
-                 + p_right_disk(scenario, r, sigma))
-        assert total == pytest.approx(parts, abs=1e-12)
-        assert p_rect(scenario, r, sigma) <= total <= 1.0
+        report = _report(5.0, 3.0, 1.0, 5.0)
+        parts = report.p_rect + report.p_left + report.p_right
+        assert report.p_total == pytest.approx(parts, abs=1e-12)
+        assert report.p_rect <= report.p_total <= 1.0
 
     def test_sampling_oracle_randomized_scenarios(self):
         # quadrature route vs direct half-plane sampling route
@@ -113,8 +93,7 @@ class TestPTotal:
             s = float(rng.uniform(0.5 * sigma, 2.0 * sigma))
             d = float(rng.uniform(0.2, 0.9) * s)
             r = float(rng.uniform(0.5, 2.0))
-            scenario = IntruderScenario(start_s=s, distance_d=d)
-            analytic = p_total(scenario, r, sigma)
+            analytic = _report(s, d, r, sigma).p_total
             seed = np.uint64(1000 + case)
             x = np.abs(normal_draws(seed, np.arange(0, 2 * n, 2, dtype=np.uint64))) * sigma
             y = normal_draws(seed, np.arange(2 * n, 4 * n, 2, dtype=np.uint64)) * sigma
@@ -125,15 +104,26 @@ class TestPTotal:
             assert analytic == pytest.approx(p, abs=max(3 * se, 1e-4))
 
     def test_constant_density_reduces_to_capsule_area(self):
-        # substituting a constant density into the same quadrature paths
-        # must reproduce c * capsule_area
-        scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
-        r, c = 1.5, 0.01
-        density = lambda x, y: c
-        total = (rect_probability(density, scenario, r)
-                 + left_disk_probability(density, scenario, r)
-                 + right_disk_probability(density, scenario, r))
-        assert total == pytest.approx(c * capsule_area(scenario.distance_d, r), abs=1e-7)
+        # for sigma >> S + r the density is flat at 1/(pi sigma^2) over the
+        # capsule, so p_total * pi sigma^2 tends to the capsule area
+        s, d, r, sigma = 5.0, 3.0, 1.5, 1e4
+        report = _report(s, d, r, sigma, QuadratureSpec(1e-16))
+        assert report.p_total * math.pi * sigma ** 2 == pytest.approx(
+            capsule_area(d, r), rel=1e-6)
+
+
+@pytest.mark.parametrize("s, d, r, sigma", [
+    (1.0, 0.8, 1.0, 1.0),    # left half-disk clipped at x = 0 (S - d < r)
+    (5.0, 0.0, 1.0, 5.0),    # d = 0: no rectangle
+    (5.0, 3.0, 1e-6, 5.0),   # vanishing radius
+    (40.0, 2.0, 1.0, 5.0),   # far tail, 8 sigma out
+    (5.0, 3.0, 1.0, 5.0),
+])
+def test_parts_match_2d_quadrature(s, d, r, sigma):
+    spec = QuadratureSpec(1e-10)
+    report = _report(s, d, r, sigma, spec)
+    reference = reference_capsule_parts(IntruderScenario(start_s=s, distance_d=d), r, sigma, spec)
+    assert (report.p_rect, report.p_left, report.p_right) == pytest.approx(reference, abs=1e-9)
 
 
 class TestDetectionProbability:
@@ -232,6 +222,45 @@ class TestFullReport:
         for value in (report.p_rect, report.p_left, report.p_right,
                       report.p_total, report.p_d, report.p_not_detected):
             assert 0.0 <= value <= 1.0
+
+    def test_region_renormalizes_density(self):
+        # capsule well inside the region: every part scales by 1 / mass(region)
+        region = Rectangle(-50.0, 50.0, -50.0, 50.0)
+        free = _report(5.0, 3.0, 1.0, 10.0)
+        bounded = _report(5.0, 3.0, 1.0, 10.0, region=region)
+        mass = math.erf(50.0 / (10.0 * math.sqrt(2.0))) ** 2
+        assert bounded.p_total == pytest.approx(free.p_total / mass, rel=1e-12)
+        assert bounded.p_total > free.p_total
+
+    def test_region_clipping_matches_sampling(self):
+        # the region cuts both half-disks and the y-extent of the capsule
+        s, d, r, sigma = 2.5, 1.5, 1.0, 3.0
+        region = Rectangle(0.5, 3.0, -0.7, 3.0)
+        analytic = _report(s, d, r, sigma, region=region).p_total
+        n = 400_000
+        seed = np.uint64(4242)
+        x = np.abs(normal_draws(seed, np.arange(0, 2 * n, 2, dtype=np.uint64))) * sigma
+        y = normal_draws(seed, np.arange(2 * n, 4 * n, 2, dtype=np.uint64)) * sigma
+        inside = (x >= 0.5) & (x <= 3.0) & (y >= -0.7) & (y <= 3.0)
+        x, y = x[inside], y[inside]
+        dx = np.clip(x, s - d, s) - x
+        p = float(np.mean(dx * dx + y * y <= r * r))
+        se = math.sqrt(p * (1 - p) / x.size)
+        assert analytic == pytest.approx(p, abs=4 * se)
+
+    def test_region_without_mass_rejected(self):
+        with pytest.raises(ValueError):
+            _report(25.0, 3.0, 1.0, 1.0, region=Rectangle(20.0, 30.0, -5.0, 5.0))
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+    def test_nonpositive_range_rejected(self, r):
+        with pytest.raises(ValueError):
+            _report(5.0, 3.0, r, 5.0)
+
+    def test_baseline_omitted_when_capsule_leaves_region(self):
+        report = _report(2.0, 2.0, 1.0, 5.0, region=Rectangle(0.0, 100.0, -50.0, 50.0))
+        assert report.p_single_uniform is None
+        assert report.p_total > 0.0
 
     def test_baseline_omitted_without_region(self):
         scenario = IntruderScenario(start_s=5.0, distance_d=3.0)

@@ -76,6 +76,11 @@ class TestHalfNormalCdf:
     def test_negative_argument(self):
         assert half_normal_cdf(-0.5, HalfNormalParams(1.0)) == 0.0
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, y):
+        with pytest.raises(ValueError):
+            half_normal_cdf(y, HalfNormalParams(1.0))
+
     def test_matches_pdf_quadrature(self):
         params = HalfNormalParams(1.3)
         for y in np.linspace(0.1, 6.0, 12):

@@ -148,7 +148,7 @@ class TestSweep:
         assert len(result.rows) == 1
         row = result.rows[0]
         scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
-        report = full_report(scenario, 1.0, 10.0, 10)
+        report = full_report(scenario, 1.0, 10.0, 10, region=config.region)
         assert row.p_analytic == pytest.approx(report.p_d, abs=1e-12)
         model = DeploymentModel(kind=DeploymentKind.HALF_NORMAL,
                                 region=config.region, sigma=10.0)
@@ -157,6 +157,27 @@ class TestSweep:
 
     def test_deterministic_replay(self):
         assert sweep(_config()) == sweep(_config())
+
+    def test_bounded_half_normal_row_uses_truncated_density(self):
+        # sigma = 30 in a +-50 region rejects ~18% of draws; the untruncated
+        # half-plane value lies ~20 standard errors below the estimate
+        config = _config(models=[DeploymentKind.HALF_NORMAL], sigma_values=[30.0],
+                         n_values=[50], trials=50_000)
+        (row,) = sweep(config).rows
+        se = math.sqrt(row.p_analytic * (1.0 - row.p_analytic) / row.trials)
+        assert row.status == "ok"
+        assert abs(row.p_hat - row.p_analytic) <= 4.0 * se
+
+    @pytest.mark.parametrize("x_min", [20.0, 6.0])
+    def test_unsamplable_row_does_not_abort(self, x_min):
+        # sigma = 1 puts no mass (x_min = 20: the analytic value fails) or
+        # ~1e-9 of it (x_min = 6: rejection sampling fails) in the region
+        config = _config(sigma_values=[1.0], n_values=[10], s_values=[25.0], d_values=[3.0],
+                         region=Rectangle(x_min, 30.0, -5.0, 5.0))
+        rows = {row.model: row for row in sweep(config).rows}
+        assert rows["uniform"].status == "ok"
+        assert rows["half_normal"].status.startswith("invalid")
+        assert rows["half_normal"].p_hat is None
 
     def test_invalid_rows_reported_not_fatal(self):
         config = _config(s_values=[5.0], d_values=[5.0, 8.0])

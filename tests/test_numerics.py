@@ -1,51 +1,13 @@
 import math
 
-import numpy as np
 import pytest
 
 from hndeploy.numerics import (
     QuadratureError,
     QuadratureSpec,
-    erf_approx,
     integrate_1d,
     integrate_2d,
 )
-
-
-class TestErf:
-    def test_zero(self):
-        assert erf_approx(0.0) == 0.0
-
-    def test_reference_value(self):
-        # frozen from the Maclaurin series with remainder < 1e-12
-        assert erf_approx(1.0) == pytest.approx(0.8427007929, abs=1e-9)
-
-    def test_odd_function(self):
-        for x in np.linspace(0.01, 5.0, 40):
-            assert erf_approx(-x) == -erf_approx(x)
-
-    def test_against_stdlib(self):
-        for x in np.linspace(-6.5, 6.5, 261):
-            assert erf_approx(float(x)) == pytest.approx(math.erf(x), abs=1e-12)
-
-    def test_against_quadrature(self):
-        # the 1e-9 accuracy contract, certified by direct quadrature of the
-        # Gaussian density
-        spec = QuadratureSpec(1e-12)
-        for x in (0.3, 1.0, 1.9, 2.0, 2.1, 3.5, 5.0):
-            quad = 2.0 / math.sqrt(math.pi) * integrate_1d(
-                lambda t: math.exp(-t * t), 0.0, x, spec)
-            assert abs(erf_approx(x) - quad) <= 1e-9
-
-    def test_saturation(self):
-        assert erf_approx(10.0) == 1.0
-        assert erf_approx(-10.0) == -1.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            erf_approx(math.nan)
-        with pytest.raises(ValueError):
-            erf_approx(math.inf)
 
 
 class TestIntegrate1D:
