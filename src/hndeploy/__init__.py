@@ -22,17 +22,14 @@ from .distributions import (
     half_normal_sample,
     half_normal_samples,
     halfplane_pdf,
-    sample_deployment,
+    sample_positions,
     stein_residual,
 )
 from .geometry import (
-    Capsule,
     HalfPlane,
     IntruderScenario,
     Rectangle,
-    SensorField,
     capsule_area,
-    coverage_fraction,
     detects,
     point_segment_distance,
 )

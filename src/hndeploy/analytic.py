@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .distributions import HalfNormalParams
-from .geometry import IntruderScenario, Rectangle, capsule_area
+from .geometry import HalfPlane, IntruderScenario, Rectangle, capsule_area
 from .numerics import QuadratureSpec, integrate_1d
 
 
@@ -66,8 +66,7 @@ def _not_detected(p_single: float, n: int) -> float:
     return math.exp(n * math.log1p(-p_single))
 
 
-def _capsule_parts(scenario: IntruderScenario, r: float, sigma: float,
-                   region: Optional[Rectangle],
+def _capsule_parts(scenario: IntruderScenario, r: float, sigma: float, region: Rectangle,
                    spec: QuadratureSpec) -> Tuple[float, float, float]:
     """(rectangle, left half-disk, right half-disk) probabilities.
 
@@ -76,16 +75,14 @@ def _capsule_parts(scenario: IntruderScenario, r: float, sigma: float,
     one integral over the polar angle theta in [0, pi/2], with the disk's
     chord at x = c +/- r cos(theta) contributing its y-mass times
     dx = r sin(theta) dtheta. Everything is clipped to the region (x >= 0
-    always) and divided by the region's own mass; with no region the
-    bounds are infinite and that mass is exactly 1.
+    always) and divided by the region's own mass, which is exactly 1 on
+    the half-plane.
     """
     if not r > 0.0:
         raise ValueError(f"sensing range must be positive, got {r}")
     k = 1.0 / (HalfNormalParams(sigma).sigma * math.sqrt(2.0))
-    x_lo, x_hi, y_lo, y_hi = 0.0, math.inf, -math.inf, math.inf
-    if region is not None:
-        x_lo, x_hi = max(x_lo, region.x_min), region.x_max
-        y_lo, y_hi = region.y_min, region.y_max
+    x_lo, x_hi = max(0.0, region.x_min), region.x_max
+    y_lo, y_hi = region.y_min, region.y_max
 
     def mass(lo: float, hi: float) -> float:
         # P(lo <= Y <= hi) for Y ~ Normal(0, sigma^2); twice it for x >= 0
@@ -121,7 +118,7 @@ def uniform_p_single(scenario: IntruderScenario, r: float, region: Rectangle) ->
     The capsule must lie fully inside the region; there is no principled
     clipping rule for a capsule sticking out, so that case is an error.
     """
-    if not isinstance(region, Rectangle):
+    if not region.bounded:
         raise TypeError("uniform baseline requires a bounded rectangle region")
     x_lo = scenario.start_s - scenario.distance_d - r
     x_hi = scenario.start_s + r
@@ -133,12 +130,13 @@ def uniform_p_single(scenario: IntruderScenario, r: float, region: Rectangle) ->
 
 
 def full_report(scenario: IntruderScenario, r: float, sigma: float, n: int,
-                region: Optional[Rectangle] = None,
+                region: Rectangle = HalfPlane(),
                 spec: QuadratureSpec = QuadratureSpec()) -> DetectionReport:
     """All analytic detection quantities for one scenario.
 
-    With a region, the half-normal values are for the density truncated to
-    it, and the uniform baseline is filled in when the capsule lies inside.
+    The half-normal values are for the density truncated to the region (by
+    default the half-plane, where nothing is cut off). For a bounded region
+    the uniform baseline is filled in when the capsule lies inside.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -146,7 +144,7 @@ def full_report(scenario: IntruderScenario, r: float, sigma: float, n: int,
     total = min(1.0, max(0.0, rect + left + right))
     p_not = _not_detected(total, n)
     baseline = None
-    if region is not None:
+    if region.bounded:
         try:
             baseline = uniform_p_single(scenario, r, region)
         except ValueError:

@@ -15,9 +15,11 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .analytic import full_report
 from .config import load_config
-from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_deployment
+from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
 from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .montecarlo import SweepResult, estimate_detection, sweep
 from .numerics import QuadratureError, QuadratureSpec
@@ -45,7 +47,10 @@ def _num(value: Optional[float]) -> str:
 def _region_from_args(values: Optional[Sequence[float]]):
     if values is None:
         return HalfPlane()
-    return Rectangle(*values)
+    region = Rectangle(*values)
+    if not region.bounded:
+        raise ValueError(f"--region bounds must be finite, got {values}")
+    return region
 
 
 def _model_from_args(args) -> DeploymentModel:
@@ -62,8 +67,9 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_sample(args) -> int:
     model = _model_from_args(args)
-    positions = sample_deployment(model, args.n, RandomSeed(args.seed))
-    lines = ["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in positions]
+    seeds = np.array([RandomSeed(args.seed).master], dtype=np.uint64)
+    xs, ys = sample_positions(model, args.n, seeds)
+    lines = ["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in zip(xs[0].tolist(), ys[0].tolist())]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -72,9 +78,8 @@ def cmd_analytic(args) -> int:
     scenario = IntruderScenario(start_s=args.start, distance_d=args.distance,
                                 max_permitted=args.max_permitted)
     spec = QuadratureSpec(absolute_tolerance=args.tolerance)
-    region = Rectangle(*args.region) if args.region is not None else None
     report = full_report(scenario, args.range, args.sigma, args.n_sensors,
-                         region=region, spec=spec)
+                         region=_region_from_args(args.region), spec=spec)
     payload = {
         "p_rect": report.p_rect,
         "p_left": report.p_left,

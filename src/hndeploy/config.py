@@ -17,13 +17,16 @@ Schema (all keys top-level; unknown keys are rejected to catch typos):
       "output_path": "sweep.csv"                     // optional, default "sweep.csv"
     }
 
-Any out-of-domain value (sigma <= 0, trials < 1, empty lists, malformed
-region) is rejected before any computation starts.
+Every number must be finite and a JSON number (not a bool); trials,
+n_values, master_seed and workers must also be integral (2.0 is accepted,
+2.7 is not). Any out-of-domain value (sigma <= 0, trials < 1, empty lists,
+a malformed or unbounded region) is rejected before any computation starts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -75,6 +78,22 @@ class ExperimentConfig:
             raise ValueError("quadrature_tolerance must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not self.region.bounded:
+            raise ValueError("region must be bounded")
+
+
+def _real(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must hold finite numbers, got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must hold integers, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -93,20 +112,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     region_values = raw["region"]
     if not (isinstance(region_values, list) and len(region_values) == 4):
         raise ValueError("region must be [x_min, x_max, y_min, y_max]")
-    region = Rectangle(*(float(v) for v in region_values))
+    region = Rectangle(*(_real("region", v) for v in region_values))
     kwargs = {}
-    for key in _OPTIONAL & set(raw):
-        kwargs[key] = raw[key]
+    if "quadrature_tolerance" in raw:
+        kwargs["quadrature_tolerance"] = _real("quadrature_tolerance", raw["quadrature_tolerance"])
+    if "workers" in raw:
+        kwargs["workers"] = _integer("workers", raw["workers"])
+    if "output_path" in raw:
+        kwargs["output_path"] = raw["output_path"]
     return ExperimentConfig(
         models=models,
-        sigma_values=[float(v) for v in raw["sigma_values"]],
-        n_values=[int(v) for v in raw["n_values"]],
-        s_values=[float(v) for v in raw["s_values"]],
-        d_values=[float(v) for v in raw["d_values"]],
-        r_values=[float(v) for v in raw["r_values"]],
+        sigma_values=[_real("sigma_values", v) for v in raw["sigma_values"]],
+        n_values=[_integer("n_values", v) for v in raw["n_values"]],
+        s_values=[_real("s_values", v) for v in raw["s_values"]],
+        d_values=[_real("d_values", v) for v in raw["d_values"]],
+        r_values=[_real("r_values", v) for v in raw["r_values"]],
         region=region,
-        trials=int(raw["trials"]),
-        master_seed=int(raw["master_seed"]),
+        trials=_integer("trials", raw["trials"]),
+        master_seed=_integer("master_seed", raw["master_seed"]),
         **kwargs,
     )
 

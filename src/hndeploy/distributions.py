@@ -25,11 +25,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import HalfPlane, Point, Rectangle, Region
+from .geometry import Rectangle
 from .rng import RandomSeed, normal_draws, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -73,17 +73,18 @@ class DeploymentKind(str, enum.Enum):
 @dataclass(frozen=True)
 class DeploymentModel:
     kind: DeploymentKind
-    region: Region
+    region: Rectangle
     sigma: Optional[float] = None
 
     def __post_init__(self):
         if self.kind == DeploymentKind.UNIFORM:
-            if not isinstance(self.region, Rectangle):
+            if not self.region.bounded:
                 raise ValueError("uniform deployment requires a bounded rectangle region")
         else:
-            if self.sigma is None or self.sigma <= 0:
+            if self.sigma is None:
                 raise ValueError(f"{self.kind.value} deployment requires sigma > 0")
-        if self.kind == DeploymentKind.STRIP and not isinstance(self.region, Rectangle):
+            HalfNormalParams(self.sigma)
+        if self.kind == DeploymentKind.STRIP and not self.region.bounded:
             raise ValueError("strip deployment requires a bounded rectangle region")
 
 
@@ -166,12 +167,12 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple
     region consumes further attempt slots of the same counter block, so the
     output depends only on (seed, model, n).
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     seeds = np.asarray(seeds, dtype=np.uint64)
     trials = seeds.shape[0]
     xs = np.zeros((trials, n), dtype=np.float64)
     ys = np.zeros((trials, n), dtype=np.float64)
-    if n == 0 or trials == 0:
-        return xs, ys
     pending_t, pending_j = np.nonzero(np.ones((trials, n), dtype=bool))
     region = model.region
     for attempt in range(MAX_ATTEMPTS):
@@ -193,13 +194,7 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple
             y = np.abs(normal_draws(s, base + np.uint64(2))) * model.sigma
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown deployment kind {model.kind}")
-        if isinstance(region, HalfPlane):
-            accepted = np.ones(x.shape, dtype=bool)
-        else:
-            accepted = (
-                (x >= region.x_min) & (x <= region.x_max)
-                & (y >= region.y_min) & (y <= region.y_max)
-            )
+        accepted = region.contains(x, y)
         xs[pending_t[accepted], pending_j[accepted]] = x[accepted]
         ys[pending_t[accepted], pending_j[accepted]] = y[accepted]
         keep = ~accepted
@@ -211,14 +206,6 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple
             "sigma is grossly mismatched to the bounded region"
         )
     return xs, ys
-
-
-def sample_deployment(model: DeploymentModel, n: int, seed: RandomSeed) -> List[Point]:
-    """Draw n sensor positions from the model's density."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    xs, ys = sample_positions(model, n, np.array([seed.master], dtype=np.uint64))
-    return list(zip(xs[0].tolist(), ys[0].tolist()))
 
 
 # Stein characterization test-function family: name -> (f, f', f(0))

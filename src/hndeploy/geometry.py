@@ -1,4 +1,4 @@
-"""Regions, sensor fields, intruder paths and Boolean-sensing detection.
+"""Regions, intruder paths and Boolean-sensing detection.
 
 Coordinate convention: the protected target occupies x <= 0; the intruder
 enters at (start_s, 0) and walks straight toward the target along -x, so
@@ -6,13 +6,16 @@ its path lies on y = 0. A sensor with sensing range r detects the intruder
 iff it lies within distance r of the path (closed disk, boundary counts as
 detected) -- the set of such points is a capsule: a rectangle plus two
 half-disks.
+
+Every deployment region is a closed Rectangle; the half-plane x >= 0 is the
+rectangle with infinite bounds x_max, y_min and y_max.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -42,33 +45,18 @@ class Rectangle:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """Unbounded region x >= 0 (the deployment side of the target boundary)."""
-
     @property
-    def area(self) -> float:
-        return math.inf
+    def bounded(self) -> bool:
+        return math.isfinite(self.area)
 
-    def contains(self, x: float, y: float) -> bool:
-        return x >= 0.0
-
-
-Region = Union[Rectangle, HalfPlane]
+    def contains(self, x, y):
+        """Closed-rectangle membership, elementwise for arrays."""
+        return (x >= self.x_min) & (x <= self.x_max) & (y >= self.y_min) & (y <= self.y_max)
 
 
-@dataclass(frozen=True)
-class SensorField:
-    positions: List[Point]
-    sensing_range: float
-
-    def __post_init__(self):
-        if self.sensing_range <= 0:
-            raise ValueError("sensing_range must be positive")
+def HalfPlane() -> Rectangle:
+    """The unbounded region x >= 0 (the deployment side of the target boundary)."""
+    return Rectangle(0.0, math.inf, -math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -86,6 +74,8 @@ class IntruderScenario:
     max_permitted: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_s) and math.isfinite(self.distance_d)):
+            raise ValueError("start_s and distance_d must be finite")
         if self.start_s < 0:
             raise ValueError("start_s must be nonnegative")
         if not (0 <= self.distance_d <= self.start_s):
@@ -102,30 +92,6 @@ class IntruderScenario:
     @property
     def path_end(self) -> Point:
         return (self.start_s - self.distance_d, 0.0)
-
-
-@dataclass(frozen=True)
-class Capsule:
-    """All points within `radius` of the segment from `start` to `end`."""
-
-    start: Point
-    end: Point
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    @property
-    def segment_length(self) -> float:
-        return math.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1])
-
-    @property
-    def area(self) -> float:
-        return capsule_area(self.segment_length, self.radius)
-
-    def contains(self, p: Point) -> bool:
-        return point_segment_distance(p, self.start, self.end) <= self.radius
 
 
 def capsule_area(length: float, r: float) -> float:
@@ -170,23 +136,3 @@ def detects_any(xs: np.ndarray, ys: np.ndarray, scenario: IntruderScenario, r: f
     dx = np.clip(xs, x_lo, x_hi) - xs
     dist2 = dx * dx + ys * ys
     return np.any(dist2 <= r * r, axis=-1)
-
-
-def coverage_fraction(field: SensorField, region: Rectangle, resolution: int) -> float:
-    """Fraction of a regular grid over `region` within sensing range of the field."""
-    if not isinstance(region, Rectangle):
-        raise TypeError("coverage_fraction requires a bounded rectangle region")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if not field.positions:
-        return 0.0
-    # cell-center grid
-    gx = region.x_min + (np.arange(resolution) + 0.5) * (region.width / resolution)
-    gy = region.y_min + (np.arange(resolution) + 0.5) * (region.height / resolution)
-    covered = np.zeros((resolution, resolution), dtype=bool)
-    r2 = field.sensing_range ** 2
-    for sx, sy in field.positions:
-        dx2 = (gx - sx) ** 2
-        dy2 = (gy - sy) ** 2
-        covered |= dx2[None, :] + dy2[:, None] <= r2
-    return float(covered.mean())

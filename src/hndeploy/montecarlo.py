@@ -17,8 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from .analytic import detection_probability, full_report, uniform_p_single
-from .distributions import (DeploymentKind, DeploymentModel, SamplingError, sample_deployment,
-                            sample_positions)
+from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
 from .geometry import IntruderScenario, Rectangle, detects_any
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import RandomSeed, derive_stream_seed, mix64, raw_draws
@@ -62,23 +61,17 @@ def derive_trial_seed(master: int, trial_index: int) -> int:
     return derive_stream_seed(master, trial_index)
 
 
+def _count(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
+           seeds: np.ndarray) -> int:
+    """Number of the deployments keyed by `seeds` in which some sensor detects."""
+    xs, ys = sample_positions(model, n, seeds)
+    return int(np.count_nonzero(detects_any(xs, ys, scenario, r)))
+
+
 def run_trial(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
               trial_seed: int) -> bool:
     """One deployment draw; true iff any of the n sensors detects the intruder."""
-    if n == 0:
-        return False
-    positions = sample_deployment(model, n, RandomSeed(trial_seed))
-    xs = np.array([p[0] for p in positions])
-    ys = np.array([p[1] for p in positions])
-    return bool(detects_any(xs[None, :], ys[None, :], scenario, r)[0])
-
-
-def _count_batch(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
-                 master: int, start: int, stop: int) -> int:
-    # derive_trial_seed(master, i) == raw_draws(mix64(master), i), vectorized
-    seeds = raw_draws(mix64(master), np.arange(start, stop, dtype=np.uint64))
-    xs, ys = sample_positions(model, n, seeds)
-    return int(np.count_nonzero(detects_any(xs, ys, scenario, r)))
+    return _count(model, n, scenario, r, np.array([trial_seed], dtype=np.uint64)) == 1
 
 
 def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
@@ -92,24 +85,26 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"sensing range must be positive and finite, got {r}")
     if fixed_field:
-        detected = trials if run_trial(model, n, scenario, r, seed.master) else 0
-    elif n == 0:
-        detected = 0
+        detected = trials * run_trial(model, n, scenario, r, seed.master)
     else:
+        # derive_trial_seed(master, i) == raw_draws(mix64(master), i), vectorized
+        key = mix64(seed.master)
+
+        def count(span):
+            seeds = raw_draws(key, np.arange(*span, dtype=np.uint64))
+            return _count(model, n, scenario, r, seeds)
+
         spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]
         if workers == 1:
-            counts = [_count_batch(model, n, scenario, r, seed.master, lo, hi)
-                      for lo, hi in spans]
+            counts = [count(span) for span in spans]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                counts = list(pool.map(
-                    lambda span: _count_batch(model, n, scenario, r, seed.master, *span),
-                    spans))
+                counts = list(pool.map(count, spans))
         detected = sum(counts)
     p_hat = detected / trials
     ci = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)

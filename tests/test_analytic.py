@@ -10,7 +10,7 @@ from hndeploy.rng import normal_draws
 from hndeploy.validate import reference_capsule_parts
 
 
-def _report(s, d, r, sigma, spec=QuadratureSpec(), region=None):
+def _report(s, d, r, sigma, spec=QuadratureSpec(), region=HalfPlane()):
     return full_report(IntruderScenario(start_s=s, distance_d=d), r, sigma, 1,
                        region=region, spec=spec)
 
@@ -191,8 +191,11 @@ class TestUniformBaseline:
             uniform_p_single(IntruderScenario(start_s=99.9, distance_d=1.0), 1.0, region)
 
     def test_requires_bounded_region(self):
+        scenario = IntruderScenario(start_s=10.0, distance_d=1.0)
         with pytest.raises(TypeError):
-            uniform_p_single(IntruderScenario(start_s=10.0, distance_d=1.0), 1.0, HalfPlane())
+            uniform_p_single(scenario, 1.0, HalfPlane())
+        with pytest.raises(TypeError):
+            uniform_p_single(scenario, 1.0, Rectangle(0.0, math.inf, -50.0, 50.0))
 
 
 class TestFullReport:
@@ -265,3 +268,5 @@ class TestFullReport:
     def test_baseline_omitted_without_region(self):
         scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
         assert full_report(scenario, 1.0, 5.0, 10).p_single_uniform is None
+        strip = Rectangle(0.0, math.inf, -50.0, 50.0)
+        assert full_report(scenario, 1.0, 5.0, 10, region=strip).p_single_uniform is None

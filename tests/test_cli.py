@@ -95,6 +95,18 @@ class TestAnalyticCommand:
         rc = main(["analytic", "--sigma", "5", "-r", "1", "-S", "2", "-d", "3", "-N", "10"])
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("bounds", [["0", "inf", "-50", "50"], ["0", "10", "-5", "inf"],
+                                        ["0", "10", "nan", "5"]])
+    def test_unbounded_region_rejected(self, bounds):
+        rc = main(["analytic", "--sigma", "5", "-r", "1", "-S", "5", "-d", "3", "-N", "10",
+                   "--region", *bounds])
+        assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("s,d", [("inf", "3"), ("inf", "inf"), ("5", "nan")])
+    def test_non_finite_scenario_rejected(self, s, d):
+        rc = main(["analytic", "--sigma", "5", "-r", "1", "-N", "10", "-S", s, "-d", d])
+        assert rc == EXIT_VALIDATION
+
 
 class TestSimulateCommand:
     def test_single_trial_binary(self, capsys):
@@ -103,6 +115,16 @@ class TestSimulateCommand:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["p_hat"] in (0.0, 1.0)
+
+    @pytest.mark.parametrize("extra", [["--sigma", "nan"], ["--sigma", "inf"],
+                                       ["--sigma", "5", "--region", "0", "inf", "-5", "5"],
+                                       ["--sigma", "5", "-r", "inf"], ["--sigma", "5", "-r", "0"],
+                                       ["--sigma", "5", "-r", "-1"], ["--sigma", "5", "-r", "nan"]])
+    def test_bad_sigma_range_or_region_rejected(self, extra, capsys):
+        rc = main(["simulate", "--model", "half_normal", "-N", "10", "-r", "1", "-S", "5",
+                   "-d", "3", "--trials", "100", "--seed", "4", *extra])
+        assert rc == EXIT_VALIDATION
+        assert "grossly mismatched" not in capsys.readouterr().err
 
     def test_identical_output_for_same_seed(self, capsys):
         args = ["simulate", "--model", "half_normal", "--sigma", "5", "-N", "10",
@@ -222,6 +244,31 @@ class TestConfigParsing:
             path = _write_config(tmp_path, **overrides)
             with pytest.raises(ValueError):
                 load_config(str(path))
+
+    @pytest.mark.parametrize("overrides", [
+        {"trials": 2.7}, {"trials": True}, {"n_values": [True]}, {"n_values": [10, 2.5]},
+        {"master_seed": 1.5}, {"workers": 1.5}, {"workers": True}, {"trials": "20"},
+    ])
+    def test_rejects_bools_and_fractional_counts(self, tmp_path, overrides):
+        with pytest.raises(ValueError):
+            load_config(str(_write_config(tmp_path, **overrides)))
+
+    @pytest.mark.parametrize("overrides", [
+        {"sigma_values": [math.inf]}, {"s_values": [math.inf]}, {"d_values": [math.nan]},
+        {"r_values": [math.inf]}, {"quadrature_tolerance": math.inf},
+        {"quadrature_tolerance": math.nan}, {"sigma_values": [True]},
+        {"region": [0.0, math.inf, -50.0, 50.0]}, {"region": [0.0, 100.0, -50.0, math.nan]},
+    ])
+    def test_rejects_non_finite_values(self, tmp_path, overrides):
+        # json writes these as Infinity / NaN, which json.load reads back
+        with pytest.raises(ValueError):
+            load_config(str(_write_config(tmp_path, **overrides)))
+
+    def test_integral_floats_accepted(self, tmp_path):
+        config = load_config(str(_write_config(tmp_path, trials=2000.0, n_values=[10.0],
+                                               workers=2.0)))
+        assert (config.trials, config.n_values, config.workers) == (2000, [10], 2)
+        assert isinstance(config.trials, int)
 
 
 def test_console_entry_point():

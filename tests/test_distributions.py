@@ -16,7 +16,6 @@ from hndeploy.distributions import (
     half_normal_sample,
     half_normal_samples,
     halfplane_pdf,
-    sample_deployment,
     sample_positions,
     stein_residual,
 )
@@ -198,13 +197,14 @@ class TestHalfplanePdf:
 class TestDeploymentSampling:
     def test_zero_sensors(self):
         model = DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=1.0)
-        assert sample_deployment(model, 0, RandomSeed(1)) == []
+        xs, ys = sample_positions(model, 0, np.array([1, 2, 3], dtype=np.uint64))
+        assert xs.shape == ys.shape == (3, 0)
 
     def test_uniform_within_bounds(self):
         region = Rectangle(0.0, 100.0, 0.0, 100.0)
         model = DeploymentModel(kind=DeploymentKind.UNIFORM, region=region)
-        for x, y in sample_deployment(model, 500, RandomSeed(2)):
-            assert region.contains(x, y)
+        xs, ys = sample_positions(model, 500, np.array([2], dtype=np.uint64))
+        assert np.all(region.contains(xs, ys))
 
     def test_half_normal_x_mean(self):
         model = DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=5.0)
@@ -224,8 +224,8 @@ class TestDeploymentSampling:
     def test_bounded_region_truncation(self):
         region = Rectangle(0.0, 4.0, -2.0, 2.0)
         model = DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=region, sigma=3.0)
-        for x, y in sample_deployment(model, 2000, RandomSeed(77)):
-            assert region.contains(x, y)
+        xs, ys = sample_positions(model, 2000, np.array([77], dtype=np.uint64))
+        assert np.all(region.contains(xs, ys))
 
     def test_quadrant_positive_coordinates(self):
         model = DeploymentModel(kind=DeploymentKind.QUADRANT, region=HalfPlane(), sigma=1.0)
@@ -245,7 +245,7 @@ class TestDeploymentSampling:
         region = Rectangle(0.0, 1e-4, -1e-4, 1e-4)
         model = DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=region, sigma=100.0)
         with pytest.raises(SamplingError):
-            sample_deployment(model, 50, RandomSeed(5))
+            sample_positions(model, 50, np.array([5], dtype=np.uint64))
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -253,14 +253,26 @@ class TestDeploymentSampling:
         with pytest.raises(ValueError):
             DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane())
         with pytest.raises(ValueError):
-            sample_deployment(
+            sample_positions(
                 DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=1.0),
-                -1, RandomSeed(0))
+                -1, np.array([0], dtype=np.uint64))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_model_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError):
+            DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=sigma)
+
+    @pytest.mark.parametrize("kind", [DeploymentKind.UNIFORM, DeploymentKind.STRIP])
+    def test_bounded_kinds_reject_partly_unbounded_region(self, kind):
+        with pytest.raises(ValueError):
+            DeploymentModel(kind=kind, region=Rectangle(0.0, math.inf, -5.0, 5.0), sigma=1.0)
 
     def test_deterministic_replay(self):
         model = DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=1.0)
-        assert sample_deployment(model, 20, RandomSeed(42)) == \
-            sample_deployment(model, 20, RandomSeed(42))
+        seeds = np.array([42, 43], dtype=np.uint64)
+        first, second = sample_positions(model, 20, seeds), sample_positions(model, 20, seeds)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
 
 
 class TestSteinResidual:

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from hndeploy.geometry import (
-    Capsule,
     HalfPlane,
     IntruderScenario,
     Rectangle,
-    SensorField,
     capsule_area,
-    coverage_fraction,
     detects,
     detects_any,
     point_segment_distance,
@@ -144,6 +141,12 @@ class TestScenario:
         with pytest.raises(ValueError):
             IntruderScenario(start_s=2.0, distance_d=3.0)
 
+    @pytest.mark.parametrize("s,d", [(math.inf, 1.0), (math.nan, 1.0), (5.0, math.nan),
+                                     (math.inf, math.inf)])
+    def test_rejects_non_finite(self, s, d):
+        with pytest.raises(ValueError):
+            IntruderScenario(start_s=s, distance_d=d)
+
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             IntruderScenario(start_s=2.0, distance_d=1.0, max_permitted=3.0)
@@ -160,49 +163,18 @@ class TestRegions:
     def test_halfplane(self):
         hp = HalfPlane()
         assert hp.area == math.inf
+        assert hp.bounded is False
         assert hp.contains(0.0, -100.0)
         assert not hp.contains(-1e-9, 0.0)
+        xs = np.array([0.0, -1e-9, 1e300, 5.0])
+        ys = np.array([-1e300, 0.0, 0.0, 7.0])
+        assert hp.contains(xs, ys).tolist() == [True, False, True, True]
 
-
-class TestCapsuleType:
-    def test_area_invariant(self):
-        c = Capsule(start=(5.0, 0.0), end=(2.0, 0.0), radius=1.0)
-        assert c.area == pytest.approx(2 * 3 * 1 + math.pi, abs=1e-12)
-
-    def test_contains(self):
-        c = Capsule(start=(5.0, 0.0), end=(2.0, 0.0), radius=1.0)
-        assert c.contains((3.0, 0.5))
-        assert not c.contains((3.0, 1.5))
-
-
-class TestCoverageFraction:
-    def test_no_sensors(self):
-        field = SensorField(positions=[], sensing_range=5.0)
-        assert coverage_fraction(field, Rectangle(0, 100, 0, 100), 100) == 0.0
-
-    def test_full_coverage(self):
-        field = SensorField(positions=[(50.0, 50.0)], sensing_range=200.0)
-        assert coverage_fraction(field, Rectangle(0, 100, 0, 100), 50) == 1.0
-
-    def test_single_disk_area_ratio(self):
-        field = SensorField(positions=[(50.0, 50.0)], sensing_range=5.0)
-        frac = coverage_fraction(field, Rectangle(0, 100, 0, 100), 1000)
-        assert frac == pytest.approx(math.pi * 25.0 / 1e4, abs=5e-4)
-
-    def test_monotone_in_radius_and_sensors(self):
-        region = Rectangle(0, 20, 0, 20)
-        one = SensorField(positions=[(5.0, 5.0)], sensing_range=2.0)
-        bigger = SensorField(positions=[(5.0, 5.0)], sensing_range=3.0)
-        two = SensorField(positions=[(5.0, 5.0), (15.0, 15.0)], sensing_range=2.0)
-        base = coverage_fraction(one, region, 200)
-        assert coverage_fraction(bigger, region, 200) >= base
-        assert coverage_fraction(two, region, 200) >= base
-
-    def test_validation(self):
-        field = SensorField(positions=[(0.0, 0.0)], sensing_range=1.0)
-        with pytest.raises(ValueError):
-            coverage_fraction(field, Rectangle(0, 1, 0, 1), 1)
-        with pytest.raises(TypeError):
-            coverage_fraction(field, HalfPlane(), 10)
-        with pytest.raises(ValueError):
-            SensorField(positions=[], sensing_range=0.0)
+    def test_rectangle_contains_elementwise(self):
+        box = Rectangle(0.0, 20.0, -5.0, 5.0)
+        assert box.bounded is True
+        xs = np.array([0.0, 20.0, 20.0 + 1e-9, 3.0, 3.0])
+        ys = np.array([-5.0, 5.0, 0.0, 5.0 + 1e-9, -5.0 - 1e-9])
+        assert box.contains(xs, ys).tolist() == [True, True, False, False, False]
+        assert [box.contains(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == \
+            [True, True, False, False, False]

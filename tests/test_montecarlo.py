@@ -6,6 +6,7 @@ import pytest
 from hndeploy.analytic import full_report, uniform_p_single
 from hndeploy.config import ExperimentConfig
 from hndeploy.distributions import DeploymentKind, DeploymentModel
+from hndeploy import montecarlo
 from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle
 from hndeploy.montecarlo import (
     derive_trial_seed,
@@ -68,6 +69,16 @@ class TestEstimateDetection:
                      for i in range(trials))
         assert est.detected_count == manual
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_batch_spans_keep_trial_indices(self, monkeypatch, workers):
+        # 500 trials in spans of 64: every span must start at its own offset
+        monkeypatch.setattr(montecarlo, "_BATCH", 64)
+        est = estimate_detection(HALF_NORMAL_MODEL, 5, SCENARIO, 1.0, 500, RandomSeed(21),
+                                 workers=workers)
+        manual = sum(run_trial(HALF_NORMAL_MODEL, 5, SCENARIO, 1.0, derive_trial_seed(21, i))
+                     for i in range(500))
+        assert est.detected_count == manual
+
     def test_worker_count_is_bit_identical(self):
         base = estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 100_000, RandomSeed(9))
         for workers in (2, 4, 7):
@@ -110,6 +121,10 @@ class TestEstimateDetection:
         with pytest.raises(ValueError):
             estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 10, RandomSeed(1),
                                workers=0)
+        for fixed_field in (False, True):
+            with pytest.raises(ValueError):
+                estimate_detection(HALF_NORMAL_MODEL, -1, SCENARIO, 1.0, 10, RandomSeed(1),
+                                   fixed_field=fixed_field)
 
 
 def _config(**overrides):
