@@ -57,8 +57,8 @@ class Correlated2DParams:
     rho: float
 
     def __post_init__(self):
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise ValueError("sigma1 and sigma2 must be positive")
+        HalfNormalParams(self.sigma1)
+        HalfNormalParams(self.sigma2)
         if not abs(self.rho) < 1:
             raise ValueError("rho must lie in (-1, 1)")
 
@@ -160,49 +160,45 @@ def halfplane_pdf(x: float, y: float, params: HalfNormalParams) -> float:
     return math.exp(-(x * x + y * y) / (2.0 * s2)) / (math.pi * s2)
 
 
+def _draw(model: DeploymentModel, seeds, base) -> Tuple[np.ndarray, np.ndarray]:
+    """One rejection attempt's (x, y) for the attempt slots starting at counters `base`."""
+    region = model.region
+    if model.kind == DeploymentKind.UNIFORM:
+        return (region.x_min + region.width * uniform_draws(seeds, base),
+                region.y_min + region.height * uniform_draws(seeds, base + np.uint64(1)))
+    x = np.abs(normal_draws(seeds, base)) * model.sigma
+    if model.kind == DeploymentKind.STRIP:
+        return x, region.y_min + region.height * uniform_draws(seeds, base + np.uint64(2))
+    y = normal_draws(seeds, base + np.uint64(2)) * model.sigma
+    return x, (np.abs(y) if model.kind == DeploymentKind.QUADRANT else y)
+
+
 def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sample n sensors per seed; returns x and y arrays of shape (len(seeds), n).
 
-    Each seed keys one independent deployment. Rejection against a bounded
-    region consumes further attempt slots of the same counter block, so the
-    output depends only on (seed, model, n).
+    Each seed keys one independent deployment. The first attempt draws
+    every sensor of every deployment at once; only the draws a bounded
+    region rejects are redrawn, from further attempt slots of the same
+    counter block, so the output depends only on (seed, model, n).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    trials = seeds.shape[0]
-    xs = np.zeros((trials, n), dtype=np.float64)
-    ys = np.zeros((trials, n), dtype=np.float64)
-    pending_t, pending_j = np.nonzero(np.ones((trials, n), dtype=bool))
     region = model.region
-    for attempt in range(MAX_ATTEMPTS):
-        if pending_t.size == 0:
+    xs, ys = _draw(model, seeds[:, None], np.arange(n, dtype=np.uint64) * np.uint64(_BLOCK))
+    t, j = np.nonzero(~region.contains(xs, ys))
+    for attempt in range(1, MAX_ATTEMPTS):
+        if t.size == 0:
             break
-        base = pending_j.astype(np.uint64) * np.uint64(_BLOCK) + np.uint64(attempt * _DRAWS_PER_ATTEMPT)
-        s = seeds[pending_t]
-        if model.kind == DeploymentKind.UNIFORM:
-            x = region.x_min + region.width * uniform_draws(s, base)
-            y = region.y_min + region.height * uniform_draws(s, base + np.uint64(1))
-        elif model.kind == DeploymentKind.HALF_NORMAL:
-            x = np.abs(normal_draws(s, base)) * model.sigma
-            y = normal_draws(s, base + np.uint64(2)) * model.sigma
-        elif model.kind == DeploymentKind.STRIP:
-            x = np.abs(normal_draws(s, base)) * model.sigma
-            y = region.y_min + region.height * uniform_draws(s, base + np.uint64(2))
-        elif model.kind == DeploymentKind.QUADRANT:
-            x = np.abs(normal_draws(s, base)) * model.sigma
-            y = np.abs(normal_draws(s, base + np.uint64(2))) * model.sigma
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown deployment kind {model.kind}")
+        x, y = _draw(model, seeds[t], j.astype(np.uint64) * np.uint64(_BLOCK)
+                     + np.uint64(attempt * _DRAWS_PER_ATTEMPT))
         accepted = region.contains(x, y)
-        xs[pending_t[accepted], pending_j[accepted]] = x[accepted]
-        ys[pending_t[accepted], pending_j[accepted]] = y[accepted]
-        keep = ~accepted
-        pending_t = pending_t[keep]
-        pending_j = pending_j[keep]
-    else:
+        xs[t[accepted], j[accepted]] = x[accepted]
+        ys[t[accepted], j[accepted]] = y[accepted]
+        t, j = t[~accepted], j[~accepted]
+    if t.size:
         raise SamplingError(
-            f"{pending_t.size} draw(s) still rejected after {MAX_ATTEMPTS} attempts; "
+            f"{t.size} draw(s) still rejected after {MAX_ATTEMPTS} attempts; "
             "sigma is grossly mismatched to the bounded region"
         )
     return xs, ys

@@ -100,12 +100,8 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
             return _count(model, n, scenario, r, seeds)
 
         spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]
-        if workers == 1:
-            counts = [count(span) for span in spans]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                counts = list(pool.map(count, spans))
-        detected = sum(counts)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            detected = sum(pool.map(count, spans))
     p_hat = detected / trials
     ci = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return DetectionEstimate(

@@ -7,6 +7,7 @@ capsule parts are tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
@@ -19,8 +20,9 @@ class QuadratureSpec:
     max_subdivisions: int = 100_000
 
     def __post_init__(self):
-        if self.absolute_tolerance <= 0:
-            raise ValueError("absolute_tolerance must be positive")
+        if not (math.isfinite(self.absolute_tolerance) and self.absolute_tolerance > 0):
+            raise ValueError(f"absolute_tolerance must be a positive finite real, "
+                             f"got {self.absolute_tolerance}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 

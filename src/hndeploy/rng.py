@@ -7,8 +7,8 @@ Every draw is addressed by a (seed, counter) pair:
 where mix64 is the splitmix64 finalizer and GOLDEN = 0x9E3779B97F4A7C15.
 A sequential stream is the special case counter = 0, 1, 2, ...; batch code
 can evaluate any set of counters at once and still reproduce exactly the
-values a sequential consumer would see, so results never depend on batch
-size or thread count.
+raw and uniform values a sequential consumer would see (normals within 2
+ulps), and a vectorized result never depends on batch size or thread count.
 
 Normal variates use the Box-Muller transform on two consecutive counters
 (the sine branch is discarded), giving every normal draw a fixed footprint
@@ -98,7 +98,10 @@ class SplitMix64:
         return mean + std * z
 
 
-# -- vectorized counterparts (bit-identical to the scalar functions) --------
+# -- vectorized counterparts ------------------------------------------------
+# raw and uniform draws are bit-identical to the scalar functions; normal
+# draws agree within 2 ulps, since numpy's log and cos may round differently
+# from libm's. Every determinism guarantee uses the vectorized path only.
 
 _GOLDEN_U64 = np.uint64(GOLDEN)
 _MUL1_U64 = np.uint64(_MUL1)

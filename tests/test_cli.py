@@ -108,6 +108,14 @@ class TestAnalyticCommand:
         assert rc == EXIT_VALIDATION
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tolerance_rejected(self, tol, capsys):
+        rc = main(["analytic", "--sigma", "5", "-r", "1", "-S", "5", "-d", "3", "-N", "10",
+                   "--tolerance", tol])
+        assert rc == EXIT_VALIDATION
+        assert "absolute_tolerance" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_single_trial_binary(self, capsys):
         rc = main(["simulate", "--model", "half_normal", "--sigma", "5", "-N", "10",

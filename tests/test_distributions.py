@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hndeploy.distributions import (
 )
 from hndeploy.geometry import HalfPlane, Rectangle
 from hndeploy.numerics import QuadratureSpec, integrate_1d, integrate_2d
-from hndeploy.rng import RandomSeed, SplitMix64, uniform_draws
+from hndeploy.rng import RandomSeed, SplitMix64, normal_draw, uniform_draw, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -123,7 +124,8 @@ class TestSampling:
         params = HalfNormalParams(2.5)
         stream = SplitMix64(88)
         sequential = [half_normal_sample(stream, params) for _ in range(200)]
-        assert half_normal_samples(params, 200, RandomSeed(88)).tolist() == sequential
+        np.testing.assert_array_max_ulp(half_normal_samples(params, 200, RandomSeed(88)),
+                                        np.array(sequential), maxulp=2)
 
     def test_kolmogorov_smirnov(self):
         params = HalfNormalParams(1.0)
@@ -173,6 +175,11 @@ class TestCorrelatedPdf:
             Correlated2DParams(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             Correlated2DParams(1.0, 1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Correlated2DParams(bad, 1.0, 0.0)
+            with pytest.raises(ValueError):
+                Correlated2DParams(1.0, bad, 0.0)
 
 
 class TestHalfplanePdf:
@@ -273,6 +280,94 @@ class TestDeploymentSampling:
         first, second = sample_positions(model, 20, seeds), sample_positions(model, 20, seeds)
         assert first[0].tobytes() == second[0].tobytes()
         assert first[1].tobytes() == second[1].tobytes()
+
+
+def _reference_positions(model, n, seed):
+    """Per-sensor scalar loop over the documented counter layout.
+
+    Sensor j, attempt a reads counters j*256 + 4a (x) and +1 (uniform y)
+    or +2 (normal y). Returns x, y and the attempt index each sensor
+    was accepted on.
+    """
+    region, kind, sigma = model.region, model.kind, model.sigma
+    xs, ys, attempts = [], [], []
+    for j in range(n):
+        for a in range(64):
+            c = j * 256 + 4 * a
+            if kind == DeploymentKind.UNIFORM:
+                x = region.x_min + region.width * uniform_draw(seed, c)
+                y = region.y_min + region.height * uniform_draw(seed, c + 1)
+            else:
+                x = abs(normal_draw(seed, c)) * sigma
+                if kind == DeploymentKind.STRIP:
+                    y = region.y_min + region.height * uniform_draw(seed, c + 2)
+                else:
+                    y = normal_draw(seed, c + 2) * sigma
+                    y = abs(y) if kind == DeploymentKind.QUADRANT else y
+            if region.contains(x, y):
+                break
+        else:
+            raise SamplingError(f"sensor {j} rejected on every attempt")
+        xs.append(x)
+        ys.append(y)
+        attempts.append(a)
+    return np.array(xs), np.array(ys), attempts
+
+
+# normal-derived coordinates agree with the scalar path within 2 ulps of the
+# normal draw; scaling by sigma may add one rounding on top
+_NORMAL_MAXULP = 4
+_LAYOUT_SEEDS = [0, 7, 123456789, 2**63 + 5, 2**64 - 1]
+
+
+class TestSamplerCounterLayout:
+    @pytest.mark.parametrize("kind,region", [
+        (kind, Rectangle(0.0, 6.0, -2.0, 2.0)) for kind in DeploymentKind
+    ] + [(DeploymentKind.HALF_NORMAL, HalfPlane()), (DeploymentKind.QUADRANT, HalfPlane())])
+    def test_matches_scalar_reference(self, kind, region):
+        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 5.0)
+        n = 30
+        xs, ys = sample_positions(model, n, np.array(_LAYOUT_SEEDS, dtype=np.uint64))
+        retried = 0
+        for row, seed in enumerate(_LAYOUT_SEEDS):
+            x_ref, y_ref, attempts = _reference_positions(model, n, seed)
+            retried += sum(a > 0 for a in attempts)
+            if kind == DeploymentKind.UNIFORM:
+                assert xs[row].tolist() == x_ref.tolist()
+            else:
+                np.testing.assert_array_max_ulp(xs[row], x_ref, maxulp=_NORMAL_MAXULP)
+            if kind in (DeploymentKind.UNIFORM, DeploymentKind.STRIP):
+                assert ys[row].tolist() == y_ref.tolist()
+            else:
+                np.testing.assert_array_max_ulp(ys[row], y_ref, maxulp=_NORMAL_MAXULP)
+        # at sigma = 5 the box rejects about three normal-derived draws in four;
+        # uniform draws and the half-plane never retry
+        assert (retried > 0) == (region.bounded and kind != DeploymentKind.UNIFORM)
+
+    def test_sensor_accepted_on_last_attempt(self):
+        # seed 106 puts its only sensor inside this box on attempt 64 of 64
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
+        x_ref, y_ref, attempts = _reference_positions(model, 1, 106)
+        assert attempts == [63]
+        xs, ys = sample_positions(model, 1, np.array([106], dtype=np.uint64))
+        np.testing.assert_array_max_ulp(xs[0], x_ref, maxulp=_NORMAL_MAXULP)
+        np.testing.assert_array_max_ulp(ys[0], y_ref, maxulp=_NORMAL_MAXULP)
+
+
+@pytest.mark.parametrize("region", [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0)])
+def test_sampler_peak_memory(region):
+    # the first attempt covers the whole (trials, n) grid; what it may hold at
+    # once is bounded in grid-sized float64 arrays
+    trials, n = 4096, 100
+    model = DeploymentModel(DeploymentKind.HALF_NORMAL, region, 10.0)
+    seeds = np.arange(trials, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        sample_positions(model, n, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * trials * n * 8
 
 
 class TestSteinResidual:

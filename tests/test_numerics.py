@@ -56,6 +56,9 @@ class TestQuadratureSpec:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             QuadratureSpec(absolute_tolerance=0.0)
+        for tol in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                QuadratureSpec(absolute_tolerance=tol)
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):

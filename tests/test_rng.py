@@ -34,18 +34,21 @@ def test_raw_draw_matches_sequential_stream():
 
 
 def test_vectorized_matches_scalar():
-    counters = np.arange(1000, dtype=np.uint64)
+    # raw and uniform draws are bit-identical; numpy's log/cos may differ from
+    # libm's by an ulp, so normals agree within 2 ulps
+    n = 100_000
+    counters = np.arange(n, dtype=np.uint64)
     vec = raw_draws(987654321, counters)
-    scalar = [raw_draw(987654321, int(c)) for c in range(1000)]
+    scalar = [raw_draw(987654321, c) for c in range(n)]
     assert vec.tolist() == scalar
 
     uv = uniform_draws(987654321, counters)
-    us = [uniform_draw(987654321, c) for c in range(1000)]
+    us = [uniform_draw(987654321, c) for c in range(n)]
     assert uv.tolist() == us
 
     nv = normal_draws(987654321, counters * np.uint64(2))
-    ns = [normal_draw(987654321, 2 * c) for c in range(1000)]
-    assert nv.tolist() == ns
+    ns = [normal_draw(987654321, 2 * c) for c in range(n)]
+    np.testing.assert_array_max_ulp(nv, np.array(ns), maxulp=2)
 
 
 def test_mix64_array_matches_scalar():
