@@ -7,7 +7,7 @@ integrals against an independent Monte Carlo simulator, and compares
 against the uniform-deployment baseline.
 """
 
-from .analytic import DetectionReport, detection_probability, full_report, uniform_p_single
+from .analytic import DetectionReport, capsule_probability, detection_probability, full_report
 from .config import ExperimentConfig, config_from_dict, load_config
 from .distributions import (
     Correlated2DParams,
@@ -19,7 +19,6 @@ from .distributions import (
     half_normal_cdf,
     half_normal_mean,
     half_normal_pdf,
-    half_normal_sample,
     half_normal_samples,
     halfplane_pdf,
     sample_positions,
@@ -35,6 +34,6 @@ from .geometry import (
 )
 from .montecarlo import DetectionEstimate, SweepResult, derive_trial_seed, estimate_detection, run_trial, sweep
 from .numerics import QuadratureError, QuadratureSpec, integrate_1d, integrate_2d
-from .rng import RandomSeed, SplitMix64, mix64
+from .rng import RandomSeed, mix64
 
 __version__ = "0.1.0"

@@ -1,32 +1,48 @@
-"""Analytic detection probability under half-normal deployment.
+"""Analytic detection probability for every deployment kind.
 
-The single-sensor hit probability is the half-plane deployment density
-(x half-normal, y normal, same sigma) integrated over the intrusion
-capsule, split into its three parts:
+Each deployment kind places a sensor by a product density f_x(x) f_y(y)
+truncated to its rectangle region and renormalized, which is exactly what
+the sampler draws by rejection:
+
+  * half_normal  x half-normal, y normal (the half-plane density)
+  * quadrant     x half-normal, y half-normal
+  * strip        x half-normal, y uniform
+  * uniform      x uniform, y uniform
+
+The single-sensor hit probability is that density integrated over the
+intrusion capsule, split into its three parts:
 
   * rectangle  x in [S-d, S], y in [-r, r]
   * left half-disk centered at the path end (S-d, 0)
   * right half-disk centered at the entry point (S, 0)
 
-The density separates, so the rectangle is closed form in math.erf and
-each half-disk is a single 1D quadrature over the polar angle. Given a
-bounded region, the density is truncated to it and renormalized, which is
-the distribution a bounded deployment actually samples by rejection.
+The density separates, so the rectangle is a product of interval masses
+and each half-disk is a single 1D quadrature over the polar angle. A
+capsule reaching past the region is clipped to it; for the uniform kind
+that makes the probability the area of capsule and region in common over
+the region's area.
 
 With N independently placed sensors, at-least-one detection is
-P_d = 1 - (1 - p_total)^N. The uniform baseline uses capsule area over
-region area for the same quantity.
+P_d = 1 - (1 - p_total)^N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from .distributions import HalfNormalParams
-from .geometry import HalfPlane, IntruderScenario, Rectangle, capsule_area
+from .distributions import DeploymentKind, DeploymentModel
+from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .numerics import QuadratureSpec, integrate_1d
+
+# (x, y) marginals of each deployment kind
+_MARGINALS = {
+    DeploymentKind.HALF_NORMAL: ("half_normal", "normal"),
+    DeploymentKind.QUADRANT: ("half_normal", "half_normal"),
+    DeploymentKind.STRIP: ("half_normal", "uniform"),
+    DeploymentKind.UNIFORM: ("uniform", "uniform"),
+}
 
 
 @dataclass(frozen=True)
@@ -66,34 +82,55 @@ def _not_detected(p_single: float, n: int) -> float:
     return math.exp(n * math.log1p(-p_single))
 
 
-def _capsule_parts(scenario: IntruderScenario, r: float, sigma: float, region: Rectangle,
-                   spec: QuadratureSpec) -> Tuple[float, float, float]:
-    """(rectangle, left half-disk, right half-disk) probabilities.
+def _axis(shape: str, sigma: Optional[float], lo: float, hi: float
+          ) -> Tuple[float, float, Callable[[float, float], float], Callable[[float], float]]:
+    """One coordinate's marginal on the region's bounds [lo, hi].
 
-    The half-plane density separates into a half-normal x and a normal y,
-    so the rectangle is a product of erf differences and each half-disk is
-    one integral over the polar angle theta in [0, pi/2], with the disk's
-    chord at x = c +/- r cos(theta) contributing its y-mass times
-    dx = r sin(theta) dtheta. Everything is clipped to the region (x >= 0
-    always) and divided by the region's own mass, which is exactly 1 on
-    the half-plane.
+    Returns its support within [lo, hi], its mass on an interval [a, b]
+    (0 when a >= b) and its density. The uniform marginal is taken over
+    [lo, hi] itself, so its mass is a probability and the quadrature
+    tolerance keeps its meaning.
+    """
+    if shape == "uniform":
+        width = hi - lo
+        inverse = 1.0 / width
+        return (lo, hi, lambda a, b: (b - a) / width if a < b else 0.0,
+                lambda x: inverse)
+    k = 1.0 / (sigma * math.sqrt(2.0))
+    # folding Normal(0, sigma^2) onto x >= 0 doubles its mass there
+    scale = 1.0 if shape == "half_normal" else 0.5
+    pdf_scale = 2.0 * scale * k / math.sqrt(math.pi)
+
+    def mass(a: float, b: float) -> float:
+        return scale * (math.erf(b * k) - math.erf(a * k)) if a < b else 0.0
+
+    return (max(0.0, lo) if shape == "half_normal" else lo, hi, mass,
+            lambda x: pdf_scale * math.exp(-(x * k) ** 2))
+
+
+def _capsule_parts(model: DeploymentModel, scenario: IntruderScenario, r: float,
+                   spec: QuadratureSpec) -> Tuple[float, float, float]:
+    """(rectangle, left half-disk, right half-disk) probabilities under `model`.
+
+    The rectangle is the product of the x and y interval masses; each
+    half-disk is one integral over the polar angle theta in [0, pi/2], with
+    the disk's chord at x = c +/- r cos(theta) contributing the x density
+    times its y-mass times dx = r sin(theta) dtheta. Everything is clipped
+    to the region and divided by the region's own mass, which is exactly 1
+    on the half-plane and for uniform marginals.
     """
     if not r > 0.0:
         raise ValueError(f"sensing range must be positive, got {r}")
-    k = 1.0 / (HalfNormalParams(sigma).sigma * math.sqrt(2.0))
-    x_lo, x_hi = max(0.0, region.x_min), region.x_max
-    y_lo, y_hi = region.y_min, region.y_max
-
-    def mass(lo: float, hi: float) -> float:
-        # P(lo <= Y <= hi) for Y ~ Normal(0, sigma^2); twice it for x >= 0
-        return 0.5 * (math.erf(hi * k) - math.erf(lo * k)) if lo < hi else 0.0
-
-    region_mass = 2.0 * mass(x_lo, x_hi) * mass(y_lo, y_hi)
+    region = model.region
+    x_shape, y_shape = _MARGINALS[model.kind]
+    x_lo, x_hi, x_mass, x_pdf = _axis(x_shape, model.sigma, region.x_min, region.x_max)
+    y_lo, y_hi, y_mass, _ = _axis(y_shape, model.sigma, region.y_min, region.y_max)
+    region_mass = x_mass(x_lo, x_hi) * y_mass(y_lo, y_hi)
     if region_mass == 0.0:
-        raise ValueError(f"region {region} carries no deployment mass at sigma={sigma}")
+        raise ValueError(f"region {region} carries no {model.kind.value} deployment mass "
+                         f"at sigma={model.sigma}")
     end, start = scenario.start_s - scenario.distance_d, scenario.start_s
-    rect = 2.0 * mass(max(x_lo, end), min(x_hi, start)) * mass(max(y_lo, -r), min(y_hi, r))
-    pdf_scale = 2.0 * k / math.sqrt(math.pi)
+    rect = x_mass(max(x_lo, end), min(x_hi, start)) * y_mass(max(y_lo, -r), min(y_hi, r))
 
     def half_disk(center: float, side: float) -> float:
         # cos(theta) range that keeps x = center + side r cos(theta) in [x_lo, x_hi]
@@ -104,7 +141,7 @@ def _capsule_parts(scenario: IntruderScenario, r: float, sigma: float, region: R
         def chord(theta: float) -> float:
             x = center + side * r * math.cos(theta)
             h = r * math.sin(theta)
-            return pdf_scale * math.exp(-(x * k) ** 2) * mass(max(y_lo, -h), min(y_hi, h)) * h
+            return x_pdf(x) * y_mass(max(y_lo, -h), min(y_hi, h)) * h
 
         return integrate_1d(chord, math.acos(min(1.0, hi)), math.acos(max(0.0, lo)), spec)
 
@@ -112,50 +149,37 @@ def _capsule_parts(scenario: IntruderScenario, r: float, sigma: float, region: R
             half_disk(start, 1.0) / region_mass)
 
 
-def uniform_p_single(scenario: IntruderScenario, r: float, region: Rectangle) -> float:
-    """Single-sensor hit probability under uniform deployment: capsule/region area.
-
-    The capsule must lie fully inside the region; there is no principled
-    clipping rule for a capsule sticking out, so that case is an error.
-    """
-    if not region.bounded:
-        raise TypeError("uniform baseline requires a bounded rectangle region")
-    x_lo = scenario.start_s - scenario.distance_d - r
-    x_hi = scenario.start_s + r
-    if x_lo < region.x_min or x_hi > region.x_max or -r < region.y_min or r > region.y_max:
-        raise ValueError(
-            f"capsule [{x_lo}, {x_hi}] x [-{r}, {r}] is not contained in the region"
-        )
-    return capsule_area(scenario.distance_d, r) / region.area
+def capsule_probability(model: DeploymentModel, scenario: IntruderScenario, r: float,
+                        spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """Single-sensor hit probability p_total under `model` (see the module docstring)."""
+    return min(1.0, max(0.0, sum(_capsule_parts(model, scenario, r, spec))))
 
 
 def full_report(scenario: IntruderScenario, r: float, sigma: float, n: int,
                 region: Rectangle = HalfPlane(),
                 spec: QuadratureSpec = QuadratureSpec()) -> DetectionReport:
-    """All analytic detection quantities for one scenario.
+    """All analytic detection quantities for one half-normal scenario.
 
     The half-normal values are for the density truncated to the region (by
     default the half-plane, where nothing is cut off). For a bounded region
-    the uniform baseline is filled in when the capsule lies inside.
+    the uniform baseline's single-sensor probability is filled in too.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rect, left, right = _capsule_parts(scenario, r, sigma, region, spec)
+    model = DeploymentModel(DeploymentKind.HALF_NORMAL, region, sigma)
+    rect, left, right = _capsule_parts(model, scenario, r, spec)
     total = min(1.0, max(0.0, rect + left + right))
-    p_not = _not_detected(total, n)
     baseline = None
     if region.bounded:
-        try:
-            baseline = uniform_p_single(scenario, r, region)
-        except ValueError:
-            pass  # the capsule leaves the region; the truncated values still hold
+        baseline = capsule_probability(DeploymentModel(DeploymentKind.UNIFORM, region),
+                                       scenario, r, spec)
     return DetectionReport(
         p_rect=rect,
         p_left=left,
         p_right=right,
         p_total=total,
-        p_d=1.0 - p_not,
-        p_not_detected=p_not,
+        p_d=detection_probability(total, n),
+        p_not_detected=_not_detected(total, n),
         n_sensors=n,
         p_single_uniform=baseline,
     )

@@ -75,8 +75,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_analytic(args) -> int:
-    scenario = IntruderScenario(start_s=args.start, distance_d=args.distance,
-                                max_permitted=args.max_permitted)
+    scenario = IntruderScenario(start_s=args.start, distance_d=args.distance)
     spec = QuadratureSpec(absolute_tolerance=args.tolerance)
     report = full_report(scenario, args.range, args.sigma, args.n_sensors,
                          region=_region_from_args(args.region), spec=spec)
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--range", type=float, required=True, help="sensing range")
     p.add_argument("-S", "--start", type=float, required=True, help="intruder entry abscissa")
     p.add_argument("-d", "--distance", type=float, required=True, help="distance traveled")
-    p.add_argument("-D", "--max-permitted", type=float, default=None)
     p.add_argument("-N", "--n-sensors", type=int, required=True)
     add_region(p)
     p.add_argument("--tolerance", type=float, default=1e-8)

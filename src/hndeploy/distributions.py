@@ -116,11 +116,6 @@ def half_normal_mean(params: HalfNormalParams) -> float:
     return params.sigma * SQRT_2_OVER_PI
 
 
-def half_normal_sample(stream, params: HalfNormalParams) -> float:
-    """One draw |z|, z ~ Normal(0, sigma^2), from a sequential stream."""
-    return abs(stream.normal(0.0, params.sigma))
-
-
 def half_normal_samples(params: HalfNormalParams, n: int, seed: RandomSeed) -> np.ndarray:
     """n independent half-normal draws from the stream keyed by `seed`."""
     if n < 0:

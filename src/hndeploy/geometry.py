@@ -63,15 +63,11 @@ def HalfPlane() -> Rectangle:
 class IntruderScenario:
     """Straight-line intrusion from (start_s, 0) toward the target at x = 0.
 
-    max_permitted is the alarm threshold distance; it defaults to start_s
-    (the intruder must be caught before reaching the target) and does not
-    enter the detection geometry, which depends on the traveled distance
-    distance_d only.
+    The detection geometry depends on the traveled distance distance_d only.
     """
 
     start_s: float
     distance_d: float
-    max_permitted: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not (math.isfinite(self.start_s) and math.isfinite(self.distance_d)):
@@ -80,10 +76,6 @@ class IntruderScenario:
             raise ValueError("start_s must be nonnegative")
         if not (0 <= self.distance_d <= self.start_s):
             raise ValueError("distance_d must satisfy 0 <= d <= start_s")
-        if self.max_permitted is None:
-            object.__setattr__(self, "max_permitted", self.start_s)
-        if not (0 < self.max_permitted <= self.start_s):
-            raise ValueError("max_permitted must satisfy 0 < D <= start_s")
 
     @property
     def path_start(self) -> Point:

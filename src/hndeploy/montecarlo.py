@@ -16,9 +16,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .analytic import detection_probability, full_report, uniform_p_single
+from .analytic import capsule_probability, detection_probability
 from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
-from .geometry import IntruderScenario, Rectangle, detects_any
+from .geometry import IntruderScenario, detects_any
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import RandomSeed, derive_stream_seed, mix64, raw_draws
 
@@ -113,25 +113,16 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
     )
 
 
-def _analytic_value(kind: DeploymentKind, scenario: IntruderScenario, r: float,
-                    sigma: Optional[float], n: int, region: Rectangle,
-                    spec: QuadratureSpec) -> Optional[float]:
-    if kind == DeploymentKind.HALF_NORMAL:
-        return full_report(scenario, r, sigma, n, region=region, spec=spec).p_d
-    if kind == DeploymentKind.UNIFORM:
-        return detection_probability(uniform_p_single(scenario, r, region), n)
-    return None  # strip / quadrant: Monte Carlo only
-
-
 def sweep(config) -> SweepResult:
     """Run the cartesian (model, sigma, N, S, d, r) experiment sweep.
 
     Rows are ordered by (model, N, sigma, S, d, r); row i uses the
     substream derive_trial_seed(master, i) as its own master seed, so the
-    whole result is reproducible from the config alone. A row that fails
-    (d > S, a uniform capsule outside the region, a region the deployment
-    cannot be sampled in) reports the failure as its status and keeps
-    whatever it computed; the rest of the sweep still runs.
+    whole result is reproducible from the config alone. Every row's
+    p_analytic is detection_probability(capsule_probability(model, ...), N)
+    for the deployment model the row samples. A row that fails (d > S, a
+    region the deployment cannot be sampled in) reports the failure as its
+    status and keeps whatever it computed; the rest of the sweep still runs.
     """
     combos = sorted(
         (kind.value, n, sigma, s, d, r)
@@ -154,7 +145,7 @@ def sweep(config) -> SweepResult:
         try:
             scenario = IntruderScenario(start_s=s, distance_d=d)
             model = DeploymentModel(kind=kind, region=config.region, sigma=sigma)
-            p_analytic = _analytic_value(kind, scenario, r, sigma, n, config.region, spec)
+            p_analytic = detection_probability(capsule_probability(model, scenario, r, spec), n)
             estimate = estimate_detection(model, n, scenario, r, config.trials,
                                           RandomSeed(row_seed), workers=config.workers)
             p_hat, ci = estimate.p_hat, estimate.ci_half_width

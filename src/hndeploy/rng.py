@@ -5,10 +5,10 @@ Every draw is addressed by a (seed, counter) pair:
     raw(seed, counter) = mix64((seed + (counter + 1) * GOLDEN) mod 2**64)
 
 where mix64 is the splitmix64 finalizer and GOLDEN = 0x9E3779B97F4A7C15.
-A sequential stream is the special case counter = 0, 1, 2, ...; batch code
-can evaluate any set of counters at once and still reproduce exactly the
-raw and uniform values a sequential consumer would see (normals within 2
-ulps), and a vectorized result never depends on batch size or thread count.
+A stream is the sequence counter = 0, 1, 2, ...; batch code can evaluate
+any set of counters at once and still reproduce exactly the raw and uniform
+values of the scalar functions (normals within 2 ulps), and a vectorized
+result never depends on batch size or thread count.
 
 Normal variates use the Box-Muller transform on two consecutive counters
 (the sine branch is discarded), giving every normal draw a fixed footprint
@@ -75,27 +75,6 @@ def derive_stream_seed(master: int, index: int) -> int:
     so substreams of one master never share a seed.
     """
     return mix64((mix64(master) + (index + 1) * GOLDEN) & MASK64)
-
-
-class SplitMix64:
-    """Sequential view of a counter-based stream."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & MASK64
-        self.counter = 0
-
-    def next_u64(self) -> int:
-        value = raw_draw(self.seed, self.counter)
-        self.counter += 1
-        return value
-
-    def uniform(self) -> float:
-        return ((self.next_u64() >> 11) + 1) * _INV53
-
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        z = normal_draw(self.seed, self.counter)
-        self.counter += 2
-        return mean + std * z
 
 
 # -- vectorized counterparts ------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .analytic import detection_probability, full_report, uniform_p_single
+from .analytic import capsule_probability, detection_probability, full_report
 from .distributions import (
     Correlated2DParams,
     DeploymentKind,
@@ -180,7 +180,7 @@ def check_uniform_area_ratio() -> CheckResult:
     scenario = IntruderScenario(start_s=20.0, distance_d=3.0)
     model = DeploymentModel(kind=DeploymentKind.UNIFORM, region=region)
     est = estimate_detection(model, 1, scenario, 1.0, 400_000, RandomSeed(99))
-    expected = uniform_p_single(scenario, 1.0, region)
+    expected = capsule_probability(model, scenario, 1.0)
     gap = abs(est.p_hat - expected)
     tol = 3.0 * math.sqrt(expected * (1 - expected) / est.trials)
     return _check("uniform_area_ratio", gap <= tol,

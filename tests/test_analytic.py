@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from hndeploy.analytic import detection_probability, full_report, uniform_p_single
+from hndeploy.analytic import capsule_probability, detection_probability, full_report
+from hndeploy.distributions import DeploymentKind, DeploymentModel
 from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, capsule_area
+from hndeploy.montecarlo import estimate_detection
 from hndeploy.numerics import QuadratureSpec
-from hndeploy.rng import normal_draws
+from hndeploy.rng import RandomSeed, normal_draws
 from hndeploy.validate import reference_capsule_parts
 
 
 def _report(s, d, r, sigma, spec=QuadratureSpec(), region=HalfPlane()):
     return full_report(IntruderScenario(start_s=s, distance_d=d), r, sigma, 1,
                        region=region, spec=spec)
+
+
+def _uniform(scenario, r, region, spec=QuadratureSpec()):
+    return capsule_probability(DeploymentModel(DeploymentKind.UNIFORM, region), scenario, r, spec)
 
 
 def _closed_form_rect(s, d, r, sigma):
@@ -168,34 +174,109 @@ class TestUniformBaseline:
     def test_moving_intruder(self):
         scenario = IntruderScenario(start_s=20.0, distance_d=3.0)
         region = Rectangle(0, 100, -50, 50)
-        assert uniform_p_single(scenario, 1.0, region) == pytest.approx(
+        assert _uniform(scenario, 1.0, region) == pytest.approx(
             (6.0 + math.pi) / 1e4, abs=1e-12)
 
     def test_stationary_intruder_matches_disk(self):
         scenario = IntruderScenario(start_s=20.0, distance_d=0.0)
         region = Rectangle(0, 100, -50, 50)
-        assert uniform_p_single(scenario, 1.0, region) == pytest.approx(
+        assert _uniform(scenario, 1.0, region) == pytest.approx(
             math.pi / 1e4, abs=1e-12)
 
     def test_independent_of_entry_point(self):
         region = Rectangle(0, 100, -50, 50)
-        a = uniform_p_single(IntruderScenario(start_s=10.0, distance_d=3.0), 1.0, region)
-        b = uniform_p_single(IntruderScenario(start_s=50.0, distance_d=3.0), 1.0, region)
+        a = _uniform(IntruderScenario(start_s=10.0, distance_d=3.0), 1.0, region)
+        b = _uniform(IntruderScenario(start_s=50.0, distance_d=3.0), 1.0, region)
         assert a == b
 
+    @pytest.mark.parametrize("s, d, r, region", [
+        (5.0, 3.0, 1.0, Rectangle(0.0, 20.0, -5.0, 5.0)),
+        (2.0, 0.5, 1.5, Rectangle(0.0, 6.0, -2.0, 2.0)),
+        (5.0, 0.0, 2.0, Rectangle(-50.0, 50.0, -50.0, 50.0)),
+    ])
+    def test_contained_capsule_is_area_ratio(self, s, d, r, region):
+        value = _uniform(IntruderScenario(start_s=s, distance_d=d), r, region)
+        assert value == pytest.approx(capsule_area(d, r) / region.area, rel=1e-12)
+
     def test_capsule_not_contained(self):
+        # the capsule is clipped to the region: capsule-in-region area / region area
         region = Rectangle(0, 100, -50, 50)
-        with pytest.raises(ValueError):
-            uniform_p_single(IntruderScenario(start_s=2.0, distance_d=2.0), 1.0, region)
-        with pytest.raises(ValueError):
-            uniform_p_single(IntruderScenario(start_s=99.9, distance_d=1.0), 1.0, region)
+        # left half-disk at x = 0 lies wholly outside
+        value = _uniform(IntruderScenario(start_s=2.0, distance_d=2.0), 1.0, region)
+        assert value == pytest.approx((4.0 + math.pi / 2) / 1e4, rel=1e-12)
+        # only the strip 0 <= x - 99.9 <= 0.1 of the right half-disk is inside
+        sliver = 0.1 * math.sqrt(0.99) + math.asin(0.1)
+        value = _uniform(IntruderScenario(start_s=99.9, distance_d=1.0), 1.0, region)
+        assert value == pytest.approx((2.0 + math.pi / 2 + sliver) / 1e4, rel=1e-12)
+
+    def test_capsule_clipped_below_matches_circular_segment(self):
+        # y >= -0.5 cuts a circular segment off the bottom of each half-disk
+        # and the rectangle's lower half down to 0.5
+        s, d, r = 5.0, 3.0, 1.0
+        region = Rectangle(0.0, 20.0, -0.5, 10.0)
+        segment = r * r * math.acos(0.5 / r) - 0.5 * math.sqrt(r * r - 0.25)
+        area = d * (r + 0.5) + math.pi * r * r - segment
+        value = _uniform(IntruderScenario(start_s=s, distance_d=d), r, region,
+                         QuadratureSpec(1e-12))
+        assert value == pytest.approx(area / region.area, rel=1e-10)
 
     def test_requires_bounded_region(self):
-        scenario = IntruderScenario(start_s=10.0, distance_d=1.0)
-        with pytest.raises(TypeError):
-            uniform_p_single(scenario, 1.0, HalfPlane())
-        with pytest.raises(TypeError):
-            uniform_p_single(scenario, 1.0, Rectangle(0.0, math.inf, -50.0, 50.0))
+        # an unbounded region has no uniform deployment to integrate
+        with pytest.raises(ValueError):
+            DeploymentModel(DeploymentKind.UNIFORM, HalfPlane())
+        with pytest.raises(ValueError):
+            DeploymentModel(DeploymentKind.UNIFORM, Rectangle(0.0, math.inf, -50.0, 50.0))
+
+
+Y_SYMMETRIC = [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0), Rectangle(0.0, 20.0, -5.0, 5.0),
+               Rectangle(0.0, 6.0, -2.0, 2.0)]
+
+
+class TestDeploymentKinds:
+    @pytest.mark.parametrize("region", Y_SYMMETRIC)
+    @pytest.mark.parametrize("s, d, r, sigma", [(5.0, 3.0, 1.0, 5.0), (1.0, 0.8, 1.0, 1.0),
+                                                (4.0, 1.0, 2.5, 3.0), (5.5, 0.0, 0.5, 10.0)])
+    def test_quadrant_equals_half_normal_on_symmetric_region(self, region, s, d, r, sigma):
+        # detection depends on |y| only, and |Normal| on [0, h] has the
+        # normal's mass on [-h, h]
+        scenario = IntruderScenario(start_s=s, distance_d=d)
+        values = [capsule_probability(DeploymentModel(kind, region, sigma), scenario, r)
+                  for kind in (DeploymentKind.HALF_NORMAL, DeploymentKind.QUADRANT)]
+        assert values[0] == values[1]
+
+    def test_half_normal_matches_full_report(self):
+        scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
+        region = Rectangle(2.0, 7.0, -0.5, 9.5)
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, region, 3.0)
+        assert capsule_probability(model, scenario, 1.0) == full_report(
+            scenario, 1.0, 3.0, 1, region=region).p_total
+
+    @pytest.mark.parametrize("kind, region", [
+        ("half_normal", HalfPlane()),
+        ("quadrant", HalfPlane()),
+        ("half_normal", Rectangle(2.0, 7.0, -0.5, 9.5)),
+        ("quadrant", Rectangle(2.0, 7.0, -0.5, 9.5)),
+        ("strip", Rectangle(2.0, 7.0, -0.5, 9.5)),
+        ("uniform", Rectangle(2.0, 7.0, -0.5, 9.5)),
+        ("strip", Rectangle(0.0, 20.0, -5.0, 5.0)),
+        ("uniform", Rectangle(0.0, 20.0, -5.0, 5.0)),
+    ])
+    def test_monte_carlo_agreement(self, kind, region):
+        # the clipping box cuts the left half-disk, the bottom of the capsule
+        # and the support of every kind; |z| uses the analytic variance
+        kind = DeploymentKind(kind)
+        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 3.0)
+        scenario = IntruderScenario(start_s=5.5, distance_d=3.0)
+        n, trials = 4, 200_000
+        p = detection_probability(capsule_probability(model, scenario, 1.0), n)
+        est = estimate_detection(model, n, scenario, 1.0, trials, RandomSeed(2025))
+        assert abs(est.p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials)
+
+    def test_region_without_mass_rejected(self):
+        # a quadrant deployment has no mass below y = 0
+        model = DeploymentModel(DeploymentKind.QUADRANT, Rectangle(0.0, 20.0, -5.0, -1.0), 3.0)
+        with pytest.raises(ValueError):
+            capsule_probability(model, IntruderScenario(start_s=5.0, distance_d=3.0), 1.0)
 
 
 class TestFullReport:
@@ -217,11 +298,9 @@ class TestFullReport:
         report = full_report(scenario, 1.0, 5.0, 10, region=region)
         assert report.p_total == pytest.approx(
             report.p_rect + report.p_left + report.p_right, abs=1e-12)
-        assert report.p_d + report.p_not_detected == 1.0
-        assert report.p_d == pytest.approx(
-            detection_probability(report.p_total, 10), abs=1e-15)
-        assert report.p_single_uniform == pytest.approx(
-            uniform_p_single(scenario, 1.0, region), rel=1e-15)
+        assert abs(report.p_d + report.p_not_detected - 1.0) <= math.ulp(1.0)
+        assert report.p_d == detection_probability(report.p_total, 10)
+        assert report.p_single_uniform == _uniform(scenario, 1.0, region)
         for value in (report.p_rect, report.p_left, report.p_right,
                       report.p_total, report.p_d, report.p_not_detected):
             assert 0.0 <= value <= 1.0
@@ -260,10 +339,19 @@ class TestFullReport:
         with pytest.raises(ValueError):
             _report(5.0, 3.0, r, 5.0)
 
-    def test_baseline_omitted_when_capsule_leaves_region(self):
+    def test_baseline_clipped_when_capsule_leaves_region(self):
         report = _report(2.0, 2.0, 1.0, 5.0, region=Rectangle(0.0, 100.0, -50.0, 50.0))
-        assert report.p_single_uniform is None
+        # the left half-disk at x = 0 lies outside the region
+        assert report.p_single_uniform == pytest.approx((4.0 + math.pi / 2) / 1e4, rel=1e-12)
         assert report.p_total > 0.0
+
+    def test_small_p_does_not_cancel(self):
+        # 1 - (1 - p)^20 at p ~ 3e-42 rounds to 0 unless computed via expm1
+        report = full_report(IntruderScenario(start_s=15.0, distance_d=1.0), 0.5, 1.0, 20,
+                             region=Rectangle(-50.0, 50.0, -50.0, 50.0),
+                             spec=QuadratureSpec(1e-10))
+        assert report.p_d == pytest.approx(5.553e-41, rel=1e-3)
+        assert report.p_d == pytest.approx(20.0 * report.p_total, rel=1e-12)
 
     def test_baseline_omitted_without_region(self):
         scenario = IntruderScenario(start_s=5.0, distance_d=3.0)

@@ -134,9 +134,6 @@ class TestScenario:
         assert scenario.path_start == (5.0, 0.0)
         assert scenario.path_end == (2.0, 0.0)
 
-    def test_max_permitted_defaults_to_start(self):
-        assert IntruderScenario(start_s=4.0, distance_d=1.0).max_permitted == 4.0
-
     def test_rejects_travel_past_target(self):
         with pytest.raises(ValueError):
             IntruderScenario(start_s=2.0, distance_d=3.0)
@@ -146,10 +143,6 @@ class TestScenario:
     def test_rejects_non_finite(self, s, d):
         with pytest.raises(ValueError):
             IntruderScenario(start_s=s, distance_d=d)
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            IntruderScenario(start_s=2.0, distance_d=1.0, max_permitted=3.0)
 
 
 class TestRegions:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hndeploy.analytic import full_report, uniform_p_single
+from hndeploy.analytic import capsule_probability, full_report
 from hndeploy.config import ExperimentConfig
 from hndeploy.distributions import DeploymentKind, DeploymentModel
 from hndeploy import montecarlo
@@ -92,7 +92,7 @@ class TestEstimateDetection:
         model = DeploymentModel(kind=DeploymentKind.UNIFORM, region=region)
         scenario = IntruderScenario(start_s=20.0, distance_d=3.0)
         est = estimate_detection(model, 1, scenario, 1.0, 500_000, RandomSeed(17))
-        expected = uniform_p_single(scenario, 1.0, region)
+        expected = capsule_probability(model, scenario, 1.0)
         assert abs(est.p_hat - expected) <= max(3 * est.ci_half_width, 1e-4)
 
     def test_uniform_entry_point_invariance(self):

@@ -1,19 +1,22 @@
-"""Integer counts and CSV text recorded from the sampler as it stands.
+"""Integer counts, CSV text and analytic bits recorded as the code stands.
 
-A refactor of the sampling or trial code must leave every number here
-unchanged. A change that alters the draws on purpose (a different normal
-generator, say) updates these pins in the same change and says so.
+A refactor of the sampling, trial or analytic code must leave every number
+here unchanged. A change that alters the draws or the integral on purpose
+(a different normal generator, say) updates these pins in the same change
+and says so.
 """
 
 import hashlib
 
 import pytest
 
+from hndeploy.analytic import full_report
 from hndeploy.cli import sweep_csv
 from hndeploy.config import config_from_dict
 from hndeploy.distributions import DeploymentKind, DeploymentModel
 from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle
 from hndeploy.montecarlo import estimate_detection, sweep
+from hndeploy.numerics import QuadratureSpec
 from hndeploy.rng import RandomSeed
 
 SCENARIO = IntruderScenario(start_s=5.0, distance_d=3.0)
@@ -36,7 +39,24 @@ SWEEP_CONFIG = {
     "d_values": [3.0, 8.0], "r_values": [1.0], "region": [0.0, 20.0, -5.0, 5.0],
     "trials": 500, "master_seed": 7, "workers": 2,
 }
-SWEEP_SHA256 = "427d20478b309289148bcd435c1de2d690d3091510bed1bcb7d30e6e9eeab089"
+SWEEP_SHA256 = "519584da09690f5cc3a5492ed2521ad1c96f01373887d68e39f6fabec39164a1"
+
+# full_report(scenario, r, sigma, N = 10, region, tolerance 1e-8) as float.hex:
+# p_rect, p_left, p_right, p_total and p_d = detection_probability(p_total, N)
+REPORT_BITS = {
+    # S = 5, d = 3, r = 1, sigma = 5: nothing is cut off
+    "halfplane": (HalfPlane(), 5.0, 3.0, 1.0, 5.0, (
+        "0x1.e2e03ba514647p-5", "0x1.35df846e8d92dp-6", "0x1.6a15a12f21d42p-7",
+        "0x1.6c2ab31411d17p-4", "0x1.3636950dffb9bp-1")),
+    # S = 5, d = 3, r = 1, sigma = 10: renormalized, capsule inside
+    "box50": (Rectangle(-50.0, 50.0, -50.0, 50.0), 5.0, 3.0, 1.0, 10.0, (
+        "0x1.24ddfd8bd2987p-6", "0x1.431fdf5f5fd07p-8", "0x1.1a6d140a035e0p-8",
+        "0x1.bc413a662b641p-6", "0x1.ec3bdfd853cbep-3")),
+    # S = 6, d = 3, r = 1, sigma = 3: the region clips x below 2 and y below -0.5
+    "clip": (Rectangle(2.0, 7.0, -0.5, 9.5), 6.0, 3.0, 1.0, 3.0, (
+        "0x1.8f16ac0dccb0bp-3", "0x1.cb0a5a1661f38p-4", "0x1.0a711c2885748p-6",
+        "0x1.4af4fe4f072c8p-2", "0x1.f5ace8aaed282p-1")),
+}
 
 
 @pytest.mark.parametrize("kind,region_name", sorted(DETECTED))
@@ -56,3 +76,12 @@ def test_detected_count(kind, region_name, fixed_field, n, workers):
 def test_sweep_csv_digest():
     text = sweep_csv(sweep(config_from_dict(SWEEP_CONFIG)))
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_BITS))
+def test_report_bits(name):
+    region, s, d, r, sigma, expected = REPORT_BITS[name]
+    report = full_report(IntruderScenario(start_s=s, distance_d=d), r, sigma, 10,
+                         region=region, spec=QuadratureSpec(1e-8))
+    values = (report.p_rect, report.p_left, report.p_right, report.p_total, report.p_d)
+    assert tuple(value.hex() for value in values) == expected

@@ -7,7 +7,6 @@ from hndeploy.rng import (
     GOLDEN,
     MASK64,
     RandomSeed,
-    SplitMix64,
     derive_stream_seed,
     mix64,
     normal_draw,
@@ -27,8 +26,8 @@ def test_mix64_known_fixed_point_free():
 
 
 def test_raw_draw_matches_sequential_stream():
-    stream = SplitMix64(12345)
-    sequential = [stream.next_u64() for _ in range(50)]
+    # counter c of a stream is the documented mix64((seed + (c + 1) * GOLDEN) mod 2**64)
+    sequential = [mix64((12345 + (c + 1) * GOLDEN) & MASK64) for c in range(50)]
     addressed = [raw_draw(12345, c) for c in range(50)]
     assert sequential == addressed
 
@@ -102,7 +101,7 @@ def test_random_seed_validation():
 
 
 def test_stream_normal_consumes_two_counters():
-    stream = SplitMix64(11)
-    z0 = stream.normal()
-    assert stream.counter == 2
-    assert z0 == normal_draw(11, 0)
+    # Box-Muller on counters (c, c + 1); the next normal starts at c + 2
+    for c in (0, 2, 4):
+        u1, u2 = uniform_draw(11, c), uniform_draw(11, c + 1)
+        assert normal_draw(11, c) == math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
