@@ -19,7 +19,6 @@ from .distributions import (
     half_normal_cdf,
     half_normal_mean,
     half_normal_pdf,
-    half_normal_samples,
     halfplane_pdf,
     sample_positions,
     stein_residual,
@@ -32,8 +31,8 @@ from .geometry import (
     detects,
     point_segment_distance,
 )
-from .montecarlo import DetectionEstimate, SweepResult, derive_trial_seed, estimate_detection, run_trial, sweep
+from .montecarlo import DetectionEstimate, SweepResult, estimate_detection, sweep
 from .numerics import QuadratureError, QuadratureSpec, integrate_1d, integrate_2d
-from .rng import RandomSeed, mix64
+from .rng import RandomSeed, derive_stream_seed, mix64
 
 __version__ = "0.1.0"

@@ -2,12 +2,8 @@
 
 Each deployment kind places a sensor by a product density f_x(x) f_y(y)
 truncated to its rectangle region and renormalized, which is exactly what
-the sampler draws by rejection:
-
-  * half_normal  x half-normal, y normal (the half-plane density)
-  * quadrant     x half-normal, y half-normal
-  * strip        x half-normal, y uniform
-  * uniform      x uniform, y uniform
+the sampler draws by rejection. The (x, y) marginals of every kind come
+from distributions.MARGINALS, the table the sampler reads too.
 
 The single-sensor hit probability is that density integrated over the
 intrusion capsule, split into its three parts:
@@ -32,17 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .distributions import DeploymentKind, DeploymentModel
+from .distributions import MARGINALS, DeploymentKind, DeploymentModel
 from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .numerics import QuadratureSpec, integrate_1d
-
-# (x, y) marginals of each deployment kind
-_MARGINALS = {
-    DeploymentKind.HALF_NORMAL: ("half_normal", "normal"),
-    DeploymentKind.QUADRANT: ("half_normal", "half_normal"),
-    DeploymentKind.STRIP: ("half_normal", "uniform"),
-    DeploymentKind.UNIFORM: ("uniform", "uniform"),
-}
 
 
 @dataclass(frozen=True)
@@ -122,7 +110,7 @@ def _capsule_parts(model: DeploymentModel, scenario: IntruderScenario, r: float,
     if not r > 0.0:
         raise ValueError(f"sensing range must be positive, got {r}")
     region = model.region
-    x_shape, y_shape = _MARGINALS[model.kind]
+    x_shape, y_shape = MARGINALS[model.kind]
     x_lo, x_hi, x_mass, x_pdf = _axis(x_shape, model.sigma, region.x_min, region.x_max)
     y_lo, y_hi, y_mass, _ = _axis(y_shape, model.sigma, region.y_min, region.y_max)
     region_mass = x_mass(x_lo, x_hi) * y_mass(y_lo, y_hi)

@@ -89,7 +89,7 @@ def cmd_analytic(args) -> int:
         "p_not_detected": report.p_not_detected,
     }
     for key, value in payload.items():
-        print(f"{key}={_prob(value)}" if value is not None else f"{key}=")
+        print(f"{key}={_prob(value)}")
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -99,7 +99,7 @@ def cmd_simulate(args) -> int:
     scenario = IntruderScenario(start_s=args.start, distance_d=args.distance)
     estimate = estimate_detection(model, args.n_sensors, scenario, args.range,
                                   args.trials, RandomSeed(args.seed),
-                                  workers=args.workers, fixed_field=args.fixed_field)
+                                  workers=args.workers)
     payload = {
         "p_hat": estimate.p_hat,
         "ci_half_width": estimate.ci_half_width,
@@ -218,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--fixed-field", action="store_true",
-                   help="reuse one deployment for every trial (exploration only)")
     add_region(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -19,8 +19,9 @@ Schema (all keys top-level; unknown keys are rejected to catch typos):
 
 Every number must be finite and a JSON number (not a bool); trials,
 n_values, master_seed and workers must also be integral (2.0 is accepted,
-2.7 is not). Any out-of-domain value (sigma <= 0, trials < 1, empty lists,
-a malformed or unbounded region) is rejected before any computation starts.
+2.7 is not), and output_path must be a non-empty string. Any out-of-domain
+value (sigma <= 0, trials < 1, empty lists, a malformed or unbounded
+region) is rejected before any computation starts.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if not self.region.bounded:
             raise ValueError("region must be bounded")
+        if not (isinstance(self.output_path, str) and self.output_path):
+            raise ValueError(f"output_path must be a non-empty string, got {self.output_path!r}")
 
 
 def _real(key: str, value) -> float:

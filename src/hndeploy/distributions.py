@@ -2,22 +2,25 @@
 
 A half-normal variable is |X| for X ~ Normal(0, sigma^2). Deployments draw
 sensor x-coordinates from it so density peaks at the protected boundary
-x = 0; four deployment kinds are supported:
+x = 0. MARGINALS, the one table the sampler and the analytic engine read,
+gives each deployment kind its independent (x, y) marginals; an axis with
+a uniform marginal needs a bounded region:
 
-  * uniform        -- uniform over a bounded rectangle (the baseline)
+  * uniform        -- x and y uniform over a bounded rectangle (the baseline)
   * half_normal    -- x ~ HalfNormal(sigma), y ~ Normal(0, sigma); this is
                       the half-plane density 1/(pi sigma^2) exp(-(x^2+y^2)/(2 sigma^2))
-                      that the analytic detection integrals assume
   * strip          -- x ~ HalfNormal(sigma), y uniform along the strip
   * quadrant       -- x and y both half-normal (the literal positive-quadrant
                       product density)
 
 Sampling is counter-based: sensor j of a deployment keyed by seed s uses
 the counter block [j * 256, (j + 1) * 256) of stream s, four counters per
-rejection attempt (two Box-Muller normals). Draws falling outside a bounded
-region are rejected and redrawn from the next attempt slot, up to
-MAX_ATTEMPTS per sensor. The addressing makes batched and sequential
-sampling bit-identical.
+rejection attempt starting at base = j * 256 + 4 * attempt. x reads from
+counter base; y reads from the next free counter, base + 1 after a uniform
+x (one counter) and base + 2 after a (half-)normal x (two counters, one
+Box-Muller normal). Draws falling outside a bounded region are rejected and
+redrawn from the next attempt slot, up to MAX_ATTEMPTS per sensor. The
+addressing makes batched and sequential sampling bit-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Rectangle
-from .rng import RandomSeed, normal_draws, uniform_draws
+from .rng import normal_draws, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -70,6 +73,15 @@ class DeploymentKind(str, enum.Enum):
     QUADRANT = "quadrant"
 
 
+# (x, y) marginals of each deployment kind
+MARGINALS = {
+    DeploymentKind.HALF_NORMAL: ("half_normal", "normal"),
+    DeploymentKind.QUADRANT: ("half_normal", "half_normal"),
+    DeploymentKind.STRIP: ("half_normal", "uniform"),
+    DeploymentKind.UNIFORM: ("uniform", "uniform"),
+}
+
+
 @dataclass(frozen=True)
 class DeploymentModel:
     kind: DeploymentKind
@@ -77,15 +89,13 @@ class DeploymentModel:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == DeploymentKind.UNIFORM:
-            if not self.region.bounded:
-                raise ValueError("uniform deployment requires a bounded rectangle region")
-        else:
+        shapes = MARGINALS[self.kind]
+        if shapes != ("uniform", "uniform"):
             if self.sigma is None:
                 raise ValueError(f"{self.kind.value} deployment requires sigma > 0")
             HalfNormalParams(self.sigma)
-        if self.kind == DeploymentKind.STRIP and not self.region.bounded:
-            raise ValueError("strip deployment requires a bounded rectangle region")
+        if "uniform" in shapes and not self.region.bounded:
+            raise ValueError(f"{self.kind.value} deployment requires a bounded rectangle region")
 
 
 class SamplingError(Exception):
@@ -114,14 +124,6 @@ def half_normal_cdf(y: float, params: HalfNormalParams) -> float:
 def half_normal_mean(params: HalfNormalParams) -> float:
     """E|X| = sigma * sqrt(2/pi)."""
     return params.sigma * SQRT_2_OVER_PI
-
-
-def half_normal_samples(params: HalfNormalParams, n: int, seed: RandomSeed) -> np.ndarray:
-    """n independent half-normal draws from the stream keyed by `seed`."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    counters = np.arange(n, dtype=np.uint64) * np.uint64(2)
-    return np.abs(normal_draws(seed.master, counters)) * params.sigma
 
 
 def correlated_half_normal_pdf(x: float, y: float, params: Correlated2DParams) -> float:
@@ -155,17 +157,21 @@ def halfplane_pdf(x: float, y: float, params: HalfNormalParams) -> float:
     return math.exp(-(x * x + y * y) / (2.0 * s2)) / (math.pi * s2)
 
 
+def _draw_axis(shape: str, sigma: Optional[float], lo: float, hi: float, seeds, counters) -> np.ndarray:
+    """One coordinate drawn from its marginal `shape` on the region's bounds [lo, hi]."""
+    if shape == "uniform":
+        return lo + (hi - lo) * uniform_draws(seeds, counters)
+    z = normal_draws(seeds, counters) * sigma
+    return np.abs(z) if shape == "half_normal" else z
+
+
 def _draw(model: DeploymentModel, seeds, base) -> Tuple[np.ndarray, np.ndarray]:
     """One rejection attempt's (x, y) for the attempt slots starting at counters `base`."""
     region = model.region
-    if model.kind == DeploymentKind.UNIFORM:
-        return (region.x_min + region.width * uniform_draws(seeds, base),
-                region.y_min + region.height * uniform_draws(seeds, base + np.uint64(1)))
-    x = np.abs(normal_draws(seeds, base)) * model.sigma
-    if model.kind == DeploymentKind.STRIP:
-        return x, region.y_min + region.height * uniform_draws(seeds, base + np.uint64(2))
-    y = normal_draws(seeds, base + np.uint64(2)) * model.sigma
-    return x, (np.abs(y) if model.kind == DeploymentKind.QUADRANT else y)
+    x_shape, y_shape = MARGINALS[model.kind]
+    x = _draw_axis(x_shape, model.sigma, region.x_min, region.x_max, seeds, base)
+    y_base = base + np.uint64(1 if x_shape == "uniform" else 2)
+    return x, _draw_axis(y_shape, model.sigma, region.y_min, region.y_max, seeds, y_base)
 
 
 def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@
 Each trial redraws the whole sensor field from the deployment model and
 checks whether any sensor lies in the intrusion capsule, estimating the
 deployment-averaged at-least-one detection probability. Trial i always
-uses the substream derive_trial_seed(master, i), so estimates are
+uses the substream derive_stream_seed(master, i), so estimates are
 independent of batch size, evaluation order and worker count.
 """
 
@@ -56,11 +56,6 @@ class SweepResult:
     rows: List[SweepRow]
 
 
-def derive_trial_seed(master: int, trial_index: int) -> int:
-    """Seed of the substream driving one trial; same mixer as rng streams."""
-    return derive_stream_seed(master, trial_index)
-
-
 def _count(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
            seeds: np.ndarray) -> int:
     """Number of the deployments keyed by `seeds` in which some sensor detects."""
@@ -68,20 +63,12 @@ def _count(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
     return int(np.count_nonzero(detects_any(xs, ys, scenario, r)))
 
 
-def run_trial(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
-              trial_seed: int) -> bool:
-    """One deployment draw; true iff any of the n sensors detects the intruder."""
-    return _count(model, n, scenario, r, np.array([trial_seed], dtype=np.uint64)) == 1
-
-
 def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
-                       trials: int, seed: RandomSeed, workers: int = 1,
-                       fixed_field: bool = False) -> DetectionEstimate:
+                       trials: int, seed: RandomSeed, workers: int = 1) -> DetectionEstimate:
     """Monte Carlo estimate of the at-least-one detection probability.
 
-    `fixed_field` draws a single field from the master seed and reuses it
-    for every trial (estimating the field-conditional probability, which
-    under Boolean sensing is 0 or 1); the default redraws per trial.
+    Trials run in spans of _BATCH; `workers` threads share the spans, and
+    one worker runs them inline.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -89,17 +76,17 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
         raise ValueError("workers must be at least 1")
     if not 0.0 < r < math.inf:
         raise ValueError(f"sensing range must be positive and finite, got {r}")
-    if fixed_field:
-        detected = trials * run_trial(model, n, scenario, r, seed.master)
+    # derive_stream_seed(master, i) == raw_draw(mix64(master), i), vectorized
+    key = mix64(seed.master)
+
+    def count(span):
+        seeds = raw_draws(key, np.arange(*span, dtype=np.uint64))
+        return _count(model, n, scenario, r, seeds)
+
+    spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]
+    if workers == 1:
+        detected = sum(map(count, spans))
     else:
-        # derive_trial_seed(master, i) == raw_draws(mix64(master), i), vectorized
-        key = mix64(seed.master)
-
-        def count(span):
-            seeds = raw_draws(key, np.arange(*span, dtype=np.uint64))
-            return _count(model, n, scenario, r, seeds)
-
-        spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             detected = sum(pool.map(count, spans))
     p_hat = detected / trials
@@ -117,7 +104,7 @@ def sweep(config) -> SweepResult:
     """Run the cartesian (model, sigma, N, S, d, r) experiment sweep.
 
     Rows are ordered by (model, N, sigma, S, d, r); row i uses the
-    substream derive_trial_seed(master, i) as its own master seed, so the
+    substream derive_stream_seed(master, i) as its own master seed, so the
     whole result is reproducible from the config alone. Every row's
     p_analytic is detection_probability(capsule_probability(model, ...), N)
     for the deployment model the row samples. A row that fails (d > S, a
@@ -139,7 +126,7 @@ def sweep(config) -> SweepResult:
     any_ok = False
     for index, (kind_name, n, sigma, s, d, r) in enumerate(combos):
         kind = DeploymentKind(kind_name)
-        row_seed = derive_trial_seed(config.master_seed, index)
+        row_seed = derive_stream_seed(config.master_seed, index)
         p_analytic = p_hat = ci = None
         status = "ok"
         try:

@@ -69,12 +69,14 @@ def normal_draw(seed: int, counter: int) -> float:
 
 
 def derive_stream_seed(master: int, index: int) -> int:
-    """Seed of substream `index` (per-trial / per-row stream derivation).
+    """Seed of substream `index`: raw_draw(mix64(master), index).
 
-    mix64 is bijective and the inputs for distinct indices are distinct,
-    so substreams of one master never share a seed.
+    Every trial and sweep row is keyed this way, so batch code derives a
+    span of trial seeds as raw_draws(mix64(master), indices). mix64 is
+    bijective and the inputs for distinct indices are distinct, so
+    substreams of one master never share a seed.
     """
-    return mix64((mix64(master) + (index + 1) * GOLDEN) & MASK64)
+    return raw_draw(mix64(master), index)
 
 
 # -- vectorized counterparts ------------------------------------------------

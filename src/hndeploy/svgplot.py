@@ -42,17 +42,22 @@ def nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(f"cannot place ticks on [{lo}, {hi}]: the range is not finite")
     raw = span / max(1, target - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if step >= raw:
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
+    t = math.ceil(lo / step) * step
+    # at most target ticks fit in [lo, hi]; the cap and the stall check end
+    # the loop when step is below the ulp of t and t += step cannot move
+    while t <= hi + 1e-9 * span and len(ticks) <= target:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:
+            break
         t += step
     return ticks
 
@@ -77,7 +82,10 @@ def _collect_series(rows: Sequence[Dict[str, str]], spec: PlotSpec) -> Dict[str,
                 key = prefix
             else:
                 key = y_col
-            series.setdefault(key, []).append((float(row[spec.x_column]), float(row[y_col])))
+            point = (float(row[spec.x_column]), float(row[y_col]))
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"cannot plot non-finite ({spec.x_column}, {y_col}) = {point}")
+            series.setdefault(key, []).append(point)
     for points in series.values():
         points.sort()
     return series

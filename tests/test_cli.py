@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -143,6 +144,13 @@ class TestSimulateCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_fixed_field_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", "half_normal", "--sigma", "5", "-N", "10", "-r", "1",
+                  "-S", "5", "-d", "3", "--trials", "100", "--seed", "4", "--fixed-field"])
+        assert exc.value.code == 2
+        assert "--fixed-field" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, tmp_path):
@@ -169,6 +177,11 @@ class TestSweepCommand:
                           {"n_values": []}):
             config = _write_config(tmp_path, **overrides)
             assert main(["sweep", "--config", str(config)]) == EXIT_VALIDATION
+
+    def test_empty_output_path_is_a_validation_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, output_path="")
+        assert main(["sweep", "--config", str(config)]) == EXIT_VALIDATION
+        assert "output_path" in capsys.readouterr().err
 
 
 class TestPlotCommand:
@@ -210,6 +223,44 @@ class TestPlotCommand:
         rc = main(["plot", "--csv", str(empty), "--x", "N", "--y", "p_hat",
                    "--out", str(tmp_path / "c.svg")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("rows", ["1,0.1\ninf,0.2\n", "1,0.1\n2,nan\n", "1,-inf\n2,0.5\n"])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, rows):
+        data = tmp_path / "bad.csv"
+        data.write_text("N,p_hat\n" + rows)
+        svg = tmp_path / "c.svg"
+        rc = main(["plot", "--csv", str(data), "--x", "N", "--y", "p_hat", "--out", str(svg)])
+        assert rc == EXIT_VALIDATION
+        assert "non-finite" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_range_wider_than_float_rejected(self, tmp_path, capsys):
+        # both values are finite, but hi - lo overflows to inf
+        data = tmp_path / "wide.csv"
+        data.write_text("N,p_hat\n1,-1e308\n2,1e308\n")
+        rc = main(["plot", "--csv", str(data), "--x", "N", "--y", "p_hat",
+                   "--out", str(tmp_path / "c.svg")])
+        assert rc == EXIT_VALIDATION
+        assert "not finite" in capsys.readouterr().err
+
+    def test_range_below_tick_resolution_terminates(self, tmp_path):
+        # 0.5-steps cannot move t past 1e16 (its ulp is 2); a separate process
+        # with a memory cap keeps a tick loop that never ends from hurting the run
+        data = tmp_path / "big.csv"
+        data.write_text("N,p_hat\n1e16,0.1\n10000000000000002,0.2\n")
+        svg = tmp_path / "c.svg"
+        script = ("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                  "from hndeploy.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "plot", "--csv", str(data), "--x", "N",
+             "--y", "p_hat", "--out", str(svg)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        content = svg.read_text()
+        assert "nan" not in content
+        assert content.count(">1e+16</text>") == 1
 
 
 class TestValidateCommand:
@@ -271,6 +322,12 @@ class TestConfigParsing:
         # json writes these as Infinity / NaN, which json.load reads back
         with pytest.raises(ValueError):
             load_config(str(_write_config(tmp_path, **overrides)))
+
+    @pytest.mark.parametrize("output_path", [True, 2, "", None, ["sweep.csv"]])
+    def test_rejects_non_string_output_path(self, tmp_path, output_path):
+        # true and 2 would be taken as file descriptors 1 and 2 by open()
+        with pytest.raises(ValueError, match="output_path"):
+            load_config(str(_write_config(tmp_path, output_path=output_path)))
 
     def test_integral_floats_accepted(self, tmp_path):
         config = load_config(str(_write_config(tmp_path, trials=2000.0, n_values=[10.0],

@@ -14,16 +14,22 @@ from hndeploy.distributions import (
     half_normal_cdf,
     half_normal_mean,
     half_normal_pdf,
-    half_normal_samples,
     halfplane_pdf,
     sample_positions,
     stein_residual,
 )
 from hndeploy.geometry import HalfPlane, Rectangle
 from hndeploy.numerics import QuadratureSpec, integrate_1d, integrate_2d
-from hndeploy.rng import RandomSeed, normal_draw, uniform_draw, uniform_draws
+from hndeploy.rng import normal_draw, uniform_draw, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def _half_normal_x(params, n, seed):
+    """The x column of one half-plane half_normal deployment: n iid half-normal draws."""
+    model = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), params.sigma)
+    xs, _ = sample_positions(model, n, np.array([seed], dtype=np.uint64))
+    return xs[0]
 
 
 class TestHalfNormalPdf:
@@ -110,18 +116,18 @@ class TestHalfNormalMean:
 
 class TestSampling:
     def test_draws_nonnegative(self):
-        assert np.all(half_normal_samples(HalfNormalParams(1.0), 100, RandomSeed(3)) >= 0.0)
+        assert np.all(_half_normal_x(HalfNormalParams(1.0), 100, 3) >= 0.0)
 
     def test_sample_mean(self):
         n = 1_000_000
-        z = half_normal_samples(HalfNormalParams(1.0), n, RandomSeed(101))
+        z = _half_normal_x(HalfNormalParams(1.0), n, 101)
         assert abs(z.mean() - SQRT_2_OVER_PI) < 0.003  # 5 SE
 
     def test_vector_matches_stream(self):
         params = HalfNormalParams(2.5)
-        # draw i is |normal_draw| on counters (2i, 2i + 1), scaled by sigma
-        sequential = [abs(normal_draw(88, 2 * i)) * params.sigma for i in range(200)]
-        np.testing.assert_array_max_ulp(half_normal_samples(params, 200, RandomSeed(88)),
+        # sensor i's x is |normal_draw| on counters (256i, 256i + 1), scaled by sigma
+        sequential = [abs(normal_draw(88, 256 * i)) * params.sigma for i in range(200)]
+        np.testing.assert_array_max_ulp(_half_normal_x(params, 200, 88),
                                         np.array(sequential), maxulp=2)
 
     def test_kolmogorov_smirnov(self):
@@ -129,7 +135,7 @@ class TestSampling:
         n = 10_000
         critical = 1.628 / math.sqrt(n)  # significance 0.01
         for seed in (5, 6):  # one retry to bound the flake rate
-            z = np.sort(half_normal_samples(params, n, RandomSeed(seed)))
+            z = np.sort(_half_normal_x(params, n, seed))
             cdf = np.array([half_normal_cdf(float(v), params) for v in z])
             stat = max(np.max(np.arange(1, n + 1) / n - cdf),
                        np.max(cdf - np.arange(0, n) / n))
@@ -268,7 +274,8 @@ class TestDeploymentSampling:
 
     @pytest.mark.parametrize("kind", [DeploymentKind.UNIFORM, DeploymentKind.STRIP])
     def test_bounded_kinds_reject_partly_unbounded_region(self, kind):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{kind.value} deployment requires a bounded "
+                                             "rectangle region$"):
             DeploymentModel(kind=kind, region=Rectangle(0.0, math.inf, -5.0, 5.0), sigma=1.0)
 
     def test_deterministic_replay(self):
@@ -371,7 +378,7 @@ class TestSteinResidual:
     def test_constant_function_cancels(self):
         # population residual is identically -E[Z] + sqrt(2/pi) = 0
         n = 100_000
-        z = half_normal_samples(HalfNormalParams(1.0), n, RandomSeed(1))
+        z = _half_normal_x(HalfNormalParams(1.0), n, 1)
         residual = stein_residual("one", z, HalfNormalParams(1.0))
         se = float(np.std(z, ddof=1)) / math.sqrt(n)
         assert abs(residual) <= 5 * se
@@ -379,7 +386,7 @@ class TestSteinResidual:
     def test_identity_function_null(self):
         n = 1_000_000
         params = HalfNormalParams(1.0)
-        z = half_normal_samples(params, n, RandomSeed(2024))
+        z = _half_normal_x(params, n, 2024)
         residual = stein_residual("x", z, params)
         se = float(np.std(1.0 - z * z, ddof=1)) / math.sqrt(n)
         assert abs(residual) <= 5 * se
@@ -387,7 +394,7 @@ class TestSteinResidual:
     def test_sigma_rescaling(self):
         n = 200_000
         params = HalfNormalParams(3.0)
-        z = half_normal_samples(params, n, RandomSeed(5))
+        z = _half_normal_x(params, n, 5)
         residual = stein_residual("x", z, params)
         se = float(np.std(1.0 - (z / 3.0) ** 2, ddof=1)) / math.sqrt(n)
         assert abs(residual) <= 5 * se

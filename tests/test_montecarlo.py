@@ -5,16 +5,11 @@ import pytest
 
 from hndeploy.analytic import capsule_probability, full_report
 from hndeploy.config import ExperimentConfig
-from hndeploy.distributions import DeploymentKind, DeploymentModel
+from hndeploy.distributions import DeploymentKind, DeploymentModel, sample_positions
 from hndeploy import montecarlo
-from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle
-from hndeploy.montecarlo import (
-    derive_trial_seed,
-    estimate_detection,
-    run_trial,
-    sweep,
-)
-from hndeploy.rng import RandomSeed
+from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, detects
+from hndeploy.montecarlo import estimate_detection, sweep
+from hndeploy.rng import RandomSeed, derive_stream_seed
 
 
 HALF_NORMAL_MODEL = DeploymentModel(kind=DeploymentKind.HALF_NORMAL,
@@ -22,30 +17,45 @@ HALF_NORMAL_MODEL = DeploymentModel(kind=DeploymentKind.HALF_NORMAL,
 SCENARIO = IntruderScenario(start_s=5.0, distance_d=3.0)
 
 
+def _reference_trial(model, n, scenario, r, trial_seed):
+    """One trial by the scalar detects on each sampled sensor of the field keyed by trial_seed."""
+    xs, ys = sample_positions(model, n, np.array([trial_seed], dtype=np.uint64))
+    return any(detects((x, y), scenario, r) for x, y in zip(xs[0].tolist(), ys[0].tolist()))
+
+
+def _reference_count(model, n, scenario, r, trials, master):
+    return sum(_reference_trial(model, n, scenario, r, derive_stream_seed(master, i))
+               for i in range(trials))
+
+
 class TestRunTrial:
     def test_no_sensors_never_detects(self):
-        assert run_trial(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 123) is False
+        est = estimate_detection(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 1, RandomSeed(123))
+        assert est.detected_count == 0
+        assert _reference_trial(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 123) is False
 
     def test_guaranteed_coverage(self):
         region = Rectangle(0.0, 2.0, -1.0, 1.0)
         model = DeploymentModel(kind=DeploymentKind.UNIFORM, region=region)
         scenario = IntruderScenario(start_s=1.0, distance_d=1.0)
         # r exceeds every possible sensor-to-path distance in the region
-        assert run_trial(model, 1, scenario, 10.0, 7) is True
+        est = estimate_detection(model, 1, scenario, 10.0, 1, RandomSeed(7))
+        assert est.detected_count == 1
+        assert _reference_trial(model, 1, scenario, 10.0, 7) is True
 
     def test_replay_determinism(self):
         for seed in (1, 2, 3, 99):
-            first = run_trial(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, seed)
-            second = run_trial(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, seed)
+            first = estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 1, RandomSeed(seed))
+            second = estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 1, RandomSeed(seed))
             assert first == second
 
 
-class TestDeriveTrialSeed:
+class TestDeriveStreamSeed:
     def test_reproducible(self):
-        assert derive_trial_seed(42, 17) == derive_trial_seed(42, 17)
+        assert derive_stream_seed(42, 17) == derive_stream_seed(42, 17)
 
     def test_distinct_indices(self):
-        seeds = {derive_trial_seed(42, i) for i in range(10_000)}
+        seeds = {derive_stream_seed(42, i) for i in range(10_000)}
         assert len(seeds) == 10_000
 
 
@@ -62,12 +72,11 @@ class TestEstimateDetection:
             1.96 * math.sqrt(est.p_hat * (1 - est.p_hat) / est.trials), rel=1e-12)
         assert est.master_seed == 5
 
-    def test_matches_run_trial_aggregation(self):
+    def test_matches_per_trial_reference(self):
         trials = 500
         est = estimate_detection(HALF_NORMAL_MODEL, 5, SCENARIO, 1.0, trials, RandomSeed(21))
-        manual = sum(run_trial(HALF_NORMAL_MODEL, 5, SCENARIO, 1.0, derive_trial_seed(21, i))
-                     for i in range(trials))
-        assert est.detected_count == manual
+        assert est.detected_count == _reference_count(HALF_NORMAL_MODEL, 5, SCENARIO, 1.0,
+                                                      trials, 21)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_batch_spans_keep_trial_indices(self, monkeypatch, workers):
@@ -75,9 +84,8 @@ class TestEstimateDetection:
         monkeypatch.setattr(montecarlo, "_BATCH", 64)
         est = estimate_detection(HALF_NORMAL_MODEL, 5, SCENARIO, 1.0, 500, RandomSeed(21),
                                  workers=workers)
-        manual = sum(run_trial(HALF_NORMAL_MODEL, 5, SCENARIO, 1.0, derive_trial_seed(21, i))
-                     for i in range(500))
-        assert est.detected_count == manual
+        assert est.detected_count == _reference_count(HALF_NORMAL_MODEL, 5, SCENARIO, 1.0,
+                                                      500, 21)
 
     def test_worker_count_is_bit_identical(self):
         base = estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 100_000, RandomSeed(9))
@@ -110,21 +118,14 @@ class TestEstimateDetection:
         est = estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 200_000, RandomSeed(61))
         assert abs(est.p_hat - report.p_d) <= max(0.01, 3 * est.ci_half_width)
 
-    def test_fixed_field_mode_is_binary(self):
-        est = estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 1000, RandomSeed(3),
-                                 fixed_field=True)
-        assert est.p_hat in (0.0, 1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 0, RandomSeed(1))
         with pytest.raises(ValueError):
             estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 10, RandomSeed(1),
                                workers=0)
-        for fixed_field in (False, True):
-            with pytest.raises(ValueError):
-                estimate_detection(HALF_NORMAL_MODEL, -1, SCENARIO, 1.0, 10, RandomSeed(1),
-                                   fixed_field=fixed_field)
+        with pytest.raises(ValueError):
+            estimate_detection(HALF_NORMAL_MODEL, -1, SCENARIO, 1.0, 10, RandomSeed(1))
 
 
 def _config(**overrides):

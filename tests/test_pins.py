@@ -23,14 +23,14 @@ SCENARIO = IntruderScenario(start_s=5.0, distance_d=3.0)
 BOX = Rectangle(0.0, 20.0, -5.0, 5.0)
 
 # (kind, region) -> detected_count of 1000 trials, seed 11, r = 1, sigma = 5,
-# for (N = 10 redrawn per trial, N = 10 one fixed field); N = 0 always gives 0
+# N = 10 redrawn per trial; N = 0 always gives 0
 DETECTED = {
-    ("half_normal", "halfplane"): (617, 1000),
-    ("half_normal", "box"): (761, 1000),
-    ("quadrant", "halfplane"): (617, 1000),
-    ("quadrant", "box"): (761, 1000),
-    ("uniform", "box"): (371, 0),
-    ("strip", "box"): (713, 1000),
+    ("half_normal", "halfplane"): 617,
+    ("half_normal", "box"): 761,
+    ("quadrant", "halfplane"): 617,
+    ("quadrant", "box"): 761,
+    ("uniform", "box"): 371,
+    ("strip", "box"): 713,
 }
 
 SWEEP_CONFIG = {
@@ -60,16 +60,15 @@ REPORT_BITS = {
 
 
 @pytest.mark.parametrize("kind,region_name", sorted(DETECTED))
-@pytest.mark.parametrize("fixed_field", [False, True])
 @pytest.mark.parametrize("n", [0, 10])
 @pytest.mark.parametrize("workers", [1, 3])
-def test_detected_count(kind, region_name, fixed_field, n, workers):
+def test_detected_count(kind, region_name, n, workers):
     region = HalfPlane() if region_name == "halfplane" else BOX
     sigma = None if kind == "uniform" else 5.0
     model = DeploymentModel(DeploymentKind(kind), region, sigma)
     estimate = estimate_detection(model, n, SCENARIO, 1.0, 1000, RandomSeed(11),
-                                  workers=workers, fixed_field=fixed_field)
-    expected = DETECTED[kind, region_name][fixed_field] if n else 0
+                                  workers=workers)
+    expected = DETECTED[kind, region_name] if n else 0
     assert estimate.detected_count == expected
 
 

@@ -77,11 +77,14 @@ def test_derive_stream_seed_reproducible_and_distinct():
     assert not np.any(s0 == s1)
 
 
-def test_derived_seed_matches_vector_identity():
-    # derive_stream_seed(m, i) == raw_draw(mix64(m), i); sweep/montecarlo rely on it
+def test_derived_seed_matches_documented_formula():
+    # derive_stream_seed(m, i) = raw_draw(mix64(m), i), spelled out; the
+    # vectorized spans in montecarlo compute raw_draws(mix64(m), i)
     for m in (0, 1, 2**63, 123456789):
         for i in (0, 1, 7, 1000):
-            assert derive_stream_seed(m, i) == raw_draw(mix64(m), i)
+            expected = mix64((mix64(m) + (i + 1) * GOLDEN) & MASK64)
+            assert derive_stream_seed(m, i) == expected
+            assert int(raw_draws(mix64(m), np.uint64(i))) == expected
 
 
 def test_normal_moments():
