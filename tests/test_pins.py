@@ -8,13 +8,14 @@ and says so.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from hndeploy.analytic import full_report
 from hndeploy.cli import sweep_csv
 from hndeploy.config import config_from_dict
-from hndeploy.distributions import DeploymentKind, DeploymentModel
-from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle
+from hndeploy.distributions import DeploymentKind, DeploymentModel, sample_positions
+from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, detects_any
 from hndeploy.montecarlo import estimate_detection, sweep
 from hndeploy.numerics import QuadratureSpec
 from hndeploy.rng import RandomSeed
@@ -22,15 +23,17 @@ from hndeploy.rng import RandomSeed
 SCENARIO = IntruderScenario(start_s=5.0, distance_d=3.0)
 BOX = Rectangle(0.0, 20.0, -5.0, 5.0)
 
-# (kind, region) -> detected_count of 1000 trials, seed 11, r = 1, sigma = 5,
-# N = 10 redrawn per trial; N = 0 always gives 0
+# (kind, region) -> (detected_count of 1000 trials, seed 11, r = 1, sigma = 5,
+# N = 10 redrawn per trial; whether the one N = 10 field keyed by seed 11
+# itself, the field `hndeploy sample --seed 11` writes, detects); N = 0 never
+# detects
 DETECTED = {
-    ("half_normal", "halfplane"): 617,
-    ("half_normal", "box"): 761,
-    ("quadrant", "halfplane"): 617,
-    ("quadrant", "box"): 761,
-    ("uniform", "box"): 371,
-    ("strip", "box"): 713,
+    ("half_normal", "halfplane"): (617, True),
+    ("half_normal", "box"): (761, True),
+    ("quadrant", "halfplane"): (617, True),
+    ("quadrant", "box"): (761, True),
+    ("uniform", "box"): (371, False),
+    ("strip", "box"): (713, True),
 }
 
 SWEEP_CONFIG = {
@@ -60,16 +63,23 @@ REPORT_BITS = {
 
 
 @pytest.mark.parametrize("kind,region_name", sorted(DETECTED))
+@pytest.mark.parametrize("fixed_field", [False, True])
 @pytest.mark.parametrize("n", [0, 10])
 @pytest.mark.parametrize("workers", [1, 3])
-def test_detected_count(kind, region_name, n, workers):
+def test_detected_count(kind, region_name, fixed_field, n, workers):
     region = HalfPlane() if region_name == "halfplane" else BOX
     sigma = None if kind == "uniform" else 5.0
     model = DeploymentModel(DeploymentKind(kind), region, sigma)
-    estimate = estimate_detection(model, n, SCENARIO, 1.0, 1000, RandomSeed(11),
-                                  workers=workers)
-    expected = DETECTED[kind, region_name] if n else 0
-    assert estimate.detected_count == expected
+    redrawn, fixed = DETECTED[kind, region_name]
+    if fixed_field:
+        # one field, no trials: workers has nothing to share
+        seeds = np.array([RandomSeed(11).master], dtype=np.uint64)
+        xs, ys = sample_positions(model, n, seeds)
+        assert bool(detects_any(xs, ys, SCENARIO, 1.0)[0]) is (fixed and n > 0)
+    else:
+        estimate = estimate_detection(model, n, SCENARIO, 1.0, 1000, RandomSeed(11),
+                                      workers=workers)
+        assert estimate.detected_count == (redrawn if n else 0)
 
 
 def test_sweep_csv_digest():
