@@ -2,8 +2,8 @@
 
 Each deployment kind places a sensor by a product density f_x(x) f_y(y)
 truncated to its rectangle region and renormalized, which is exactly what
-the sampler draws by rejection. The (x, y) marginals of every kind come
-from distributions.MARGINALS, the table the sampler reads too.
+the sampler draws by rejection. Both read the same DeploymentModel.marginals:
+the sampler their draws, this module their supports, masses and x density.
 
 The single-sensor hit probability is that density integrated over the
 intrusion capsule, split into its three parts:
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
-from .distributions import MARGINALS, DeploymentKind, DeploymentModel
+from .distributions import DeploymentKind, DeploymentModel
 from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .numerics import QuadratureSpec, integrate_1d
 
@@ -70,32 +70,6 @@ def _not_detected(p_single: float, n: int) -> float:
     return math.exp(n * math.log1p(-p_single))
 
 
-def _axis(shape: str, sigma: Optional[float], lo: float, hi: float
-          ) -> Tuple[float, float, Callable[[float, float], float], Callable[[float], float]]:
-    """One coordinate's marginal on the region's bounds [lo, hi].
-
-    Returns its support within [lo, hi], its mass on an interval [a, b]
-    (0 when a >= b) and its density. The uniform marginal is taken over
-    [lo, hi] itself, so its mass is a probability and the quadrature
-    tolerance keeps its meaning.
-    """
-    if shape == "uniform":
-        width = hi - lo
-        inverse = 1.0 / width
-        return (lo, hi, lambda a, b: (b - a) / width if a < b else 0.0,
-                lambda x: inverse)
-    k = 1.0 / (sigma * math.sqrt(2.0))
-    # folding Normal(0, sigma^2) onto x >= 0 doubles its mass there
-    scale = 1.0 if shape == "half_normal" else 0.5
-    pdf_scale = 2.0 * scale * k / math.sqrt(math.pi)
-
-    def mass(a: float, b: float) -> float:
-        return scale * (math.erf(b * k) - math.erf(a * k)) if a < b else 0.0
-
-    return (max(0.0, lo) if shape == "half_normal" else lo, hi, mass,
-            lambda x: pdf_scale * math.exp(-(x * k) ** 2))
-
-
 def _capsule_parts(model: DeploymentModel, scenario: IntruderScenario, r: float,
                    spec: QuadratureSpec) -> Tuple[float, float, float]:
     """(rectangle, left half-disk, right half-disk) probabilities under `model`.
@@ -107,29 +81,25 @@ def _capsule_parts(model: DeploymentModel, scenario: IntruderScenario, r: float,
     to the region and divided by the region's own mass, which is exactly 1
     on the half-plane and for uniform marginals.
     """
-    if not r > 0.0:
-        raise ValueError(f"sensing range must be positive, got {r}")
-    region = model.region
-    x_shape, y_shape = MARGINALS[model.kind]
-    x_lo, x_hi, x_mass, x_pdf = _axis(x_shape, model.sigma, region.x_min, region.x_max)
-    y_lo, y_hi, y_mass, _ = _axis(y_shape, model.sigma, region.y_min, region.y_max)
-    region_mass = x_mass(x_lo, x_hi) * y_mass(y_lo, y_hi)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"sensing range must be positive and finite, got {r}")
+    x, y = model.marginals()
+    region_mass = x.mass(x.lo, x.hi) * y.mass(y.lo, y.hi)
     if region_mass == 0.0:
-        raise ValueError(f"region {region} carries no {model.kind.value} deployment mass "
+        raise ValueError(f"region {model.region} carries no {model.kind.value} deployment mass "
                          f"at sigma={model.sigma}")
     end, start = scenario.start_s - scenario.distance_d, scenario.start_s
-    rect = x_mass(max(x_lo, end), min(x_hi, start)) * y_mass(max(y_lo, -r), min(y_hi, r))
+    rect = x.mass(max(x.lo, end), min(x.hi, start)) * y.mass(max(y.lo, -r), min(y.hi, r))
 
     def half_disk(center: float, side: float) -> float:
-        # cos(theta) range that keeps x = center + side r cos(theta) in [x_lo, x_hi]
-        lo, hi = sorted(((x_lo - center) * side / r, (x_hi - center) * side / r))
+        # cos(theta) range that keeps x = center + side r cos(theta) in [x.lo, x.hi]
+        lo, hi = sorted(((x.lo - center) * side / r, (x.hi - center) * side / r))
         if hi < 0.0 or lo > 1.0:
             return 0.0
 
         def chord(theta: float) -> float:
-            x = center + side * r * math.cos(theta)
             h = r * math.sin(theta)
-            return x_pdf(x) * y_mass(max(y_lo, -h), min(y_hi, h)) * h
+            return x.pdf(center + side * r * math.cos(theta)) * y.mass(max(y.lo, -h), min(y.hi, h)) * h
 
         return integrate_1d(chord, math.acos(min(1.0, hi)), math.acos(max(0.0, lo)), spec)
 

@@ -2,9 +2,9 @@
 
 A half-normal variable is |X| for X ~ Normal(0, sigma^2). Deployments draw
 sensor x-coordinates from it so density peaks at the protected boundary
-x = 0. MARGINALS, the one table the sampler and the analytic engine read,
-gives each deployment kind its independent (x, y) marginals; an axis with
-a uniform marginal needs a bounded region:
+x = 0. MARGINALS names the shapes of each kind's independent (x, y) marginals,
+and marginal() defines each shape once for the sampler and the analytic
+engine. An axis with a uniform marginal needs a bounded region:
 
   * uniform        -- x and y uniform over a bounded rectangle (the baseline)
   * half_normal    -- x ~ HalfNormal(sigma), y ~ Normal(0, sigma); this is
@@ -16,11 +16,11 @@ a uniform marginal needs a bounded region:
 Sampling is counter-based: sensor j of a deployment keyed by seed s uses
 the counter block [j * 256, (j + 1) * 256) of stream s, four counters per
 rejection attempt starting at base = j * 256 + 4 * attempt. x reads from
-counter base; y reads from the next free counter, base + 1 after a uniform
-x (one counter) and base + 2 after a (half-)normal x (two counters, one
-Box-Muller normal). Draws falling outside a bounded region are rejected and
-redrawn from the next attempt slot, up to MAX_ATTEMPTS per sensor. The
-addressing makes batched and sequential sampling bit-identical.
+counter base; y reads from the next free counter, base + x.counters: base + 1
+after a uniform x (one counter) and base + 2 after a (half-)normal x (two
+counters, one Box-Muller normal). Draws falling outside a bounded region are
+rejected and redrawn from the next attempt slot, up to MAX_ATTEMPTS per
+sensor. The addressing makes batched and sequential sampling bit-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +83,50 @@ MARGINALS = {
 
 
 @dataclass(frozen=True)
+class Marginal:
+    """One coordinate's law on a region's bounds, as built by marginal."""
+
+    lo: float
+    hi: float
+    mass: Callable[[float, float], float]
+    pdf: Callable[[float], float]
+    draw: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    counters: int
+
+
+def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Marginal:
+    """The "uniform", "half_normal" or "normal" marginal on the bounds [lo, hi].
+
+    lo and hi are the law's support clipped to the bounds (a uniform law is
+    [lo, hi] itself); mass(a, b) is 0 when a >= b; pdf is the density on the
+    support; draw(seeds, base) reads `counters` counters from base.
+    """
+    if shape == "uniform":
+        width = hi - lo
+        inverse = 1.0 / width
+        return Marginal(lo, hi, lambda a, b: (b - a) / width if a < b else 0.0, lambda x: inverse,
+                        lambda seeds, base: lo + width * uniform_draws(seeds, base), 1)
+    folded = shape == "half_normal"
+    k = 1.0 / (sigma * math.sqrt(2.0))
+    # folding Normal(0, sigma^2) onto x >= 0 doubles its mass there
+    scale = 1.0 if folded else 0.5
+    peak = 2.0 * scale * k / math.sqrt(math.pi)
+
+    def mass(a: float, b: float) -> float:
+        return scale * (math.erf(b * k) - math.erf(a * k)) if a < b else 0.0
+
+    def pdf(x: float) -> float:
+        t = x * k
+        return peak * math.exp(-t * t)
+
+    def draw(seeds, base) -> np.ndarray:
+        z = normal_draws(seeds, base) * sigma
+        return np.abs(z) if folded else z
+
+    return Marginal(max(0.0, lo) if folded else lo, hi, mass, pdf, draw, 2)
+
+
+@dataclass(frozen=True)
 class DeploymentModel:
     kind: DeploymentKind
     region: Rectangle
@@ -97,6 +141,12 @@ class DeploymentModel:
         if "uniform" in shapes and not self.region.bounded:
             raise ValueError(f"{self.kind.value} deployment requires a bounded rectangle region")
 
+    def marginals(self) -> Tuple[Marginal, Marginal]:
+        """The (x, y) marginals on the region's bounds."""
+        (x_shape, y_shape), region = MARGINALS[self.kind], self.region
+        return (marginal(x_shape, self.sigma, region.x_min, region.x_max),
+                marginal(y_shape, self.sigma, region.y_min, region.y_max))
+
 
 class SamplingError(Exception):
     """Rejection sampling exceeded the retry bound (sigma mismatched to region)."""
@@ -106,19 +156,14 @@ def half_normal_pdf(y: float, params: HalfNormalParams) -> float:
     """Density sqrt(2)/(sigma sqrt(pi)) exp(-y^2/(2 sigma^2)) on y >= 0."""
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y}")
-    if y < 0.0:
-        return 0.0
-    s = params.sigma
-    return SQRT_2_OVER_PI / s * math.exp(-y * y / (2.0 * s * s))
+    return marginal("half_normal", params.sigma, 0.0, math.inf).pdf(y) if y >= 0.0 else 0.0
 
 
 def half_normal_cdf(y: float, params: HalfNormalParams) -> float:
     """erf(y / (sigma sqrt(2))) for y >= 0, else 0."""
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y}")
-    if y < 0.0:
-        return 0.0
-    return math.erf(y / (params.sigma * math.sqrt(2.0)))
+    return marginal("half_normal", params.sigma, 0.0, math.inf).mass(0.0, y)
 
 
 def half_normal_mean(params: HalfNormalParams) -> float:
@@ -157,21 +202,9 @@ def halfplane_pdf(x: float, y: float, params: HalfNormalParams) -> float:
     return math.exp(-(x * x + y * y) / (2.0 * s2)) / (math.pi * s2)
 
 
-def _draw_axis(shape: str, sigma: Optional[float], lo: float, hi: float, seeds, counters) -> np.ndarray:
-    """One coordinate drawn from its marginal `shape` on the region's bounds [lo, hi]."""
-    if shape == "uniform":
-        return lo + (hi - lo) * uniform_draws(seeds, counters)
-    z = normal_draws(seeds, counters) * sigma
-    return np.abs(z) if shape == "half_normal" else z
-
-
-def _draw(model: DeploymentModel, seeds, base) -> Tuple[np.ndarray, np.ndarray]:
+def _draw(x: Marginal, y: Marginal, seeds, base) -> Tuple[np.ndarray, np.ndarray]:
     """One rejection attempt's (x, y) for the attempt slots starting at counters `base`."""
-    region = model.region
-    x_shape, y_shape = MARGINALS[model.kind]
-    x = _draw_axis(x_shape, model.sigma, region.x_min, region.x_max, seeds, base)
-    y_base = base + np.uint64(1 if x_shape == "uniform" else 2)
-    return x, _draw_axis(y_shape, model.sigma, region.y_min, region.y_max, seeds, y_base)
+    return x.draw(seeds, base), y.draw(seeds, base + np.uint64(x.counters))
 
 
 def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -185,13 +218,13 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple
     if n < 0:
         raise ValueError("n must be nonnegative")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    region = model.region
-    xs, ys = _draw(model, seeds[:, None], np.arange(n, dtype=np.uint64) * np.uint64(_BLOCK))
+    region, (mx, my) = model.region, model.marginals()
+    xs, ys = _draw(mx, my, seeds[:, None], np.arange(n, dtype=np.uint64) * np.uint64(_BLOCK))
     t, j = np.nonzero(~region.contains(xs, ys))
     for attempt in range(1, MAX_ATTEMPTS):
         if t.size == 0:
             break
-        x, y = _draw(model, seeds[t], j.astype(np.uint64) * np.uint64(_BLOCK)
+        x, y = _draw(mx, my, seeds[t], j.astype(np.uint64) * np.uint64(_BLOCK)
                      + np.uint64(attempt * _DRAWS_PER_ATTEMPT))
         accepted = region.contains(x, y)
         xs[t[accepted], j[accepted]] = x[accepted]

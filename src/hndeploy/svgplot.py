@@ -40,7 +40,9 @@ class PlotSpec:
 def nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
     """Tick positions covering [lo, hi] at a 1/2/5 * 10^k step."""
     if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
+        # 0.5 is below the float spacing once |lo| >= 2^53
+        pad = max(0.5, math.ulp(lo))
+        lo, hi = lo - pad, hi + pad
     span = hi - lo
     if not math.isfinite(span):
         raise ValueError(f"cannot place ticks on [{lo}, {hi}]: the range is not finite")

@@ -46,12 +46,12 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def check_pdf_normalization(pdf_scale: float = 1.0) -> CheckResult:
-    """PDF integrates to 1 for a spread of sigmas (pdf_scale is a test hook)."""
+def check_pdf_normalization() -> CheckResult:
+    """PDF integrates to 1 for a spread of sigmas."""
     worst = 0.0
     for sigma in (0.5, 1.0, 5.0, 20.0):
         params = HalfNormalParams(sigma)
-        total = integrate_1d(lambda y: pdf_scale * half_normal_pdf(y, params),
+        total = integrate_1d(lambda y: half_normal_pdf(y, params),
                              0.0, 12.0 * sigma, QuadratureSpec(1e-9))
         worst = max(worst, abs(total - 1.0))
     return _check("pdf_normalization", worst <= 1e-6, f"max |integral - 1| = {worst:.3e}")
@@ -206,12 +206,6 @@ ALL_CHECKS: List[Callable[[], CheckResult]] = [
 ]
 
 
-def run_validation(pdf_scale: float = 1.0) -> List[CheckResult]:
-    """Run every check; pdf_scale != 1 is a negative-control injection hook."""
-    results = []
-    for check in ALL_CHECKS:
-        if check is check_pdf_normalization:
-            results.append(check_pdf_normalization(pdf_scale))
-        else:
-            results.append(check())
-    return results
+def run_validation() -> List[CheckResult]:
+    """Run every check, in ALL_CHECKS order."""
+    return [check() for check in ALL_CHECKS]

@@ -334,9 +334,9 @@ class TestFullReport:
         with pytest.raises(ValueError):
             _report(25.0, 3.0, 1.0, 1.0, region=Rectangle(20.0, 30.0, -5.0, 5.0))
 
-    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
-    def test_nonpositive_range_rejected(self, r):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_range_rejected(self, r):
+        with pytest.raises(ValueError, match="positive and finite"):
             _report(5.0, 3.0, r, 5.0)
 
     def test_baseline_clipped_when_capsule_leaves_region(self):

@@ -9,7 +9,7 @@ import pytest
 
 from hndeploy.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from hndeploy.config import config_from_dict, load_config
-from hndeploy.validate import run_validation
+from hndeploy import validate
 
 
 def _write_config(tmp_path, **overrides):
@@ -108,6 +108,20 @@ class TestAnalyticCommand:
         rc = main(["analytic", "--sigma", "5", "-r", "1", "-N", "10", "-S", s, "-d", d])
         assert rc == EXIT_VALIDATION
 
+
+    @pytest.mark.parametrize("r", ["inf", "nan", "0", "-1"])
+    def test_bad_range_rejected(self, r, capsys):
+        rc = main(["analytic", "--sigma", "5", "-r", r, "-S", "5", "-d", "3", "-N", "10"])
+        assert rc == EXIT_VALIDATION
+        assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma,r", [("1e-300", "1"), ("5", "1e308")])
+    def test_density_overflow_exits_ok(self, sigma, r, capsys):
+        # x / (sigma sqrt 2) squared exceeds the float range; the density is 0
+        rc = main(["analytic", "--sigma", sigma, "-r", r, "-S", "5", "-d", "3", "-N", "10"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert 0.0 <= payload["p_d"] <= 1.0
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_bad_tolerance_rejected(self, tol, capsys):
@@ -243,6 +257,16 @@ class TestPlotCommand:
         assert rc == EXIT_VALIDATION
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["1e16,0.1\n1e16,0.2\n", "1,1e16\n2,1e16\n"])
+    def test_constant_series_beyond_2_53(self, tmp_path, rows):
+        # a +-0.5 widening of a constant 1e16 column is below its float spacing
+        data = tmp_path / "flat.csv"
+        data.write_text("N,p_hat\n" + rows)
+        svg = tmp_path / "c.svg"
+        rc = main(["plot", "--csv", str(data), "--x", "N", "--y", "p_hat", "--out", str(svg)])
+        assert rc == EXIT_OK
+        assert "<polyline" in svg.read_text()
+
     def test_range_below_tick_resolution_terminates(self, tmp_path):
         # 0.5-steps cannot move t past 1e16 (its ulp is 2); a separate process
         # with a memory cap keeps a tick loop that never ends from hurting the run
@@ -270,11 +294,13 @@ class TestValidateCommand:
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
 
-    def test_injected_wrong_normalizer_fails(self):
-        results = run_validation(pdf_scale=1.02)
-        by_name = {r.name: r for r in results}
-        assert not by_name["pdf_normalization"].passed
-        assert by_name["cdf_vs_quadrature"].passed
+    def test_injected_wrong_normalizer_fails(self, monkeypatch):
+        pdf = validate.half_normal_pdf
+        monkeypatch.setattr(validate, "half_normal_pdf", lambda y, params: 1.02 * pdf(y, params))
+        results = validate.run_validation()
+        assert len(results) == 9
+        failed = {r.name for r in results if not r.passed}
+        assert failed == {"pdf_normalization", "cdf_vs_quadrature"}
 
 
 class TestConfigParsing:

@@ -15,6 +15,7 @@ from hndeploy.distributions import (
     half_normal_mean,
     half_normal_pdf,
     halfplane_pdf,
+    marginal,
     sample_positions,
     stein_residual,
 )
@@ -142,6 +143,54 @@ class TestSampling:
             if stat <= critical:
                 break
         assert stat <= critical
+
+
+# (shape, sigma, bounds): each shape on bounded and, where it can be, unbounded bounds
+MARGINAL_CASES = [
+    ("uniform", None, (-2.0, 6.0)),
+    ("uniform", None, (0.5, 0.75)),
+    ("half_normal", 1.5, (0.0, math.inf)),
+    ("half_normal", 1.5, (-1.0, 2.5)),
+    ("half_normal", 4.0, (1.0, 3.0)),
+    ("normal", 2.0, (-math.inf, math.inf)),
+    ("normal", 2.0, (-1.0, 3.0)),
+]
+
+
+def _law_support(shape, bounds):
+    """Support of the untruncated law; the marginal's support is this within the bounds."""
+    return {"uniform": bounds, "half_normal": (0.0, math.inf),
+            "normal": (-math.inf, math.inf)}[shape]
+
+
+@pytest.mark.parametrize("shape,sigma,bounds", MARGINAL_CASES)
+class TestMarginal:
+    def test_support_and_unit_mass(self, shape, sigma, bounds):
+        m = marginal(shape, sigma, *bounds)
+        law_lo, law_hi = _law_support(shape, bounds)
+        assert (m.lo, m.hi) == (max(law_lo, bounds[0]), min(law_hi, bounds[1]))
+        assert m.mass(law_lo, law_hi) == pytest.approx(1.0, abs=1e-15)
+        assert m.mass(m.hi, m.lo) == 0.0 and m.mass(m.lo, m.lo) == 0.0
+
+    def test_density_integrates_to_mass(self, shape, sigma, bounds):
+        m = marginal(shape, sigma, *bounds)
+        lo = m.lo if math.isfinite(m.lo) else -8.0 * sigma
+        hi = m.hi if math.isfinite(m.hi) else 8.0 * sigma
+        w = hi - lo
+        for a, b in ((lo, hi), (lo, lo + 0.3 * w), (lo + 0.25 * w, lo + 0.4 * w),
+                     (lo + 0.5 * w, hi), (lo + 0.9 * w, lo + 0.9001 * w)):
+            assert integrate_1d(m.pdf, a, b, QuadratureSpec(1e-12)) == pytest.approx(
+                m.mass(a, b), abs=1e-9)
+
+    def test_draws_follow_mass(self, shape, sigma, bounds):
+        # the draw is the untruncated law; a bounded region truncates by rejection
+        m = marginal(shape, sigma, *bounds)
+        n = 100_000
+        z = np.sort(m.draw(np.uint64(2718), np.arange(n, dtype=np.uint64) * np.uint64(m.counters)))
+        law_lo = _law_support(shape, bounds)[0]
+        cdf = np.array([m.mass(law_lo, v) for v in z.tolist()])
+        stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert stat <= 1.628 / math.sqrt(n)  # asymptotic KS critical value at the 1% level
 
 
 class TestCorrelatedPdf:

@@ -195,6 +195,18 @@ class TestSweep:
         assert rows["half_normal"].status.startswith("invalid")
         assert rows["half_normal"].p_hat is None
 
+    def test_density_overflow_does_not_abort(self):
+        # at sigma = 1e-300, (x / (sigma sqrt 2))^2 exceeds the float range: the
+        # density is 0 there, and the sigma = 5 row after it still runs
+        config = _config(models=[DeploymentKind.HALF_NORMAL], sigma_values=[1e-300, 5.0],
+                         n_values=[10], s_values=[5.0], d_values=[3.0],
+                         region=Rectangle(0.0, 20.0, -5.0, 5.0), trials=500)
+        rows = {row.sigma: row for row in sweep(config).rows}
+        assert rows[1e-300].status == "ok"
+        assert rows[1e-300].p_analytic == 0.0
+        assert rows[5.0].status == "ok"
+        assert rows[5.0].p_analytic > 0.0
+
     def test_invalid_rows_reported_not_fatal(self):
         config = _config(s_values=[5.0], d_values=[5.0, 8.0])
         result = sweep(config)
