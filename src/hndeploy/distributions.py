@@ -20,7 +20,8 @@ counter base; y reads from the next free counter, base + x.counters: base + 1
 after a uniform x (one counter) and base + 2 after a (half-)normal x (two
 counters, one Box-Muller normal). Draws falling outside a bounded region are
 rejected and redrawn from the next attempt slot, up to MAX_ATTEMPTS per
-sensor. The addressing makes batched and sequential sampling bit-identical.
+sensor. The addressing makes batched, sequential and column-chunked sampling
+bit-identical.
 """
 
 from __future__ import annotations
@@ -207,24 +208,23 @@ def _draw(x: Marginal, y: Marginal, seeds, base) -> Tuple[np.ndarray, np.ndarray
     return x.draw(seeds, base), y.draw(seeds, base + np.uint64(x.counters))
 
 
-def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample n sensors per seed; returns x and y arrays of shape (len(seeds), n).
+def _sample_block(model: DeploymentModel, seeds: np.ndarray, j0: int,
+                  j1: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sensors j0 .. j1 - 1 of each seed's deployment; x and y of shape (len(seeds), j1 - j0).
 
-    Each seed keys one independent deployment. The first attempt draws
-    every sensor of every deployment at once; only the draws a bounded
-    region rejects are redrawn, from further attempt slots of the same
-    counter block, so the output depends only on (seed, model, n).
+    Sensor j reads counter block j whatever the call, so columns [j0, j1) of
+    a full draw and this call are bit-identical. The first attempt draws
+    every sensor at once; only the draws a bounded region rejects are
+    redrawn, from further attempt slots of the same counter block.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     seeds = np.asarray(seeds, dtype=np.uint64)
     region, (mx, my) = model.region, model.marginals()
-    xs, ys = _draw(mx, my, seeds[:, None], np.arange(n, dtype=np.uint64) * np.uint64(_BLOCK))
+    xs, ys = _draw(mx, my, seeds[:, None], np.arange(j0, j1, dtype=np.uint64) * np.uint64(_BLOCK))
     t, j = np.nonzero(~region.contains(xs, ys))
     for attempt in range(1, MAX_ATTEMPTS):
         if t.size == 0:
             break
-        x, y = _draw(mx, my, seeds[t], j.astype(np.uint64) * np.uint64(_BLOCK)
+        x, y = _draw(mx, my, seeds[t], (j.astype(np.uint64) + np.uint64(j0)) * np.uint64(_BLOCK)
                      + np.uint64(attempt * _DRAWS_PER_ATTEMPT))
         accepted = region.contains(x, y)
         xs[t[accepted], j[accepted]] = x[accepted]
@@ -236,6 +236,19 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple
             "sigma is grossly mismatched to the bounded region"
         )
     return xs, ys
+
+
+def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample n sensors per seed; returns x and y arrays of shape (len(seeds), n).
+
+    Each seed keys one independent deployment, and the output depends only
+    on (seed, model, n). This is the whole field; the Monte Carlo oracle
+    draws the same sensors in column chunks and stops a trial at its first
+    detecting chunk, so it raises SamplingError only for sensors it draws.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _sample_block(model, seeds, 0, n)
 
 
 # Stein characterization test-function family: name -> (f, f', f(0))

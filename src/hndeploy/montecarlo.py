@@ -1,10 +1,13 @@
 """Empirical detection-probability estimation (the independent oracle).
 
-Each trial redraws the whole sensor field from the deployment model and
-checks whether any sensor lies in the intrusion capsule, estimating the
-deployment-averaged at-least-one detection probability. Trial i always
-uses the substream derive_stream_seed(master, i), so estimates are
-independent of batch size, evaluation order and worker count.
+Each trial draws its sensor field from the deployment model and checks
+whether any sensor lies in the intrusion capsule, estimating the
+deployment-averaged at-least-one detection probability. Sensors are drawn
+in column chunks, and a trial stops drawing after its first detecting
+chunk: the sensors it skips cannot change its outcome. Trial i always uses
+the substream derive_stream_seed(master, i), and sensor j always reads
+counter block j of it, so estimates are independent of batch size, chunk
+widths, evaluation order and worker count.
 """
 
 from __future__ import annotations
@@ -17,13 +20,17 @@ from typing import List, Optional
 import numpy as np
 
 from .analytic import capsule_probability, detection_probability
-from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
+from .distributions import DeploymentKind, DeploymentModel, SamplingError, _sample_block
 from .geometry import IntruderScenario, detects_any
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import RandomSeed, derive_stream_seed, mix64, raw_draws
 
 _Z95 = 1.96
 _BATCH = 1 << 15
+# sensor columns per chunk: 4, 8, then 16 each; narrow first chunks let most
+# half-normal trials stop early, and few chunks keep small N in few calls
+_FIRST_CHUNK = 4
+_MAX_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,18 @@ class SweepResult:
 
 def _count(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
            seeds: np.ndarray) -> int:
-    """Number of the deployments keyed by `seeds` in which some sensor detects."""
-    xs, ys = sample_positions(model, n, seeds)
-    return int(np.count_nonzero(detects_any(xs, ys, scenario, r)))
+    """Number of the deployments keyed by `seeds` in which some sensor detects.
+
+    Only trials with no detection so far draw the next chunk of sensors.
+    """
+    live = seeds
+    j0, width = 0, _FIRST_CHUNK
+    while j0 < n and live.size:
+        j1 = min(j0 + width, n)
+        xs, ys = _sample_block(model, live, j0, j1)
+        live = live[~detects_any(xs, ys, scenario, r)]
+        j0, width = j1, min(2 * width, _MAX_CHUNK)
+    return len(seeds) - live.size
 
 
 def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
@@ -68,8 +84,12 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
     """Monte Carlo estimate of the at-least-one detection probability.
 
     Trials run in spans of _BATCH; `workers` threads share the spans, and
-    one worker runs them inline.
+    one worker runs them inline. A trial draws its n sensors in chunks and
+    stops after its first detecting chunk, so SamplingError can come only
+    from a sensor that is drawn; n = 0 draws nothing and detects nothing.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hndeploy import distributions
 from hndeploy.distributions import (
     Correlated2DParams,
     DeploymentKind,
@@ -16,6 +17,7 @@ from hndeploy.distributions import (
     half_normal_pdf,
     halfplane_pdf,
     marginal,
+    _sample_block,
     sample_positions,
     stein_residual,
 )
@@ -371,6 +373,10 @@ def _reference_positions(model, n, seed):
 # normal draw; scaling by sigma may add one rounding on top
 _NORMAL_MAXULP = 4
 _LAYOUT_SEEDS = [0, 7, 123456789, 2**63 + 5, 2**64 - 1]
+# with sigma = 5 on the box [0, 1] x [-1, 1], every sensor of these 12-sensor
+# fields is placed, and seeds 4, 241 and 737 place sensors 1, 7 and 11 on the
+# last of the 64 attempts when y is (half-)normal
+_CHUNK_SEEDS = [1, 4, 5, 241, 737]
 
 
 class TestSamplerCounterLayout:
@@ -405,6 +411,27 @@ class TestSamplerCounterLayout:
         xs, ys = sample_positions(model, 1, np.array([106], dtype=np.uint64))
         np.testing.assert_array_max_ulp(xs[0], x_ref, maxulp=_NORMAL_MAXULP)
         np.testing.assert_array_max_ulp(ys[0], y_ref, maxulp=_NORMAL_MAXULP)
+
+    @pytest.mark.parametrize("kind,region", [
+        (kind, Rectangle(0.0, 1.0, -1.0, 1.0)) for kind in DeploymentKind
+    ] + [(DeploymentKind.HALF_NORMAL, HalfPlane()), (DeploymentKind.QUADRANT, HalfPlane())])
+    def test_chunk_equals_columns_of_full_draw(self, kind, region):
+        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 5.0)
+        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
+        xs, ys = sample_positions(model, 12, seeds)
+        for j0, j1 in [(0, 4), (4, 12), (1, 2), (7, 8), (3, 11), (11, 12)]:
+            chunk_x, chunk_y = _sample_block(model, seeds, j0, j1)
+            assert np.array_equal(chunk_x, xs[:, j0:j1])
+            assert np.array_equal(chunk_y, ys[:, j0:j1])
+
+    @pytest.mark.parametrize("seed,j", [(4, 1), (241, 7), (737, 11)])
+    def test_chunk_sensor_accepted_on_last_attempt(self, seed, j, monkeypatch):
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
+        seeds = np.array([seed], dtype=np.uint64)
+        _sample_block(model, seeds, j, j + 1)
+        monkeypatch.setattr(distributions, "MAX_ATTEMPTS", 63)
+        with pytest.raises(SamplingError):
+            _sample_block(model, seeds, j, j + 1)
 
 
 @pytest.mark.parametrize("region", [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0)])

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hndeploy.analytic import capsule_probability, full_report
 from hndeploy.config import ExperimentConfig
-from hndeploy.distributions import DeploymentKind, DeploymentModel, sample_positions
+from hndeploy.distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
 from hndeploy import montecarlo
-from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, detects
+from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, detects, detects_any
 from hndeploy.montecarlo import estimate_detection, sweep
 from hndeploy.rng import RandomSeed, derive_stream_seed
 
@@ -29,7 +31,11 @@ def _reference_count(model, n, scenario, r, trials, master):
 
 
 class TestRunTrial:
-    def test_no_sensors_never_detects(self):
+    def test_no_sensors_never_detects(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("N = 0 draws no sensor")
+
+        monkeypatch.setattr(montecarlo, "_sample_block", no_draw)
         est = estimate_detection(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 1, RandomSeed(123))
         assert est.detected_count == 0
         assert _reference_trial(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 123) is False
@@ -118,6 +124,34 @@ class TestEstimateDetection:
         est = estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 200_000, RandomSeed(61))
         assert abs(est.p_hat - report.p_d) <= max(0.01, 3 * est.ci_half_width)
 
+    def test_detected_trial_draws_no_further_sensors(self):
+        # every point of this box lies within r = 10 of the path; master 1's
+        # trial places its first 8 sensors but rejects a later one of its 20 on
+        # every attempt, so only the full field raises
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
+        scenario = IntruderScenario(start_s=1.0, distance_d=1.0)
+        seeds = np.array([derive_stream_seed(1, 0)], dtype=np.uint64)
+        sample_positions(model, 8, seeds)
+        with pytest.raises(SamplingError):
+            sample_positions(model, 20, seeds)
+        est = estimate_detection(model, 20, scenario, 10.0, 1, RandomSeed(1))
+        assert est.detected_count == 1
+
+    @pytest.mark.parametrize("kind,sigma", [(DeploymentKind.HALF_NORMAL, 10.0),
+                                            (DeploymentKind.UNIFORM, None)])
+    def test_peak_memory(self, kind, sigma):
+        # the README row at N = 500 in one span of 2^15 trials; the whole field
+        # would hold 2^15 x 500 positions (over 600 MiB at peak)
+        model = DeploymentModel(kind, Rectangle(-50.0, 50.0, -50.0, 50.0), sigma)
+        tracemalloc.start()
+        try:
+            estimate_detection(model, 500, IntruderScenario(start_s=5.0, distance_d=5.0), 1.0,
+                               1 << 15, RandomSeed(1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 20
+
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 0, RandomSeed(1))
@@ -126,6 +160,32 @@ class TestEstimateDetection:
                                workers=0)
         with pytest.raises(ValueError):
             estimate_detection(HALF_NORMAL_MODEL, -1, SCENARIO, 1.0, 10, RandomSeed(1))
+
+
+# (kind, region, sigma); sigma = 5 on the small box rejects about four
+# half-normal draws in five
+_PROPERTY_CASES = [
+    (kind, region, None if kind == DeploymentKind.UNIFORM else sigma)
+    for region in (Rectangle(0.0, 3.0, -3.0, 3.0), Rectangle(-50.0, 50.0, -50.0, 50.0))
+    for kind in DeploymentKind
+    for sigma in (1.0, 5.0)
+] + [(kind, HalfPlane(), sigma) for kind in (DeploymentKind.HALF_NORMAL, DeploymentKind.QUADRANT)
+     for sigma in (1.0, 5.0)]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(_PROPERTY_CASES), n=st.integers(0, 60),
+       r=st.floats(0.1, 5.0), s=st.floats(0.0, 20.0), d_frac=st.floats(0.0, 1.0),
+       trials=st.integers(1, 200), master=st.integers(0, 2**64 - 1))
+def test_chunked_count_equals_full_field_count(case, n, r, s, d_frac, trials, master):
+    kind, region, sigma = case
+    model = DeploymentModel(kind, region, sigma)
+    scenario = IntruderScenario(start_s=s, distance_d=s * d_frac)
+    seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
+    xs, ys = sample_positions(model, n, seeds)
+    expected = np.count_nonzero(detects_any(xs, ys, scenario, r))
+    est = estimate_detection(model, n, scenario, r, trials, RandomSeed(master))
+    assert est.detected_count == expected
 
 
 def _config(**overrides):
