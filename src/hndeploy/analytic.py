@@ -31,6 +31,7 @@ from typing import Optional, Tuple
 from .distributions import DeploymentKind, DeploymentModel
 from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .numerics import QuadratureSpec, integrate_1d
+from .rng import check_integer
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ def detection_probability(p_single: float, n: int) -> float:
     """
     if not (0.0 <= p_single <= 1.0):
         raise ValueError(f"p_single must lie in [0, 1], got {p_single}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = check_integer("n", n)
     if n == 0:
         return 0.0
     if p_single == 1.0:
@@ -122,8 +122,7 @@ def full_report(scenario: IntruderScenario, r: float, sigma: float, n: int,
     default the half-plane, where nothing is cut off). For a bounded region
     the uniform baseline's single-sensor probability is filled in too.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = check_integer("n", n)
     model = DeploymentModel(DeploymentKind.HALF_NORMAL, region, sigma)
     rect, left, right = _capsule_parts(model, scenario, r, spec)
     total = min(1.0, max(0.0, rect + left + right))

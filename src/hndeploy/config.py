@@ -20,8 +20,8 @@ Schema (all keys top-level; unknown keys are rejected to catch typos):
 Every number must be finite and a JSON number (not a bool); trials,
 n_values, master_seed and workers must also be integral (2.0 is accepted,
 2.7 is not), and output_path must be a non-empty string. Any out-of-domain
-value (sigma <= 0, trials < 1, empty lists, a malformed or unbounded
-region) is rejected before any computation starts.
+value (a sigma below the least normal float, trials < 1, empty lists, a
+malformed or unbounded region) is rejected before any computation starts.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .distributions import DeploymentKind
+from .distributions import DeploymentKind, HalfNormalParams
 from .geometry import Rectangle
-from .rng import MASK64
+from .rng import MASK64, check_integer
 
 _REQUIRED = {
     "models", "sigma_values", "n_values", "s_values", "d_values", "r_values",
@@ -61,24 +61,19 @@ class ExperimentConfig:
         for name in ("models", "sigma_values", "n_values", "s_values", "d_values", "r_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
-        if any(s <= 0 for s in self.sigma_values):
-            raise ValueError("sigma_values must be positive")
-        if any(n < 0 for n in self.n_values):
-            raise ValueError("n_values must be nonnegative")
+        for sigma in self.sigma_values:
+            HalfNormalParams(sigma)
+        object.__setattr__(self, "n_values", [check_integer("n_values", n) for n in self.n_values])
+        for name, lo, hi in (("trials", 1, None), ("master_seed", 0, MASK64), ("workers", 1, None)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), lo, hi))
         if any(s < 0 for s in self.s_values):
             raise ValueError("s_values must be nonnegative")
         if any(d < 0 for d in self.d_values):
             raise ValueError("d_values must be nonnegative")
         if any(r <= 0 for r in self.r_values):
             raise ValueError("r_values must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not (0 <= self.master_seed <= MASK64):
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.quadrature_tolerance <= 0:
             raise ValueError("quadrature_tolerance must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if not self.region.bounded:
             raise ValueError("region must be bounded")
         if not (isinstance(self.output_path, str) and self.output_path):
@@ -91,12 +86,9 @@ def _real(key: str, value) -> float:
     return float(value)
 
 
-def _integer(key: str, value) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must hold integers, got {value!r}")
-    return value
+def _integer(value):
+    """An integral JSON float (2.0) as an int; ExperimentConfig checks every count."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -120,19 +112,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "quadrature_tolerance" in raw:
         kwargs["quadrature_tolerance"] = _real("quadrature_tolerance", raw["quadrature_tolerance"])
     if "workers" in raw:
-        kwargs["workers"] = _integer("workers", raw["workers"])
+        kwargs["workers"] = _integer(raw["workers"])
     if "output_path" in raw:
         kwargs["output_path"] = raw["output_path"]
     return ExperimentConfig(
         models=models,
         sigma_values=[_real("sigma_values", v) for v in raw["sigma_values"]],
-        n_values=[_integer("n_values", v) for v in raw["n_values"]],
+        n_values=[_integer(v) for v in raw["n_values"]],
         s_values=[_real("s_values", v) for v in raw["s_values"]],
         d_values=[_real("d_values", v) for v in raw["d_values"]],
         r_values=[_real("r_values", v) for v in raw["r_values"]],
         region=region,
-        trials=_integer("trials", raw["trials"]),
-        master_seed=_integer("master_seed", raw["master_seed"]),
+        trials=_integer(raw["trials"]),
+        master_seed=_integer(raw["master_seed"]),
         **kwargs,
     )
 

@@ -21,20 +21,21 @@ after a uniform x (one counter) and base + 2 after a (half-)normal x (two
 counters, one Box-Muller normal). Draws falling outside a bounded region are
 rejected and redrawn from the next attempt slot, up to MAX_ATTEMPTS per
 sensor. The addressing makes batched, sequential and column-chunked sampling
-bit-identical.
+(sample_positions with first > 0) bit-identical.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Rectangle
-from .rng import normal_draws, uniform_draws
+from .rng import check_integer, normal_draws, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -50,8 +51,10 @@ class HalfNormalParams:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
+        # a subnormal sigma overflows 1 / (sigma sqrt 2) and makes the density NaN
+        if not (math.isfinite(self.sigma) and self.sigma >= sys.float_info.min):
+            raise ValueError(f"sigma must be a finite real of at least {sys.float_info.min}, "
+                             f"got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -203,29 +206,32 @@ def halfplane_pdf(x: float, y: float, params: HalfNormalParams) -> float:
     return math.exp(-(x * x + y * y) / (2.0 * s2)) / (math.pi * s2)
 
 
-def _draw(x: Marginal, y: Marginal, seeds, base) -> Tuple[np.ndarray, np.ndarray]:
-    """One rejection attempt's (x, y) for the attempt slots starting at counters `base`."""
-    return x.draw(seeds, base), y.draw(seeds, base + np.uint64(x.counters))
+def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
+                     first: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Sensors first .. n - 1 of each seed's deployment; x and y of shape (len(seeds), n - first).
 
-
-def _sample_block(model: DeploymentModel, seeds: np.ndarray, j0: int,
-                  j1: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Sensors j0 .. j1 - 1 of each seed's deployment; x and y of shape (len(seeds), j1 - j0).
-
-    Sensor j reads counter block j whatever the call, so columns [j0, j1) of
-    a full draw and this call are bit-identical. The first attempt draws
-    every sensor at once; only the draws a bounded region rejects are
-    redrawn, from further attempt slots of the same counter block.
+    Each seed keys one independent deployment, and sensor j reads counter
+    block j whatever the call, so first = 0 gives the whole field and any
+    other first gives its last n - first columns, bit-identical. The first
+    attempt draws every sensor at once; only the draws a bounded region
+    rejects are redrawn, from further attempt slots of the same counter block.
     """
+    n = check_integer("n", n)
+    first = check_integer("first", first, 0, n)
     seeds = np.asarray(seeds, dtype=np.uint64)
     region, (mx, my) = model.region, model.marginals()
-    xs, ys = _draw(mx, my, seeds[:, None], np.arange(j0, j1, dtype=np.uint64) * np.uint64(_BLOCK))
+
+    def draw(stream_seeds, j, attempt):
+        base = ((j.astype(np.uint64) + np.uint64(first)) * np.uint64(_BLOCK)
+                + np.uint64(attempt * _DRAWS_PER_ATTEMPT))
+        return mx.draw(stream_seeds, base), my.draw(stream_seeds, base + np.uint64(mx.counters))
+
+    xs, ys = draw(seeds[:, None], np.arange(n - first), 0)
     t, j = np.nonzero(~region.contains(xs, ys))
     for attempt in range(1, MAX_ATTEMPTS):
         if t.size == 0:
             break
-        x, y = _draw(mx, my, seeds[t], (j.astype(np.uint64) + np.uint64(j0)) * np.uint64(_BLOCK)
-                     + np.uint64(attempt * _DRAWS_PER_ATTEMPT))
+        x, y = draw(seeds[t], j, attempt)
         accepted = region.contains(x, y)
         xs[t[accepted], j[accepted]] = x[accepted]
         ys[t[accepted], j[accepted]] = y[accepted]
@@ -236,19 +242,6 @@ def _sample_block(model: DeploymentModel, seeds: np.ndarray, j0: int,
             "sigma is grossly mismatched to the bounded region"
         )
     return xs, ys
-
-
-def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample n sensors per seed; returns x and y arrays of shape (len(seeds), n).
-
-    Each seed keys one independent deployment, and the output depends only
-    on (seed, model, n). This is the whole field; the Monte Carlo oracle
-    draws the same sensors in column chunks and stops a trial at its first
-    detecting chunk, so it raises SamplingError only for sensors it draws.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _sample_block(model, seeds, 0, n)
 
 
 # Stein characterization test-function family: name -> (f, f', f(0))

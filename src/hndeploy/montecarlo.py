@@ -3,11 +3,13 @@
 Each trial draws its sensor field from the deployment model and checks
 whether any sensor lies in the intrusion capsule, estimating the
 deployment-averaged at-least-one detection probability. Sensors are drawn
-in column chunks, and a trial stops drawing after its first detecting
-chunk: the sensors it skips cannot change its outcome. Trial i always uses
-the substream derive_stream_seed(master, i), and sensor j always reads
-counter block j of it, so estimates are independent of batch size, chunk
-widths, evaluation order and worker count.
+in column chunks through sample_positions(model, n, seeds, first), and a
+trial stops drawing after its first detecting chunk: the sensors it skips
+cannot change its outcome, so SamplingError can come only from a sensor
+that is drawn. Trial i always uses the substream derive_stream_seed(master,
+i), and sensor j always reads counter block j of it, so estimates are
+independent of batch size, chunk widths, evaluation order and worker count,
+and each trial's count equals that of its whole field.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import List, Optional
 import numpy as np
 
 from .analytic import capsule_probability, detection_probability
-from .distributions import DeploymentKind, DeploymentModel, SamplingError, _sample_block
+from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
 from .geometry import IntruderScenario, detects_any
 from .numerics import QuadratureError, QuadratureSpec
-from .rng import RandomSeed, derive_stream_seed, mix64, raw_draws
+from .rng import RandomSeed, check_integer, derive_stream_seed, derive_stream_seeds
 
 _Z95 = 1.96
 _BATCH = 1 << 15
@@ -73,7 +75,7 @@ def _count(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
     j0, width = 0, _FIRST_CHUNK
     while j0 < n and live.size:
         j1 = min(j0 + width, n)
-        xs, ys = _sample_block(model, live, j0, j1)
+        xs, ys = sample_positions(model, j1, live, j0)
         live = live[~detects_any(xs, ys, scenario, r)]
         j0, width = j1, min(2 * width, _MAX_CHUNK)
     return len(seeds) - live.size
@@ -84,23 +86,16 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
     """Monte Carlo estimate of the at-least-one detection probability.
 
     Trials run in spans of _BATCH; `workers` threads share the spans, and
-    one worker runs them inline. A trial draws its n sensors in chunks and
-    stops after its first detecting chunk, so SamplingError can come only
-    from a sensor that is drawn; n = 0 draws nothing and detects nothing.
+    one worker runs them inline. n = 0 draws nothing and detects nothing.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    n = check_integer("n", n)
+    trials = check_integer("trials", trials, 1)
+    workers = check_integer("workers", workers, 1)
     if not 0.0 < r < math.inf:
         raise ValueError(f"sensing range must be positive and finite, got {r}")
-    # derive_stream_seed(master, i) == raw_draw(mix64(master), i), vectorized
-    key = mix64(seed.master)
 
     def count(span):
-        seeds = raw_draws(key, np.arange(*span, dtype=np.uint64))
+        seeds = derive_stream_seeds(seed.master, np.arange(*span, dtype=np.uint64))
         return _count(model, n, scenario, r, seeds)
 
     spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]

@@ -11,20 +11,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
+# subdivision budget of one integrate_1d call
+MAX_SUBDIVISIONS = 100_000
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and work budget for one integration call."""
+    """Tolerance for one integration call."""
 
     absolute_tolerance: float = 1e-8
-    max_subdivisions: int = 100_000
 
     def __post_init__(self):
         if not (math.isfinite(self.absolute_tolerance) and self.absolute_tolerance > 0):
             raise ValueError(f"absolute_tolerance must be a positive finite real, "
                              f"got {self.absolute_tolerance}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 class QuadratureError(Exception):
@@ -44,7 +44,7 @@ def integrate_1d(
 ) -> float:
     """Adaptive Simpson integral of f over [a, b].
 
-    Raises QuadratureError when the subdivision budget is exhausted before
+    Raises QuadratureError when the MAX_SUBDIVISIONS budget is exhausted before
     every interval meets its share of the tolerance.
     """
     if a == b:
@@ -76,7 +76,7 @@ def integrate_1d(
         if converged or abs(b0 - a0) <= min_width:
             total += left + right + delta / 15.0
             error += abs(delta) / 15.0
-        elif used >= spec.max_subdivisions:
+        elif used >= MAX_SUBDIVISIONS:
             exhausted = True
             total += left + right + delta / 15.0
             error += abs(delta) / 15.0
@@ -108,8 +108,8 @@ def integrate_2d(
     x_lo, x_hi = x_bounds
     width = abs(x_hi - x_lo)
     inner_tol = spec.absolute_tolerance / (3.0 * max(1.0, width))
-    inner_spec = QuadratureSpec(inner_tol, spec.max_subdivisions)
-    outer_spec = QuadratureSpec(spec.absolute_tolerance / 3.0, spec.max_subdivisions)
+    inner_spec = QuadratureSpec(inner_tol)
+    outer_spec = QuadratureSpec(spec.absolute_tolerance / 3.0)
 
     if callable(y_bounds):
         bounds_at = y_bounds

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +33,16 @@ _INV53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
 
+def check_integer(name: str, value, lo: int = 0, hi: Optional[int] = None) -> int:
+    """value as an int: an int or numpy integer (not a bool) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RandomSeed:
     """Master seed of an experiment; all streams derive from it."""
@@ -39,8 +50,7 @@ class RandomSeed:
     master: int
 
     def __post_init__(self):
-        if not (0 <= self.master <= MASK64):
-            raise ValueError(f"master seed must be a 64-bit unsigned integer, got {self.master}")
+        object.__setattr__(self, "master", check_integer("master seed", self.master, 0, MASK64))
 
 
 def mix64(z: int) -> int:
@@ -71,10 +81,9 @@ def normal_draw(seed: int, counter: int) -> float:
 def derive_stream_seed(master: int, index: int) -> int:
     """Seed of substream `index`: raw_draw(mix64(master), index).
 
-    Every trial and sweep row is keyed this way, so batch code derives a
-    span of trial seeds as raw_draws(mix64(master), indices). mix64 is
-    bijective and the inputs for distinct indices are distinct, so
-    substreams of one master never share a seed.
+    Every trial and sweep row is keyed this way; derive_stream_seeds is the
+    vectorized form. mix64 is bijective and the inputs for distinct indices
+    are distinct, so substreams of one master never share a seed.
     """
     return raw_draw(mix64(master), index)
 
@@ -101,6 +110,11 @@ def raw_draws(seeds, counters) -> np.ndarray:
     counters = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _mix64_array(seeds + (counters + np.uint64(1)) * _GOLDEN_U64)
+
+
+def derive_stream_seeds(master: int, indices) -> np.ndarray:
+    """Vectorized derive_stream_seed: the seeds of substreams `indices` of `master`."""
+    return raw_draws(mix64(master), indices)
 
 
 def uniform_draws(seeds, counters) -> np.ndarray:

@@ -169,6 +169,14 @@ class TestDetectionProbability:
         with pytest.raises(ValueError):
             detection_probability(0.5, -1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(3.0), "3"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            detection_probability(0.1, n)
+
+    def test_numpy_integer_n(self):
+        assert detection_probability(0.1, np.int64(10)) == detection_probability(0.1, 10)
+
 
 class TestUniformBaseline:
     def test_moving_intruder(self):
@@ -280,6 +288,11 @@ class TestDeploymentKinds:
 
 
 class TestFullReport:
+    @pytest.mark.parametrize("n", [2.5, True, -1])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            full_report(IntruderScenario(start_s=5.0, distance_d=3.0), 1.0, 5.0, n)
+
     def test_no_sensors(self):
         scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
         report = full_report(scenario, 1.0, 5.0, 0)

@@ -123,6 +123,12 @@ class TestAnalyticCommand:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert 0.0 <= payload["p_d"] <= 1.0
 
+    @pytest.mark.parametrize("sigma", ["1e-320", "5e-324"])
+    def test_subnormal_sigma_rejected(self, sigma, capsys):
+        rc = main(["analytic", "--sigma", sigma, "-r", "1", "-S", "5", "-d", "3", "-N", "10"])
+        assert rc == EXIT_VALIDATION
+        assert "sigma must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_bad_tolerance_rejected(self, tol, capsys):
         rc = main(["analytic", "--sigma", "5", "-r", "1", "-S", "5", "-d", "3", "-N", "10",
@@ -140,6 +146,7 @@ class TestSimulateCommand:
         assert payload["p_hat"] in (0.0, 1.0)
 
     @pytest.mark.parametrize("extra", [["--sigma", "nan"], ["--sigma", "inf"],
+                                       ["--sigma", "1e-320"], ["--sigma", "5e-324"],
                                        ["--sigma", "5", "--region", "0", "inf", "-5", "5"],
                                        ["--sigma", "5", "-r", "inf"], ["--sigma", "5", "-r", "0"],
                                        ["--sigma", "5", "-r", "-1"], ["--sigma", "5", "-r", "nan"]])
@@ -325,7 +332,8 @@ class TestConfigParsing:
 
     def test_rejects_out_of_domain(self, tmp_path):
         for overrides in ({"trials": 0}, {"r_values": [0.0]}, {"workers": 0},
-                          {"quadrature_tolerance": 0.0}, {"d_values": [-1.0]}):
+                          {"quadrature_tolerance": 0.0}, {"d_values": [-1.0]},
+                          {"sigma_values": [5.0, 1e-320]}, {"sigma_values": [5e-324]}):
             path = _write_config(tmp_path, **overrides)
             with pytest.raises(ValueError):
                 load_config(str(path))
@@ -348,6 +356,12 @@ class TestConfigParsing:
         # json writes these as Infinity / NaN, which json.load reads back
         with pytest.raises(ValueError):
             load_config(str(_write_config(tmp_path, **overrides)))
+
+    def test_sweep_with_subnormal_sigma_writes_nothing(self, tmp_path, capsys):
+        path = _write_config(tmp_path, sigma_values=[1e-320])
+        assert main(["sweep", "--config", str(path)]) == EXIT_VALIDATION
+        assert "sigma must be" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("output_path", [True, 2, "", None, ["sweep.csv"]])
     def test_rejects_non_string_output_path(self, tmp_path, output_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from hndeploy.distributions import (
     half_normal_pdf,
     halfplane_pdf,
     marginal,
-    _sample_block,
     sample_positions,
     stein_residual,
 )
@@ -318,7 +318,9 @@ class TestDeploymentSampling:
                 DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=1.0),
                 -1, np.array([0], dtype=np.uint64))
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    # a subnormal sigma overflows 1 / (sigma sqrt 2), and the density would be inf * 0 = nan
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e-320, 5e-324,
+                                       sys.float_info.min * (1 - 2**-52)])
     def test_model_rejects_bad_sigma(self, sigma):
         with pytest.raises(ValueError):
             DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=sigma)
@@ -420,18 +422,37 @@ class TestSamplerCounterLayout:
         seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
         xs, ys = sample_positions(model, 12, seeds)
         for j0, j1 in [(0, 4), (4, 12), (1, 2), (7, 8), (3, 11), (11, 12)]:
-            chunk_x, chunk_y = _sample_block(model, seeds, j0, j1)
+            chunk_x, chunk_y = sample_positions(model, j1, seeds, j0)
             assert np.array_equal(chunk_x, xs[:, j0:j1])
             assert np.array_equal(chunk_y, ys[:, j0:j1])
+
+    @pytest.mark.parametrize("n,first", [(5, -1), (5, 6), (0, 1), (5, 1.0), (5, 0.5),
+                                         (5, True), (2.5, 0), (True, 0), (5.0, 0)])
+    def test_rejects_bad_first_or_n(self, n, first):
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0)
+        with pytest.raises(ValueError, match="^(n|first) must be"):
+            sample_positions(model, n, np.array(_CHUNK_SEEDS, dtype=np.uint64), first)
+
+    def test_first_equal_to_n_draws_nothing(self):
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0)
+        xs, ys = sample_positions(model, 5, np.array(_CHUNK_SEEDS, dtype=np.uint64), 5)
+        assert xs.shape == ys.shape == (len(_CHUNK_SEEDS), 0)
+
+    def test_numpy_integer_counts(self):
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0)
+        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
+        xs, ys = sample_positions(model, np.int64(6), seeds, np.uint64(2))
+        full_x, full_y = sample_positions(model, 6, seeds)
+        assert np.array_equal(xs, full_x[:, 2:]) and np.array_equal(ys, full_y[:, 2:])
 
     @pytest.mark.parametrize("seed,j", [(4, 1), (241, 7), (737, 11)])
     def test_chunk_sensor_accepted_on_last_attempt(self, seed, j, monkeypatch):
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
         seeds = np.array([seed], dtype=np.uint64)
-        _sample_block(model, seeds, j, j + 1)
+        sample_positions(model, j + 1, seeds, j)
         monkeypatch.setattr(distributions, "MAX_ATTEMPTS", 63)
         with pytest.raises(SamplingError):
-            _sample_block(model, seeds, j, j + 1)
+            sample_positions(model, j + 1, seeds, j)
 
 
 @pytest.mark.parametrize("region", [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0)])
@@ -492,6 +513,12 @@ class TestSteinResidual:
             stein_residual("x", [-1.0, 2.0], params)
         with pytest.raises(ValueError):
             stein_residual("cube", [1.0], params)
+
+
+def test_half_normal_params_accepts_least_normal_sigma():
+    params = HalfNormalParams(sys.float_info.min)
+    assert half_normal_pdf(0.0, params) > 0.0
+    assert half_normal_pdf(1.0, params) == 0.0
 
 
 def test_half_normal_params_validation():

@@ -35,7 +35,7 @@ class TestRunTrial:
         def no_draw(*args):
             raise AssertionError("N = 0 draws no sensor")
 
-        monkeypatch.setattr(montecarlo, "_sample_block", no_draw)
+        monkeypatch.setattr(montecarlo, "sample_positions", no_draw)
         est = estimate_detection(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 1, RandomSeed(123))
         assert est.detected_count == 0
         assert _reference_trial(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 123) is False
@@ -161,6 +161,22 @@ class TestEstimateDetection:
         with pytest.raises(ValueError):
             estimate_detection(HALF_NORMAL_MODEL, -1, SCENARIO, 1.0, 10, RandomSeed(1))
 
+    @pytest.mark.parametrize("name,value", [
+        ("n", 2.5), ("n", 3.0), ("n", True), ("trials", 2.5), ("trials", 10.0), ("trials", True),
+        ("workers", 1.5), ("workers", 1.0), ("workers", True),
+    ])
+    def test_rejects_non_integer_counts(self, name, value):
+        args = {"n": 3, "trials": 10, "workers": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            estimate_detection(HALF_NORMAL_MODEL, args["n"], SCENARIO, 1.0, args["trials"],
+                               RandomSeed(1), workers=args["workers"])
+
+    def test_numpy_integer_counts(self):
+        base = estimate_detection(HALF_NORMAL_MODEL, 3, SCENARIO, 1.0, 500, RandomSeed(4))
+        numpy = estimate_detection(HALF_NORMAL_MODEL, np.int64(3), SCENARIO, 1.0, np.uint32(500),
+                                   RandomSeed(np.uint64(4)), workers=np.int8(1))
+        assert numpy == base
+
 
 # (kind, region, sigma); sigma = 5 on the small box rejects about four
 # half-normal draws in five
@@ -205,6 +221,21 @@ def _config(**overrides):
 
 
 class TestSweep:
+    @pytest.mark.parametrize("overrides", [
+        {"n_values": [10, 2.5]}, {"n_values": [True]}, {"trials": 20.0}, {"trials": True},
+        {"master_seed": 1.5}, {"master_seed": True}, {"workers": 1.5}, {"workers": True},
+        {"sigma_values": [1e-320]},
+    ])
+    def test_config_rejects_bad_counts_and_sigma(self, overrides):
+        with pytest.raises(ValueError):
+            _config(**overrides)
+
+    def test_config_stores_numpy_integers_as_int(self):
+        config = _config(n_values=[np.int64(10)], trials=np.uint32(2000),
+                         master_seed=np.uint64(42), workers=np.int8(2))
+        values = [*config.n_values, config.trials, config.master_seed, config.workers]
+        assert values == [10, 2000, 42, 2] and all(type(v) is int for v in values)
+
     def test_row_structure_and_order(self):
         result = sweep(_config())
         keys = [(row.model, row.n) for row in result.rows]

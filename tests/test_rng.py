@@ -7,7 +7,9 @@ from hndeploy.rng import (
     GOLDEN,
     MASK64,
     RandomSeed,
+    check_integer,
     derive_stream_seed,
+    derive_stream_seeds,
     mix64,
     normal_draw,
     normal_draws,
@@ -78,13 +80,21 @@ def test_derive_stream_seed_reproducible_and_distinct():
 
 
 def test_derived_seed_matches_documented_formula():
-    # derive_stream_seed(m, i) = raw_draw(mix64(m), i), spelled out; the
-    # vectorized spans in montecarlo compute raw_draws(mix64(m), i)
+    # derive_stream_seed(m, i) = raw_draw(mix64(m), i), spelled out, for the
+    # scalar form and for derive_stream_seeds, the form the oracle uses
     for m in (0, 1, 2**63, 123456789):
         for i in (0, 1, 7, 1000):
             expected = mix64((mix64(m) + (i + 1) * GOLDEN) & MASK64)
             assert derive_stream_seed(m, i) == expected
-            assert int(raw_draws(mix64(m), np.uint64(i))) == expected
+            assert int(derive_stream_seeds(m, np.uint64(i))) == expected
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**63, 123456789, MASK64])
+def test_derive_stream_seeds_matches_scalar(master):
+    indices = np.array([0, 1, 7, 1000, 2**32, 2**63], dtype=np.uint64)
+    seeds = derive_stream_seeds(master, indices)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_stream_seed(master, int(i)) for i in indices]
 
 
 def test_normal_moments():
@@ -101,6 +111,26 @@ def test_random_seed_validation():
         RandomSeed(-1)
     with pytest.raises(ValueError):
         RandomSeed(MASK64 + 1)
+
+
+@pytest.mark.parametrize("master", [2.5, 3.0, True, False, "7", None, np.float64(4.0)])
+def test_random_seed_rejects_non_integers(master):
+    with pytest.raises(ValueError, match="master seed must be an integer"):
+        RandomSeed(master)
+
+
+@pytest.mark.parametrize("master", [np.uint64(MASK64), np.int64(5), np.uint8(5)])
+def test_random_seed_accepts_numpy_integers_as_int(master):
+    seed = RandomSeed(master)
+    assert type(seed.master) is int
+    assert seed.master == int(master)
+
+
+@pytest.mark.parametrize("value,lo,hi", [(2.5, 0, None), (True, 0, None), (np.bool_(True), 0, None),
+                                         (-1, 0, None), (0, 1, None), (11, 0, 10)])
+def test_check_integer_rejects(value, lo, hi):
+    with pytest.raises(ValueError, match="^count must be"):
+        check_integer("count", value, lo, hi)
 
 
 def test_stream_normal_consumes_two_counters():
