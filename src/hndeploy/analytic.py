@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 from .distributions import DeploymentKind, DeploymentModel
 from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .numerics import QuadratureSpec, integrate_1d
-from .rng import check_integer
+from .rng import check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ def detection_probability(p_single: float, n: int) -> float:
     Computed via exp(n * log1p(-p)) so tiny p with large n does not lose
     precision to cancellation.
     """
-    if not (0.0 <= p_single <= 1.0):
-        raise ValueError(f"p_single must lie in [0, 1], got {p_single}")
+    p_single = check_real("p_single", p_single, 0.0, 1.0)
     n = check_integer("n", n)
     if n == 0:
         return 0.0
@@ -81,8 +80,7 @@ def _capsule_parts(model: DeploymentModel, scenario: IntruderScenario, r: float,
     to the region and divided by the region's own mass, which is exactly 1
     on the half-plane and for uniform marginals.
     """
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"sensing range must be positive and finite, got {r}")
+    r = check_real("sensing range", r, math.ulp(0.0))
     x, y = model.marginals()
     region_mass = x.mass(x.lo, x.hi) * y.mass(y.lo, y.hi)
     if region_mass == 0.0:

@@ -23,7 +23,7 @@ from .distributions import DeploymentKind, DeploymentModel, SamplingError, sampl
 from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .montecarlo import SweepResult, estimate_detection, sweep
 from .numerics import QuadratureError, QuadratureSpec
-from .rng import RandomSeed
+from .rng import RandomSeed, check_real
 from .svgplot import PlotSpec, render_line_chart
 from .validate import run_validation
 
@@ -47,17 +47,13 @@ def _num(value: Optional[float]) -> str:
 def _region_from_args(values: Optional[Sequence[float]]):
     if values is None:
         return HalfPlane()
-    region = Rectangle(*values)
-    if not region.bounded:
-        raise ValueError(f"--region bounds must be finite, got {values}")
+    region = Rectangle(*(check_real("--region bounds", v) for v in values))
+    check_real("--region area", region.area)
     return region
 
 
 def _model_from_args(args) -> DeploymentModel:
-    kind = DeploymentKind(args.model)
-    region = _region_from_args(args.region)
-    sigma = getattr(args, "sigma", None)
-    return DeploymentModel(kind=kind, region=region, sigma=sigma)
+    return DeploymentModel(DeploymentKind(args.model), _region_from_args(args.region), args.sigma)
 
 
 def _write_text(path: str, text: str) -> None:

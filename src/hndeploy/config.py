@@ -17,29 +17,25 @@ Schema (all keys top-level; unknown keys are rejected to catch typos):
       "output_path": "sweep.csv"                     // optional, default "sweep.csv"
     }
 
-Every number must be finite and a JSON number (not a bool); trials,
-n_values, master_seed and workers must also be integral (2.0 is accepted,
-2.7 is not), and output_path must be a non-empty string. Any out-of-domain
-value (a sigma below the least normal float, trials < 1, empty lists, a
-malformed or unbounded region) is rejected before any computation starts.
+Keys are ExperimentConfig's fields; those without a default are required.
+config_from_dict checks only the document's shape. ExperimentConfig checks
+every value, reals by rng.check_real (finite, not a bool) and counts by
+rng.check_integer (JSON's 2.0 is accepted, 2.7 is not), so anything out of
+domain (a subnormal sigma, an empty list, an unbounded region) fails up front.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 from typing import List
 
 from .distributions import DeploymentKind, HalfNormalParams
 from .geometry import Rectangle
-from .rng import MASK64, check_integer
+from .rng import MASK64, check_integer, check_real
 
-_REQUIRED = {
-    "models", "sigma_values", "n_values", "s_values", "d_values", "r_values",
-    "region", "trials", "master_seed",
-}
-_OPTIONAL = {"quadrature_tolerance", "workers", "output_path"}
+_COUNTS = ("n_values", "trials", "master_seed", "workers")
 
 
 @dataclass(frozen=True)
@@ -61,72 +57,55 @@ class ExperimentConfig:
         for name in ("models", "sigma_values", "n_values", "s_values", "d_values", "r_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
-        for sigma in self.sigma_values:
-            HalfNormalParams(sigma)
-        object.__setattr__(self, "n_values", [check_integer("n_values", n) for n in self.n_values])
-        for name, lo, hi in (("trials", 1, None), ("master_seed", 0, MASK64), ("workers", 1, None)):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), lo, hi))
-        if any(s < 0 for s in self.s_values):
-            raise ValueError("s_values must be nonnegative")
-        if any(d < 0 for d in self.d_values):
-            raise ValueError("d_values must be nonnegative")
-        if any(r <= 0 for r in self.r_values):
-            raise ValueError("r_values must be positive")
-        if self.quadrature_tolerance <= 0:
-            raise ValueError("quadrature_tolerance must be positive")
-        if not self.region.bounded:
-            raise ValueError("region must be bounded")
+        try:
+            models = [DeploymentKind(m) for m in self.models]
+        except ValueError as exc:
+            raise ValueError(f"bad deployment kind: {exc}") from None
+        positive = math.ulp(0.0)
+        checked = {
+            "models": models,
+            "sigma_values": [HalfNormalParams(sigma).sigma for sigma in self.sigma_values],
+            "n_values": [check_integer("n_values", n) for n in self.n_values],
+            "s_values": [check_real("s_values", s, 0.0) for s in self.s_values],
+            "d_values": [check_real("d_values", d, 0.0) for d in self.d_values],
+            "r_values": [check_real("r_values", r, positive) for r in self.r_values],
+            "region": Rectangle(*(check_real("region", v) for v in astuple(self.region))),
+            "trials": check_integer("trials", self.trials, 1),
+            "master_seed": check_integer("master_seed", self.master_seed, 0, MASK64),
+            "quadrature_tolerance": check_real("quadrature_tolerance", self.quadrature_tolerance,
+                                               positive),
+            "workers": check_integer("workers", self.workers, 1),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        check_real("region area", self.region.area)
         if not (isinstance(self.output_path, str) and self.output_path):
             raise ValueError(f"output_path must be a non-empty string, got {self.output_path!r}")
 
 
-def _real(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{key} must hold finite numbers, got {value!r}")
-    return float(value)
-
-
 def _integer(value):
-    """An integral JSON float (2.0) as an int; ExperimentConfig checks every count."""
+    """JSON's integral floats (2.0), alone or in a list, as ints."""
+    if isinstance(value, list):
+        return [_integer(v) for v in value]
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config a JSON object describes; only its shape is checked here."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(raw) - _REQUIRED - _OPTIONAL
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED - set(raw)
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(raw)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    try:
-        models = [DeploymentKind(m) for m in raw["models"]]
-    except ValueError as exc:
-        raise ValueError(f"bad deployment kind: {exc}") from None
-    region_values = raw["region"]
-    if not (isinstance(region_values, list) and len(region_values) == 4):
+    region = raw["region"]
+    if not (isinstance(region, list) and len(region) == 4
+            and all(isinstance(v, (int, float)) for v in region)):
         raise ValueError("region must be [x_min, x_max, y_min, y_max]")
-    region = Rectangle(*(_real("region", v) for v in region_values))
-    kwargs = {}
-    if "quadrature_tolerance" in raw:
-        kwargs["quadrature_tolerance"] = _real("quadrature_tolerance", raw["quadrature_tolerance"])
-    if "workers" in raw:
-        kwargs["workers"] = _integer(raw["workers"])
-    if "output_path" in raw:
-        kwargs["output_path"] = raw["output_path"]
-    return ExperimentConfig(
-        models=models,
-        sigma_values=[_real("sigma_values", v) for v in raw["sigma_values"]],
-        n_values=[_integer(v) for v in raw["n_values"]],
-        s_values=[_real("s_values", v) for v in raw["s_values"]],
-        d_values=[_real("d_values", v) for v in raw["d_values"]],
-        r_values=[_real("r_values", v) for v in raw["r_values"]],
-        region=region,
-        trials=_integer(raw["trials"]),
-        master_seed=_integer(raw["master_seed"]),
-        **kwargs,
-    )
+    values = {key: _integer(value) if key in _COUNTS else value for key, value in raw.items()}
+    return ExperimentConfig(**dict(values, region=Rectangle(*region)))
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Rectangle
-from .rng import check_integer, normal_draws, uniform_draws
+from .rng import check_integer, check_real, normal_draws, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -52,9 +52,7 @@ class HalfNormalParams:
 
     def __post_init__(self):
         # a subnormal sigma overflows 1 / (sigma sqrt 2) and makes the density NaN
-        if not (math.isfinite(self.sigma) and self.sigma >= sys.float_info.min):
-            raise ValueError(f"sigma must be a finite real of at least {sys.float_info.min}, "
-                             f"got {self.sigma}")
+        object.__setattr__(self, "sigma", check_real("sigma", self.sigma, sys.float_info.min))
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,7 @@ class DeploymentModel:
     def __post_init__(self):
         shapes = MARGINALS[self.kind]
         if shapes != ("uniform", "uniform"):
-            if self.sigma is None:
-                raise ValueError(f"{self.kind.value} deployment requires sigma > 0")
-            HalfNormalParams(self.sigma)
+            object.__setattr__(self, "sigma", HalfNormalParams(self.sigma).sigma)
         if "uniform" in shapes and not self.region.bounded:
             raise ValueError(f"{self.kind.value} deployment requires a bounded rectangle region")
 
@@ -158,16 +154,13 @@ class SamplingError(Exception):
 
 def half_normal_pdf(y: float, params: HalfNormalParams) -> float:
     """Density sqrt(2)/(sigma sqrt(pi)) exp(-y^2/(2 sigma^2)) on y >= 0."""
-    if not math.isfinite(y):
-        raise ValueError(f"y must be finite, got {y}")
+    y = check_real("y", y)
     return marginal("half_normal", params.sigma, 0.0, math.inf).pdf(y) if y >= 0.0 else 0.0
 
 
 def half_normal_cdf(y: float, params: HalfNormalParams) -> float:
     """erf(y / (sigma sqrt(2))) for y >= 0, else 0."""
-    if not math.isfinite(y):
-        raise ValueError(f"y must be finite, got {y}")
-    return marginal("half_normal", params.sigma, 0.0, math.inf).mass(0.0, y)
+    return marginal("half_normal", params.sigma, 0.0, math.inf).mass(0.0, check_real("y", y))
 
 
 def half_normal_mean(params: HalfNormalParams) -> float:
@@ -265,8 +258,8 @@ def stein_residual(test_function: str, samples: Sequence[float], params: HalfNor
     z = np.asarray(samples, dtype=np.float64)
     if z.size == 0:
         raise ValueError("samples must be nonempty")
-    if np.any(z < 0):
-        raise ValueError("samples must be nonnegative")
+    if not np.all((z >= 0) & np.isfinite(z)):
+        raise ValueError("samples must be finite and nonnegative")
     z = z / params.sigma
     f, fprime, f0 = STEIN_TEST_FUNCTIONS[test_function]
     return float(np.mean(fprime(z)) - np.mean(z * f(z)) + f0 * SQRT_2_OVER_PI)

@@ -19,6 +19,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .rng import check_real
+
 Point = Tuple[float, float]
 
 
@@ -70,11 +72,9 @@ class IntruderScenario:
     distance_d: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.start_s) and math.isfinite(self.distance_d)):
-            raise ValueError("start_s and distance_d must be finite")
-        if self.start_s < 0:
-            raise ValueError("start_s must be nonnegative")
-        if not (0 <= self.distance_d <= self.start_s):
+        object.__setattr__(self, "start_s", check_real("start_s", self.start_s, 0.0))
+        object.__setattr__(self, "distance_d", check_real("distance_d", self.distance_d, 0.0))
+        if self.distance_d > self.start_s:
             raise ValueError("distance_d must satisfy 0 <= d <= start_s")
 
     @property
@@ -88,10 +88,8 @@ class IntruderScenario:
 
 def capsule_area(length: float, r: float) -> float:
     """Area of a capsule: rectangle 2*length*r plus two half-disks."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    length = check_real("length", length, 0.0)
+    r = check_real("sensing range", r, math.ulp(0.0))
     return 2.0 * length * r + math.pi * r * r
 
 
@@ -112,8 +110,7 @@ def point_segment_distance(p: Point, a: Point, b: Point) -> float:
 
 def detects(sensor: Point, scenario: IntruderScenario, r: float) -> bool:
     """Boolean sensing: true iff the sensor lies in the intrusion capsule."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    r = check_real("sensing range", r, math.ulp(0.0))
     return point_segment_distance(sensor, scenario.path_start, scenario.path_end) <= r
 
 

@@ -25,7 +25,7 @@ from .analytic import capsule_probability, detection_probability
 from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
 from .geometry import IntruderScenario, detects_any
 from .numerics import QuadratureError, QuadratureSpec
-from .rng import RandomSeed, check_integer, derive_stream_seed, derive_stream_seeds
+from .rng import RandomSeed, check_integer, check_real, derive_stream_seed, derive_stream_seeds
 
 _Z95 = 1.96
 _BATCH = 1 << 15
@@ -91,8 +91,7 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
     n = check_integer("n", n)
     trials = check_integer("trials", trials, 1)
     workers = check_integer("workers", workers, 1)
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"sensing range must be positive and finite, got {r}")
+    r = check_real("sensing range", r, math.ulp(0.0))
 
     def count(span):
         seeds = derive_stream_seeds(seed.master, np.arange(*span, dtype=np.uint64))
@@ -127,7 +126,7 @@ def sweep(config) -> SweepResult:
     status and keeps whatever it computed; the rest of the sweep still runs.
     """
     combos = sorted(
-        (kind.value, n, sigma, s, d, r)
+        (kind, n, sigma, s, d, r)
         for kind in config.models
         # the uniform baseline has no sigma; collapse it to one row
         for sigma in ([None] if kind == DeploymentKind.UNIFORM else config.sigma_values)
@@ -139,8 +138,7 @@ def sweep(config) -> SweepResult:
     spec = QuadratureSpec(config.quadrature_tolerance)
     rows = []
     any_ok = False
-    for index, (kind_name, n, sigma, s, d, r) in enumerate(combos):
-        kind = DeploymentKind(kind_name)
+    for index, (kind, n, sigma, s, d, r) in enumerate(combos):
         row_seed = derive_stream_seed(config.master_seed, index)
         p_analytic = p_hat = ci = None
         status = "ok"
@@ -154,7 +152,7 @@ def sweep(config) -> SweepResult:
             any_ok = True
         except (ValueError, QuadratureError, SamplingError) as exc:
             status = f"invalid: {exc}"
-        rows.append(SweepRow(kind_name, sigma, n, s, d, r, config.trials, p_analytic,
+        rows.append(SweepRow(kind.value, sigma, n, s, d, r, config.trials, p_analytic,
                              p_hat, ci, row_seed, status))
     if rows and not any_ok:
         raise ValueError("every sweep row is invalid; nothing to estimate")

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
+from .rng import check_real
+
 # subdivision budget of one integrate_1d call
 MAX_SUBDIVISIONS = 100_000
 
@@ -22,9 +24,8 @@ class QuadratureSpec:
     absolute_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (math.isfinite(self.absolute_tolerance) and self.absolute_tolerance > 0):
-            raise ValueError(f"absolute_tolerance must be a positive finite real, "
-                             f"got {self.absolute_tolerance}")
+        object.__setattr__(self, "absolute_tolerance",
+                           check_real("absolute_tolerance", self.absolute_tolerance, math.ulp(0.0)))
 
 
 class QuadratureError(Exception):

@@ -18,6 +18,7 @@ of two counters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,23 @@ def check_integer(name: str, value, lo: int = 0, hi: Optional[int] = None) -> in
         bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """value as a float: a finite int, float or numpy real (not a bool) in [lo, hi].
+
+    lo = math.ulp(0.0), the least positive float, asks for a positive value.
+    """
+    # a Python int compares exactly, so one beyond the float range fails the range test
+    x = float(value) if isinstance(value, (np.integer, np.floating)) else value
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not (-sys.float_info.max <= x <= sys.float_info.max and lo <= x <= hi)):
+        bound = ("positive and finite" if (lo, hi) == (math.ulp(0.0), math.inf)
+                 else "a finite real" if (lo, hi) == (-math.inf, math.inf)
+                 else f"a finite real of at least {lo}" if hi == math.inf
+                 else f"a finite real in [{lo}, {hi}]")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)

@@ -514,6 +514,11 @@ class TestSteinResidual:
         with pytest.raises(ValueError):
             stein_residual("cube", [1.0], params)
 
+    @pytest.mark.parametrize("samples", [[math.nan], [1.0, math.inf], [2.0, -math.inf]])
+    def test_rejects_non_finite(self, samples):
+        with pytest.raises(ValueError, match="nonnegative"):
+            stein_residual("x", samples, HalfNormalParams(1.0))
+
 
 def test_half_normal_params_accepts_least_normal_sigma():
     params = HalfNormalParams(sys.float_info.min)

@@ -236,6 +236,16 @@ class TestSweep:
         values = [*config.n_values, config.trials, config.master_seed, config.workers]
         assert values == [10, 2000, 42, 2] and all(type(v) is int for v in values)
 
+    def test_config_converts_model_names(self):
+        # a directly built config with kind names used to end sweep in AttributeError
+        config = _config(models=["uniform", "half_normal"], n_values=[10])
+        assert config.models == [DeploymentKind.UNIFORM, DeploymentKind.HALF_NORMAL]
+        assert sweep(config) == sweep(_config(n_values=[10]))
+
+    def test_config_rejects_unknown_model(self):
+        with pytest.raises(ValueError, match="^bad deployment kind"):
+            _config(models=["uniform", "hexagonal"])
+
     def test_row_structure_and_order(self):
         result = sweep(_config())
         keys = [(row.model, row.n) for row in result.rows]

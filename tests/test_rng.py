@@ -3,11 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from hndeploy.analytic import capsule_probability, detection_probability, full_report
+from hndeploy.cli import _region_from_args
+from hndeploy.config import ExperimentConfig
+from hndeploy.distributions import (
+    DeploymentKind,
+    DeploymentModel,
+    HalfNormalParams,
+    half_normal_cdf,
+    half_normal_pdf,
+)
+from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, capsule_area, detects
+from hndeploy.montecarlo import estimate_detection
+from hndeploy.numerics import QuadratureSpec
 from hndeploy.rng import (
     GOLDEN,
     MASK64,
     RandomSeed,
     check_integer,
+    check_real,
     derive_stream_seed,
     derive_stream_seeds,
     mix64,
@@ -131,6 +145,91 @@ def test_random_seed_accepts_numpy_integers_as_int(master):
 def test_check_integer_rejects(value, lo, hi):
     with pytest.raises(ValueError, match="^count must be"):
         check_integer("count", value, lo, hi)
+
+
+def _config(**overrides):
+    base = dict(models=["half_normal"], sigma_values=[5.0], n_values=[10], s_values=[5.0],
+                d_values=[3.0], r_values=[1.0], region=Rectangle(0.0, 100.0, -50.0, 50.0),
+                trials=100, master_seed=1)
+    return ExperimentConfig(**dict(base, **overrides))
+
+
+_SCENARIO = IntruderScenario(5.0, 3.0)
+_MODEL = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0)
+_NON_REALS = [True, np.bool_(True), "5", math.nan, math.inf, -math.inf]
+# every real input: (call with the value, a finite value out of its range or None)
+REAL_INPUTS = {
+    "check_real": (lambda v: check_real("x", v, 0.0, 1.0), 2.0),
+    "HalfNormalParams": (HalfNormalParams, 1e-320),
+    "DeploymentModel.sigma": (lambda v: DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), v),
+                              0.0),
+    "half_normal_pdf.y": (lambda v: half_normal_pdf(v, HalfNormalParams(1.0)), None),
+    "half_normal_cdf.y": (lambda v: half_normal_cdf(v, HalfNormalParams(1.0)), None),
+    "IntruderScenario.start_s": (lambda v: IntruderScenario(v, 0.0), -1.0),
+    "IntruderScenario.distance_d": (lambda v: IntruderScenario(5.0, v), 6.0),
+    "capsule_area.length": (lambda v: capsule_area(v, 1.0), -1.0),
+    "capsule_area.r": (lambda v: capsule_area(1.0, v), 0.0),
+    "detects.r": (lambda v: detects((5.0, 0.0), _SCENARIO, v), -1.0),
+    "QuadratureSpec": (QuadratureSpec, 0.0),
+    "detection_probability.p": (lambda v: detection_probability(v, 3), 1.5),
+    "capsule_probability.r": (lambda v: capsule_probability(_MODEL, _SCENARIO, v), 0.0),
+    "full_report.r": (lambda v: full_report(_SCENARIO, v, 5.0, 3), 0.0),
+    "full_report.sigma": (lambda v: full_report(_SCENARIO, 1.0, v, 3), 0.0),
+    "estimate_detection.r": (
+        lambda v: estimate_detection(_MODEL, 3, _SCENARIO, v, 10, RandomSeed(1)), 0.0),
+    "cli --region": (lambda v: _region_from_args([0.0, v, -1.0, 1.0]), None),
+    "config.sigma_values": (lambda v: _config(sigma_values=[5.0, v]), 1e-320),
+    "config.s_values": (lambda v: _config(s_values=[v]), -1.0),
+    "config.d_values": (lambda v: _config(d_values=[v]), -1.0),
+    "config.r_values": (lambda v: _config(r_values=[1.0, v]), 0.0),
+    "config.quadrature_tolerance": (lambda v: _config(quadrature_tolerance=v), 0.0),
+}
+
+
+def _real_rejection_cases():
+    for name, (call, out_of_range) in REAL_INPUTS.items():
+        for value in _NON_REALS + ([] if out_of_range is None else [out_of_range]):
+            yield pytest.param(call, value, id=f"{name}-{value!r}")
+    # Rectangle itself refuses a NaN bound (ValueError) and a string bound (TypeError)
+    for value in (True, np.bool_(True), math.inf, -math.inf):
+        yield pytest.param(lambda v: _config(region=Rectangle(-1.0, 1.0, v, 50.0)), value,
+                           id=f"config.region-{value!r}")
+
+
+@pytest.mark.parametrize("call,value", _real_rejection_cases())
+def test_real_inputs_reject(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
+def test_full_report_rejects_bool_reals():
+    with pytest.raises(ValueError, match="^start_s must be"):
+        full_report(IntruderScenario(True, False), True, True, 3)
+
+
+@pytest.mark.parametrize("value", [5, np.float64(5)])
+def test_real_inputs_accept_ints_and_numpy_reals_as_float(value):
+    scenario = IntruderScenario(value, value)
+    config = _config(sigma_values=[value], s_values=[value], d_values=[value], r_values=[value])
+    stored = [HalfNormalParams(value).sigma,
+              DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), value).sigma,
+              scenario.start_s, scenario.distance_d, check_real("r", value, math.ulp(0.0)),
+              *config.sigma_values, *config.s_values, *config.d_values, *config.r_values]
+    assert stored == [5.0] * len(stored) and all(type(v) is float for v in stored)
+    assert capsule_area(value, value) == 2.0 * 25.0 + math.pi * 25.0
+    assert detects((0.0, 5.0), scenario, value)
+    assert full_report(scenario, value, value, 3) == full_report(IntruderScenario(5.0, 5.0),
+                                                                 5.0, 5.0, 3)
+
+
+@pytest.mark.parametrize("value,lo,hi,message", [
+    (math.nan, math.ulp(0.0), math.inf, "^r must be positive and finite, got nan$"),
+    (-0.5, 0.0, 1.0, r"^r must be a finite real in \[0.0, 1.0\], got -0.5$"),
+    (10 ** 400, -math.inf, math.inf, "^r must be a finite real, got 1000"),
+])
+def test_check_real_messages(value, lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        check_real("r", value, lo, hi)
 
 
 def test_stream_normal_consumes_two_counters():
