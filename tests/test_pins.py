@@ -1,4 +1,4 @@
-"""Integer counts, CSV text and analytic bits recorded as the code stands.
+"""Integer counts, CSV text, analytic bits and CLI stdout recorded as the code stands.
 
 A refactor of the sampling, trial or analytic code must leave every number
 here unchanged. A change that alters the draws or the integral on purpose
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hndeploy.analytic import full_report
-from hndeploy.cli import sweep_csv
+from hndeploy.cli import main, sweep_csv
 from hndeploy.config import config_from_dict
 from hndeploy.distributions import DeploymentKind, DeploymentModel, sample_positions
 from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, detects_any
@@ -61,6 +61,44 @@ REPORT_BITS = {
         "0x1.4af4fe4f072c8p-2", "0x1.f5ace8aaed282p-1")),
 }
 
+# the whole stdout of `hndeploy ARGS`: the key=value lines, then the JSON line
+CLI_STDOUT = {
+    "analytic": ("analytic --sigma 5 -r 1 -S 5 -d 3 -N 10", """\
+p_rect=0.05894481325
+p_left=0.01891315396
+p_right=0.01104994173
+p_total=0.08890790894
+p_uniform=
+p_d=0.6058851795
+p_not_detected=0.3941148205
+{"p_rect": 0.058944813245613896, "p_left": 0.018913153961159047, \
+"p_right": 0.011049941733530692, "p_total": 0.08890790894030363, "p_uniform": null, \
+"p_d": 0.6058851794804129, "p_not_detected": 0.39411482051958713}
+"""),
+    "analytic_region": ("analytic --sigma 3 -r 1 -S 6 -d 3 -N 10 --region 2 7 -0.5 9.5", """\
+p_rect=0.1948674623
+p_left=0.1120704192
+p_right=0.01626231909
+p_total=0.3232002006
+p_uniform=0.1405481556
+p_d=0.9798348149
+p_not_detected=0.0201651851
+{"p_rect": 0.19486746232140492, "p_left": 0.11207041922000094, \
+"p_right": 0.01626231908638623, "p_total": 0.3232002006277921, \
+"p_uniform": 0.14054815562958461, "p_d": 0.97983481489662, "p_not_detected": 0.02016518510338}
+"""),
+    "simulate": ("simulate --model half_normal --sigma 5 -N 10 -r 1 -S 5 -d 3 "
+                 "--trials 1000 --seed 11", """\
+p_hat=0.617
+ci_half_width=0.03012992429
+trials=1000
+detected_count=617
+seed=11
+{"p_hat": 0.617, "ci_half_width": 0.030129924287989836, "trials": 1000, \
+"detected_count": 617, "seed": 11}
+"""),
+}
+
 
 @pytest.mark.parametrize("kind,region_name", sorted(DETECTED))
 @pytest.mark.parametrize("fixed_field", [False, True])
@@ -94,3 +132,10 @@ def test_report_bits(name):
                          region=region, spec=QuadratureSpec(1e-8))
     values = (report.p_rect, report.p_left, report.p_right, report.p_total, report.p_d)
     assert tuple(value.hex() for value in values) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CLI_STDOUT))
+def test_cli_stdout(name, capsys):
+    args, expected = CLI_STDOUT[name]
+    assert main(args.split()) == 0
+    assert capsys.readouterr().out == expected
