@@ -31,7 +31,7 @@ from .geometry import (
     detects,
     point_segment_distance,
 )
-from .montecarlo import DetectionEstimate, SweepResult, estimate_detection, sweep
+from .montecarlo import DetectionEstimate, SweepRow, estimate_detection, sweep
 from .numerics import QuadratureError, QuadratureSpec, integrate_1d, integrate_2d
 from .rng import RandomSeed, derive_stream_seed, mix64
 

@@ -36,14 +36,15 @@ from .rng import check_integer, check_real
 
 @dataclass(frozen=True)
 class DetectionReport:
+    """`hndeploy analytic`'s keys, in print order; p_uniform is None on an unbounded region."""
+
     p_rect: float
     p_left: float
     p_right: float
     p_total: float
+    p_uniform: Optional[float]
     p_d: float
     p_not_detected: float
-    n_sensors: int
-    p_single_uniform: Optional[float] = None
 
 
 def detection_probability(p_single: float, n: int) -> float:
@@ -124,17 +125,7 @@ def full_report(scenario: IntruderScenario, r: float, sigma: float, n: int,
     model = DeploymentModel(DeploymentKind.HALF_NORMAL, region, sigma)
     rect, left, right = _capsule_parts(model, scenario, r, spec)
     total = min(1.0, max(0.0, rect + left + right))
-    baseline = None
-    if region.bounded:
-        baseline = capsule_probability(DeploymentModel(DeploymentKind.UNIFORM, region),
-                                       scenario, r, spec)
-    return DetectionReport(
-        p_rect=rect,
-        p_left=left,
-        p_right=right,
-        p_total=total,
-        p_d=detection_probability(total, n),
-        p_not_detected=_not_detected(total, n),
-        n_sensors=n,
-        p_single_uniform=baseline,
-    )
+    uniform = DeploymentModel(DeploymentKind.UNIFORM, region) if region.bounded else None
+    p_uniform = None if uniform is None else capsule_probability(uniform, scenario, r, spec)
+    return DetectionReport(rect, left, right, total, p_uniform, detection_probability(total, n),
+                           _not_detected(total, n))

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ from .analytic import full_report
 from .config import load_config
 from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
 from .geometry import HalfPlane, IntruderScenario, Rectangle
-from .montecarlo import SweepResult, estimate_detection, sweep
+from .montecarlo import SweepRow, estimate_detection, sweep
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import RandomSeed, check_real
 from .svgplot import PlotSpec, render_line_chart
@@ -44,6 +45,14 @@ def _num(value: Optional[float]) -> str:
     return "" if value is None else f"{value:g}"
 
 
+def _print_record(record) -> None:
+    """Print each field of a result record as key=value, then the record as one JSON line."""
+    payload = asdict(record)
+    for key, value in payload.items():
+        print(f"{key}={value}" if isinstance(value, int) else f"{key}={_prob(value)}")
+    print(json.dumps(payload))
+
+
 def _region_from_args(values: Optional[Sequence[float]]):
     if values is None:
         return HalfPlane()
@@ -53,7 +62,7 @@ def _region_from_args(values: Optional[Sequence[float]]):
 
 
 def _model_from_args(args) -> DeploymentModel:
-    return DeploymentModel(DeploymentKind(args.model), _region_from_args(args.region), args.sigma)
+    return DeploymentModel(args.model, _region_from_args(args.region), args.sigma)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -73,48 +82,22 @@ def cmd_sample(args) -> int:
 def cmd_analytic(args) -> int:
     scenario = IntruderScenario(start_s=args.start, distance_d=args.distance)
     spec = QuadratureSpec(absolute_tolerance=args.tolerance)
-    report = full_report(scenario, args.range, args.sigma, args.n_sensors,
-                         region=_region_from_args(args.region), spec=spec)
-    payload = {
-        "p_rect": report.p_rect,
-        "p_left": report.p_left,
-        "p_right": report.p_right,
-        "p_total": report.p_total,
-        "p_uniform": report.p_single_uniform,
-        "p_d": report.p_d,
-        "p_not_detected": report.p_not_detected,
-    }
-    for key, value in payload.items():
-        print(f"{key}={_prob(value)}")
-    print(json.dumps(payload))
+    _print_record(full_report(scenario, args.range, args.sigma, args.n_sensors,
+                              region=_region_from_args(args.region), spec=spec))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     model = _model_from_args(args)
     scenario = IntruderScenario(start_s=args.start, distance_d=args.distance)
-    estimate = estimate_detection(model, args.n_sensors, scenario, args.range,
-                                  args.trials, RandomSeed(args.seed),
-                                  workers=args.workers)
-    payload = {
-        "p_hat": estimate.p_hat,
-        "ci_half_width": estimate.ci_half_width,
-        "trials": estimate.trials,
-        "detected_count": estimate.detected_count,
-        "seed": estimate.master_seed,
-    }
-    print(f"p_hat={estimate.p_hat:.10g}")
-    print(f"ci_half_width={estimate.ci_half_width:.10g}")
-    print(f"trials={estimate.trials}")
-    print(f"detected_count={estimate.detected_count}")
-    print(f"seed={estimate.master_seed}")
-    print(json.dumps(payload))
+    _print_record(estimate_detection(model, args.n_sensors, scenario, args.range, args.trials,
+                                     RandomSeed(args.seed), workers=args.workers))
     return EXIT_OK
 
 
-def sweep_csv(result: SweepResult) -> str:
+def sweep_csv(rows: List[SweepRow]) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
-    for row in result.rows:
+    for row in rows:
         status = row.status.replace(",", ";").replace("\n", " ")
         lines.append(",".join([
             row.model,
@@ -135,9 +118,7 @@ def sweep_csv(result: SweepResult) -> str:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    result = sweep(config)
-    out = args.out if args.out is not None else config.output_path
-    _write_text(out, sweep_csv(result))
+    _write_text(config.output_path, sweep_csv(sweep(config)))
     return EXIT_OK
 
 
@@ -219,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an experiment sweep from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="override the config output_path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plot", help="render a results CSV as an SVG line chart")
@@ -249,7 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, TypeError, SamplingError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, SamplingError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

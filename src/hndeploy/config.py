@@ -101,8 +101,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
     region = raw["region"]
-    if not (isinstance(region, list) and len(region) == 4
-            and all(isinstance(v, (int, float)) for v in region)):
+    if not (isinstance(region, list) and len(region) == 4):
         raise ValueError("region must be [x_min, x_max, y_min, y_max]")
     values = {key: _integer(value) if key in _COUNTS else value for key, value in raw.items()}
     return ExperimentConfig(**dict(values, region=Rectangle(*region)))

@@ -64,8 +64,10 @@ class Correlated2DParams:
     def __post_init__(self):
         HalfNormalParams(self.sigma1)
         HalfNormalParams(self.sigma2)
-        if not abs(self.rho) < 1:
+        rho = check_real("rho", self.rho, -1.0, 1.0)
+        if abs(rho) == 1.0:
             raise ValueError("rho must lie in (-1, 1)")
+        object.__setattr__(self, "rho", rho)
 
 
 class DeploymentKind(str, enum.Enum):
@@ -135,6 +137,7 @@ class DeploymentModel:
     sigma: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", DeploymentKind(self.kind))
         shapes = MARGINALS[self.kind]
         if shapes != ("uniform", "uniform"):
             object.__setattr__(self, "sigma", HalfNormalParams(self.sigma).sigma)

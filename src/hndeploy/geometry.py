@@ -32,6 +32,11 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self):
+        # a bound is a finite real or, on an unbounded side, +-inf
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, float(value) if value in (math.inf, -math.inf)
+                               else check_real(name, value))
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate rectangle {self}")
 

@@ -37,11 +37,13 @@ _MAX_CHUNK = 16
 
 @dataclass(frozen=True)
 class DetectionEstimate:
+    """`hndeploy simulate`'s keys, in print order."""
+
     p_hat: float
+    ci_half_width: float
     trials: int
     detected_count: int
-    ci_half_width: float
-    master_seed: int
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,6 @@ class SweepRow:
     ci_half_width: Optional[float]
     seed: int
     status: str = "ok"
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: List[SweepRow]
 
 
 def _count(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
@@ -104,17 +101,11 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
         with ThreadPoolExecutor(max_workers=workers) as pool:
             detected = sum(pool.map(count, spans))
     p_hat = detected / trials
-    ci = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return DetectionEstimate(
-        p_hat=p_hat,
-        trials=trials,
-        detected_count=detected,
-        ci_half_width=ci,
-        master_seed=seed.master,
-    )
+    return DetectionEstimate(p_hat, _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials), trials,
+                             detected, seed.master)
 
 
-def sweep(config) -> SweepResult:
+def sweep(config) -> List[SweepRow]:
     """Run the cartesian (model, sigma, N, S, d, r) experiment sweep.
 
     Rows are ordered by (model, N, sigma, S, d, r); row i uses the
@@ -156,4 +147,4 @@ def sweep(config) -> SweepResult:
                              p_hat, ci, row_seed, status))
     if rows and not any_ok:
         raise ValueError("every sweep row is invalid; nothing to estimate")
-    return SweepResult(rows=rows)
+    return rows

@@ -161,7 +161,7 @@ def test_criterion_6_placement_comparison_sweep():
     start = time.monotonic()
     result = sweep(_sweep_config())
     by_model = {}
-    for row in result.rows:
+    for row in result:
         assert row.status == "ok", row.status
         by_model.setdefault(row.model, {})[row.n] = row
     dominated = all(

@@ -313,7 +313,7 @@ class TestFullReport:
             report.p_rect + report.p_left + report.p_right, abs=1e-12)
         assert abs(report.p_d + report.p_not_detected - 1.0) <= math.ulp(1.0)
         assert report.p_d == detection_probability(report.p_total, 10)
-        assert report.p_single_uniform == _uniform(scenario, 1.0, region)
+        assert report.p_uniform == _uniform(scenario, 1.0, region)
         for value in (report.p_rect, report.p_left, report.p_right,
                       report.p_total, report.p_d, report.p_not_detected):
             assert 0.0 <= value <= 1.0
@@ -355,7 +355,7 @@ class TestFullReport:
     def test_baseline_clipped_when_capsule_leaves_region(self):
         report = _report(2.0, 2.0, 1.0, 5.0, region=Rectangle(0.0, 100.0, -50.0, 50.0))
         # the left half-disk at x = 0 lies outside the region
-        assert report.p_single_uniform == pytest.approx((4.0 + math.pi / 2) / 1e4, rel=1e-12)
+        assert report.p_uniform == pytest.approx((4.0 + math.pi / 2) / 1e4, rel=1e-12)
         assert report.p_total > 0.0
 
     def test_small_p_does_not_cancel(self):
@@ -368,6 +368,6 @@ class TestFullReport:
 
     def test_baseline_omitted_without_region(self):
         scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
-        assert full_report(scenario, 1.0, 5.0, 10).p_single_uniform is None
+        assert full_report(scenario, 1.0, 5.0, 10).p_uniform is None
         strip = Rectangle(0.0, math.inf, -50.0, 50.0)
-        assert full_report(scenario, 1.0, 5.0, 10, region=strip).p_single_uniform is None
+        assert full_report(scenario, 1.0, 5.0, 10, region=strip).p_uniform is None

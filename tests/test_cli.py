@@ -174,6 +174,14 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
+    def test_sweep_out_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(_write_config(tmp_path)),
+                  "--out", str(tmp_path / "other.csv")])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "other.csv").exists()
+
     def test_csv_schema_and_determinism(self, tmp_path):
         config = _write_config(tmp_path)
         out = tmp_path / "sweep.csv"

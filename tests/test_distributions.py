@@ -227,8 +227,10 @@ class TestCorrelatedPdf:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             Correlated2DParams(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            Correlated2DParams(1.0, 1.0, 1.0)
+        for rho in (1.0, -1.0):
+            with pytest.raises(ValueError, match=r"^rho must lie in \(-1, 1\)$"):
+                Correlated2DParams(1.0, 1.0, rho)
+        assert type(Correlated2DParams(1.0, 1.0, 0).rho) is float
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 Correlated2DParams(bad, 1.0, 0.0)
@@ -330,6 +332,18 @@ class TestDeploymentSampling:
         with pytest.raises(ValueError, match=f"^{kind.value} deployment requires a bounded "
                                              "rectangle region$"):
             DeploymentModel(kind=kind, region=Rectangle(0.0, math.inf, -5.0, 5.0), sigma=1.0)
+
+    def test_kind_name_becomes_kind(self):
+        assert DeploymentModel("half_normal", HalfPlane(), 5.0).kind is DeploymentKind.HALF_NORMAL
+
+    def test_kind_name_checked_against_region(self):
+        with pytest.raises(ValueError, match="^uniform deployment requires a bounded rectangle "
+                                             "region$"):
+            DeploymentModel("uniform", HalfPlane())
+
+    def test_unknown_kind_name_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            DeploymentModel("bogus", HalfPlane(), 5.0)
 
     def test_deterministic_replay(self):
         model = DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -152,6 +153,12 @@ class TestRegions:
     def test_rectangle_validation(self):
         with pytest.raises(ValueError):
             Rectangle(1, 1, 0, 2)
+
+    def test_rectangle_stores_floats(self):
+        box = Rectangle(0, np.int8(5), -math.inf, np.float32(1.5))
+        assert astuple(box) == (0.0, 5.0, -math.inf, 1.5)
+        assert all(type(v) is float for v in astuple(box))
+        assert astuple(HalfPlane()) == (0.0, math.inf, -math.inf, math.inf)
 
     def test_halfplane(self):
         hp = HalfPlane()

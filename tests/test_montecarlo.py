@@ -76,7 +76,7 @@ class TestEstimateDetection:
         assert est.p_hat == est.detected_count / est.trials
         assert est.ci_half_width == pytest.approx(
             1.96 * math.sqrt(est.p_hat * (1 - est.p_hat) / est.trials), rel=1e-12)
-        assert est.master_seed == 5
+        assert est.seed == 5
 
     def test_matches_per_trial_reference(self):
         trials = 500
@@ -248,11 +248,11 @@ class TestSweep:
 
     def test_row_structure_and_order(self):
         result = sweep(_config())
-        keys = [(row.model, row.n) for row in result.rows]
+        keys = [(row.model, row.n) for row in result]
         assert keys == sorted(keys)
         # uniform rows collapse sigma, half-normal rows carry it
-        assert {row.model for row in result.rows} == {"half_normal", "uniform"}
-        for row in result.rows:
+        assert {row.model for row in result} == {"half_normal", "uniform"}
+        for row in result:
             if row.model == "uniform":
                 assert row.sigma is None
             else:
@@ -262,8 +262,8 @@ class TestSweep:
         config = _config(models=[DeploymentKind.HALF_NORMAL], n_values=[10],
                          d_values=[3.0], trials=5000)
         result = sweep(config)
-        assert len(result.rows) == 1
-        row = result.rows[0]
+        assert len(result) == 1
+        row = result[0]
         scenario = IntruderScenario(start_s=5.0, distance_d=3.0)
         report = full_report(scenario, 1.0, 10.0, 10, region=config.region)
         assert row.p_analytic == pytest.approx(report.p_d, abs=1e-12)
@@ -280,7 +280,7 @@ class TestSweep:
         # half-plane value lies ~20 standard errors below the estimate
         config = _config(models=[DeploymentKind.HALF_NORMAL], sigma_values=[30.0],
                          n_values=[50], trials=50_000)
-        (row,) = sweep(config).rows
+        (row,) = sweep(config)
         se = math.sqrt(row.p_analytic * (1.0 - row.p_analytic) / row.trials)
         assert row.status == "ok"
         assert abs(row.p_hat - row.p_analytic) <= 4.0 * se
@@ -291,7 +291,7 @@ class TestSweep:
         # ~1e-9 of it (x_min = 6: rejection sampling fails) in the region
         config = _config(sigma_values=[1.0], n_values=[10], s_values=[25.0], d_values=[3.0],
                          region=Rectangle(x_min, 30.0, -5.0, 5.0))
-        rows = {row.model: row for row in sweep(config).rows}
+        rows = {row.model: row for row in sweep(config)}
         assert rows["uniform"].status == "ok"
         assert rows["half_normal"].status.startswith("invalid")
         assert rows["half_normal"].p_hat is None
@@ -302,7 +302,7 @@ class TestSweep:
         config = _config(models=[DeploymentKind.HALF_NORMAL], sigma_values=[1e-300, 5.0],
                          n_values=[10], s_values=[5.0], d_values=[3.0],
                          region=Rectangle(0.0, 20.0, -5.0, 5.0), trials=500)
-        rows = {row.sigma: row for row in sweep(config).rows}
+        rows = {row.sigma: row for row in sweep(config)}
         assert rows[1e-300].status == "ok"
         assert rows[1e-300].p_analytic == 0.0
         assert rows[5.0].status == "ok"
@@ -311,7 +311,7 @@ class TestSweep:
     def test_invalid_rows_reported_not_fatal(self):
         config = _config(s_values=[5.0], d_values=[5.0, 8.0])
         result = sweep(config)
-        statuses = {(row.d, row.status.startswith("invalid")) for row in result.rows}
+        statuses = {(row.d, row.status.startswith("invalid")) for row in result}
         assert (8.0, True) in statuses
         assert (5.0, False) in statuses
 
@@ -323,7 +323,7 @@ class TestSweep:
     def test_half_normal_dominates_near_target(self):
         result = sweep(_config(trials=20_000))
         by_model = {}
-        for row in result.rows:
+        for row in result:
             by_model.setdefault(row.model, {})[row.n] = row
         for n in (10, 50):
             assert by_model["half_normal"][n].p_hat >= by_model["uniform"][n].p_hat
@@ -331,7 +331,7 @@ class TestSweep:
     def test_monotone_in_n_up_to_noise(self):
         result = sweep(_config(trials=20_000))
         for model in ("half_normal", "uniform"):
-            rows = [row for row in result.rows if row.model == model]
+            rows = [row for row in result if row.model == model]
             rows.sort(key=lambda row: row.n)
             for a, b in zip(rows, rows[1:]):
                 combined = math.hypot(a.ci_half_width, b.ci_half_width)

@@ -7,6 +7,7 @@ from hndeploy.analytic import capsule_probability, detection_probability, full_r
 from hndeploy.cli import _region_from_args
 from hndeploy.config import ExperimentConfig
 from hndeploy.distributions import (
+    Correlated2DParams,
     DeploymentKind,
     DeploymentModel,
     HalfNormalParams,
@@ -161,6 +162,7 @@ _NON_REALS = [True, np.bool_(True), "5", math.nan, math.inf, -math.inf]
 REAL_INPUTS = {
     "check_real": (lambda v: check_real("x", v, 0.0, 1.0), 2.0),
     "HalfNormalParams": (HalfNormalParams, 1e-320),
+    "Correlated2DParams.rho": (lambda v: Correlated2DParams(1.0, 1.0, v), 2.0),
     "DeploymentModel.sigma": (lambda v: DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), v),
                               0.0),
     "half_normal_pdf.y": (lambda v: half_normal_pdf(v, HalfNormalParams(1.0)), None),
@@ -190,10 +192,20 @@ def _real_rejection_cases():
     for name, (call, out_of_range) in REAL_INPUTS.items():
         for value in _NON_REALS + ([] if out_of_range is None else [out_of_range]):
             yield pytest.param(call, value, id=f"{name}-{value!r}")
-    # Rectangle itself refuses a NaN bound (ValueError) and a string bound (TypeError)
-    for value in (True, np.bool_(True), math.inf, -math.inf):
+    # a Rectangle bound may be +-inf, so only the config refuses those; a bool
+    # bound would otherwise make a valid rectangle (True < 2, False < True)
+    for value in (math.inf, -math.inf):
         yield pytest.param(lambda v: _config(region=Rectangle(-1.0, 1.0, v, 50.0)), value,
                            id=f"config.region-{value!r}")
+    bounds = [0.0, 2.0, 0.0, 2.0]
+    for index, name in enumerate(("x_min", "x_max", "y_min", "y_max")):
+        for value in _NON_REALS[:4]:
+            yield pytest.param(
+                lambda v, i=index: Rectangle(*bounds[:i], v, *bounds[i + 1:]), value,
+                id=f"Rectangle.{name}-{value!r}")
+    yield pytest.param(lambda v: Rectangle(v, True, 0, 1), False, id="Rectangle-False-True")
+    yield pytest.param(lambda v: Correlated2DParams(1.0, 1.0, v), False,
+                       id="Correlated2DParams.rho-False")
 
 
 @pytest.mark.parametrize("call,value", _real_rejection_cases())
