@@ -49,7 +49,7 @@ def _print_record(record) -> None:
     """Print each field of a result record as key=value, then the record as one JSON line."""
     payload = asdict(record)
     for key, value in payload.items():
-        print(f"{key}={value}" if isinstance(value, int) else f"{key}={_prob(value)}")
+        print(f"{key}={value if isinstance(value, int) else _prob(value)}")
     print(json.dumps(payload))
 
 

@@ -212,6 +212,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config)]) == EXIT_VALIDATION
         assert "output_path" in capsys.readouterr().err
 
+    def test_malformed_json_is_a_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{bad")
+        assert main(["sweep", "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
 
 class TestPlotCommand:
     def _sweep_csv(self, tmp_path):

@@ -192,11 +192,12 @@ def _real_rejection_cases():
     for name, (call, out_of_range) in REAL_INPUTS.items():
         for value in _NON_REALS + ([] if out_of_range is None else [out_of_range]):
             yield pytest.param(call, value, id=f"{name}-{value!r}")
-    # a Rectangle bound may be +-inf, so only the config refuses those; a bool
-    # bound would otherwise make a valid rectangle (True < 2, False < True)
-    for value in (math.inf, -math.inf):
+    # the config refuses a bool or +-inf region bound; a Rectangle only the bool
+    for value in (True, np.bool_(True), math.inf, -math.inf):
         yield pytest.param(lambda v: _config(region=Rectangle(-1.0, 1.0, v, 50.0)), value,
                            id=f"config.region-{value!r}")
+    # each Rectangle bound refuses a non-real, though a bool would make a valid
+    # rectangle (True < 2, False < True)
     bounds = [0.0, 2.0, 0.0, 2.0]
     for index, name in enumerate(("x_min", "x_max", "y_min", "y_max")):
         for value in _NON_REALS[:4]:
