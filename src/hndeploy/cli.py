@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -33,30 +33,26 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-SWEEP_COLUMNS = ["model", "sigma", "N", "S", "d", "r", "trials",
-                 "p_analytic", "p_hat", "ci_half_width", "seed", "status"]
 
-
-def _prob(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.10g}"
-
-
-def _num(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:g}"
+def _cell(value) -> str:
+    """None as empty, an int in full, a float to 10 significant digits, a str as one CSV cell."""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
+    return "" if value is None else str(value) if isinstance(value, int) else f"{value:.10g}"
 
 
 def _print_record(record) -> None:
     """Print each field of a result record as key=value, then the record as one JSON line."""
     payload = asdict(record)
     for key, value in payload.items():
-        print(f"{key}={value if isinstance(value, int) else _prob(value)}")
+        print(f"{key}={_cell(value)}")
     print(json.dumps(payload))
 
 
 def _region_from_args(values: Optional[Sequence[float]]):
     if values is None:
         return HalfPlane()
-    region = Rectangle(*(check_real("--region bounds", v) for v in values))
+    region = Rectangle(*values)
     check_real("--region area", region.area)
     return region
 
@@ -96,23 +92,8 @@ def cmd_simulate(args) -> int:
 
 
 def sweep_csv(rows: List[SweepRow]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        status = row.status.replace(",", ";").replace("\n", " ")
-        lines.append(",".join([
-            row.model,
-            _num(row.sigma),
-            str(row.n),
-            _num(row.s),
-            _num(row.d),
-            _num(row.r),
-            str(row.trials),
-            _prob(row.p_analytic),
-            _prob(row.p_hat),
-            _prob(row.ci_half_width),
-            str(row.seed),
-            status,
-        ]))
+    lines = [",".join(f.name for f in fields(SweepRow))]
+    lines += [",".join(map(_cell, astuple(row))) for row in rows]
     return "\n".join(lines) + "\n"
 
 

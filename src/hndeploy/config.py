@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import List
 
 from .distributions import DeploymentKind, HalfNormalParams
@@ -69,7 +69,6 @@ class ExperimentConfig:
             "s_values": [check_real("s_values", s, 0.0) for s in self.s_values],
             "d_values": [check_real("d_values", d, 0.0) for d in self.d_values],
             "r_values": [check_real("r_values", r, positive) for r in self.r_values],
-            "region": Rectangle(*(check_real("region", v) for v in astuple(self.region))),
             "trials": check_integer("trials", self.trials, 1),
             "master_seed": check_integer("master_seed", self.master_seed, 0, MASK64),
             "quadrature_tolerance": check_real("quadrature_tolerance", self.quadrature_tolerance,

@@ -139,7 +139,7 @@ class DeploymentModel:
     def __post_init__(self):
         object.__setattr__(self, "kind", DeploymentKind(self.kind))
         shapes = MARGINALS[self.kind]
-        if shapes != ("uniform", "uniform"):
+        if self.sigma is not None or shapes != ("uniform", "uniform"):
             object.__setattr__(self, "sigma", HalfNormalParams(self.sigma).sigma)
         if "uniform" in shapes and not self.region.bounded:
             raise ValueError(f"{self.kind.value} deployment requires a bounded rectangle region")

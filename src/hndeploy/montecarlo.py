@@ -48,10 +48,12 @@ class DetectionEstimate:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of a sweep; its fields are `hndeploy sweep`'s CSV columns, in order."""
+
     model: str
     sigma: Optional[float]
-    n: int
-    s: float
+    N: int
+    S: float
     d: float
     r: float
     trials: int

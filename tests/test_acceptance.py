@@ -163,7 +163,7 @@ def test_criterion_6_placement_comparison_sweep():
     by_model = {}
     for row in result:
         assert row.status == "ok", row.status
-        by_model.setdefault(row.model, {})[row.n] = row
+        by_model.setdefault(row.model, {})[row.N] = row
     dominated = all(
         by_model["half_normal"][n].p_hat >= by_model["uniform"][n].p_hat
         for n in (10, 50, 100, 200, 500))

@@ -1,14 +1,22 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hndeploy.analytic import capsule_probability, detection_probability
 from hndeploy.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from hndeploy.config import config_from_dict, load_config
+from hndeploy.distributions import DeploymentModel
+from hndeploy.geometry import IntruderScenario, Rectangle
+from hndeploy.montecarlo import SweepRow, estimate_detection
+from hndeploy.rng import RandomSeed
 from hndeploy import validate
 
 
@@ -98,10 +106,14 @@ class TestAnalyticCommand:
 
     @pytest.mark.parametrize("bounds", [["0", "inf", "-50", "50"], ["0", "10", "-5", "inf"],
                                         ["0", "10", "nan", "5"]])
-    def test_unbounded_region_rejected(self, bounds):
+    def test_unbounded_region_rejected(self, bounds, capsys):
         rc = main(["analytic", "--sigma", "5", "-r", "1", "-S", "5", "-d", "3", "-N", "10",
                    "--region", *bounds])
         assert rc == EXIT_VALIDATION
+        # a NaN bound is named by the Rectangle; an infinite one makes the area infinite
+        message = ("y_min must be a finite real, got nan" if "nan" in bounds
+                   else "--region area must be a finite real, got inf")
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
 
     @pytest.mark.parametrize("s,d", [("inf", "3"), ("inf", "inf"), ("5", "nan")])
     def test_non_finite_scenario_rejected(self, s, d):
@@ -156,6 +168,13 @@ class TestSimulateCommand:
         assert rc == EXIT_VALIDATION
         assert "grossly mismatched" not in capsys.readouterr().err
 
+    def test_uniform_model_checks_a_given_sigma(self, capsys):
+        rc = main(["simulate", "--model", "uniform", "--sigma", "nan", "-N", "10", "-r", "1",
+                   "-S", "5", "-d", "3", "--trials", "100", "--seed", "1",
+                   "--region", "0", "20", "-5", "5"])
+        assert rc == EXIT_VALIDATION
+        assert "sigma must be" in capsys.readouterr().err
+
     def test_identical_output_for_same_seed(self, capsys):
         args = ["simulate", "--model", "half_normal", "--sigma", "5", "-N", "10",
                 "-r", "1", "-S", "5", "-d", "3", "--trials", "2000", "--seed", "42"]
@@ -191,6 +210,33 @@ class TestSweepCommand:
         assert header == "model,sigma,N,S,d,r,trials,p_analytic,p_hat,ci_half_width,seed,status"
         assert main(["sweep", "--config", str(config)]) == EXIT_OK
         assert out.read_bytes() == first
+
+    def test_header_is_the_sweep_row_fields_the_readme_documents(self):
+        header = ",".join(f.name for f in fields(SweepRow))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"```\n{header}\n```" in readme
+
+    def test_row_replays_from_its_csv_text(self, tmp_path):
+        # inputs of more than 6 significant digits, and one of 1e6 or more
+        region = [-2e6, 2e6, -50.0, 50.0]
+        config = _write_config(tmp_path, sigma_values=[1.23456789], n_values=[10],
+                               r_values=[0.123456789], s_values=[5.0, 1234567.0],
+                               d_values=[3.0], region=region, trials=500)
+        assert main(["sweep", "--config", str(config)]) == EXIT_OK
+        text = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
+        assert text.splitlines()[0] == ",".join(f.name for f in fields(SweepRow))
+        rows = [row for row in csv.DictReader(text.splitlines()) if row["status"] == "ok"]
+        assert len(rows) == 4
+        for row in rows:
+            model = DeploymentModel(row["model"], Rectangle(*region),
+                                    float(row["sigma"]) if row["sigma"] else None)
+            scenario = IntruderScenario(float(row["S"]), float(row["d"]))
+            n, r = int(row["N"]), float(row["r"])
+            estimate = estimate_detection(model, n, scenario, r, int(row["trials"]),
+                                          RandomSeed(int(row["seed"])))
+            assert f"{estimate.p_hat:.10g}" == row["p_hat"]
+            p_analytic = detection_probability(capsule_probability(model, scenario, r), n)
+            assert f"{p_analytic:.10g}" == row["p_analytic"]
 
     def test_cartesian_product_rows(self, tmp_path):
         config = _write_config(tmp_path)
@@ -367,8 +413,13 @@ class TestConfigParsing:
         {"region": [0.0, math.inf, -50.0, 50.0]}, {"region": [0.0, 100.0, -50.0, math.nan]},
     ])
     def test_rejects_non_finite_values(self, tmp_path, overrides):
-        # json writes these as Infinity / NaN, which json.load reads back
-        with pytest.raises(ValueError):
+        # json writes these as Infinity / NaN, which json.load reads back; a NaN
+        # bound is named by the Rectangle, an infinite one makes the area infinite
+        region = overrides.get("region")
+        match = (None if region is None
+                 else "^y_max must be a finite real, got nan$" if math.isnan(region[3])
+                 else "^region area must be a finite real, got inf$")
+        with pytest.raises(ValueError, match=match):
             load_config(str(_write_config(tmp_path, **overrides)))
 
     def test_sweep_with_subnormal_sigma_writes_nothing(self, tmp_path, capsys):

@@ -327,6 +327,17 @@ class TestDeploymentSampling:
         with pytest.raises(ValueError):
             DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=HalfPlane(), sigma=sigma)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, True, "abc"])
+    def test_uniform_model_checks_a_given_sigma(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be"):
+            DeploymentModel(DeploymentKind.UNIFORM, Rectangle(0.0, 1.0, 0.0, 1.0), sigma)
+
+    def test_uniform_model_sigma_is_optional(self):
+        region = Rectangle(0.0, 1.0, 0.0, 1.0)
+        assert DeploymentModel(DeploymentKind.UNIFORM, region).sigma is None
+        sigma = DeploymentModel(DeploymentKind.UNIFORM, region, 5).sigma
+        assert sigma == 5.0 and type(sigma) is float
+
     @pytest.mark.parametrize("kind", [DeploymentKind.UNIFORM, DeploymentKind.STRIP])
     def test_bounded_kinds_reject_partly_unbounded_region(self, kind):
         with pytest.raises(ValueError, match=f"^{kind.value} deployment requires a bounded "

@@ -248,7 +248,7 @@ class TestSweep:
 
     def test_row_structure_and_order(self):
         result = sweep(_config())
-        keys = [(row.model, row.n) for row in result]
+        keys = [(row.model, row.N) for row in result]
         assert keys == sorted(keys)
         # uniform rows collapse sigma, half-normal rows carry it
         assert {row.model for row in result} == {"half_normal", "uniform"}
@@ -324,7 +324,7 @@ class TestSweep:
         result = sweep(_config(trials=20_000))
         by_model = {}
         for row in result:
-            by_model.setdefault(row.model, {})[row.n] = row
+            by_model.setdefault(row.model, {})[row.N] = row
         for n in (10, 50):
             assert by_model["half_normal"][n].p_hat >= by_model["uniform"][n].p_hat
 
@@ -332,7 +332,7 @@ class TestSweep:
         result = sweep(_config(trials=20_000))
         for model in ("half_normal", "uniform"):
             rows = [row for row in result if row.model == model]
-            rows.sort(key=lambda row: row.n)
+            rows.sort(key=lambda row: row.N)
             for a, b in zip(rows, rows[1:]):
                 combined = math.hypot(a.ci_half_width, b.ci_half_width)
                 assert b.p_hat >= a.p_hat - 2 * combined
