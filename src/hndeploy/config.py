@@ -77,6 +77,8 @@ class ExperimentConfig:
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
+        if not isinstance(self.region, Rectangle):
+            raise ValueError(f"region must be a Rectangle, got {self.region!r}")
         check_real("region area", self.region.area)
         if not (isinstance(self.output_path, str) and self.output_path):
             raise ValueError(f"output_path must be a non-empty string, got {self.output_path!r}")

@@ -9,7 +9,10 @@ cannot change its outcome, so SamplingError can come only from a sensor
 that is drawn. Trial i always uses the substream derive_stream_seed(master,
 i), and sensor j always reads counter block j of it, so estimates are
 independent of batch size, chunk widths, evaluation order and worker count,
-and each trial's count equals that of its whole field.
+and each trial's count equals that of its whole field. One pass up to the
+largest of several N gives the count at each N (the trials whose first N
+sensors detect), which is how a sweep runs the rows that differ only in N:
+common random numbers across N.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -64,59 +67,116 @@ class SweepRow:
     status: str = "ok"
 
 
-def _count(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
-           seeds: np.ndarray) -> int:
-    """Number of the deployments keyed by `seeds` in which some sensor detects.
+def _counts(model: DeploymentModel, ns: Sequence[int], scenario: IntruderScenario, r: float,
+            seeds: np.ndarray) -> List[int]:
+    """For each n of the ascending `ns`, the number of the deployments keyed by
+    `seeds` in which one of the first n sensors detects.
 
-    Only trials with no detection so far draw the next chunk of sensors.
+    One chunked pass draws up to max(ns) sensors; only trials with no
+    detection so far draw the next chunk. An n inside a chunk adds the hits
+    among that chunk's first columns to the trials already detected.
     """
+    counts: List[int] = []
     live = seeds
     j0, width = 0, _FIRST_CHUNK
-    while j0 < n and live.size:
-        j1 = min(j0 + width, n)
+    while True:
+        # the trials detected so far settle every n the pass has reached, and
+        # every n once no trial is live
+        while len(counts) < len(ns) and (ns[len(counts)] <= j0 or not live.size):
+            counts.append(seeds.size - live.size)
+        if len(counts) == len(ns):
+            return counts
+        j1 = min(j0 + width, ns[-1])
         xs, ys = sample_positions(model, j1, live, j0)
+        while ns[len(counts)] < j1:
+            head = ns[len(counts)] - j0
+            hits = np.count_nonzero(detects_any(xs[:, :head], ys[:, :head], scenario, r))
+            counts.append(seeds.size - live.size + int(hits))
         live = live[~detects_any(xs, ys, scenario, r)]
         j0, width = j1, min(2 * width, _MAX_CHUNK)
-    return len(seeds) - live.size
+
+
+def _estimates(model: DeploymentModel, ns: Sequence[int], scenario: IntruderScenario, r: float,
+               trials: int, master: int, workers: int) -> List[DetectionEstimate]:
+    """One estimate per n of the ascending `ns`, all from one pass over the
+    trials keyed by `master`.
+
+    Trials run in spans of _BATCH; `workers` threads share the spans, and
+    one worker runs them inline.
+    """
+    def count(span):
+        seeds = derive_stream_seeds(master, np.arange(*span, dtype=np.uint64))
+        return _counts(model, ns, scenario, r, seeds)
+
+    spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]
+    if workers == 1:
+        per_span = list(map(count, spans))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_span = list(pool.map(count, spans))
+    estimates = []
+    for detected in map(sum, zip(*per_span)):
+        p_hat = detected / trials
+        estimates.append(DetectionEstimate(
+            p_hat, _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials), trials, detected, master))
+    return estimates
 
 
 def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
                        trials: int, seed: RandomSeed, workers: int = 1) -> DetectionEstimate:
     """Monte Carlo estimate of the at-least-one detection probability.
 
-    Trials run in spans of _BATCH; `workers` threads share the spans, and
-    one worker runs them inline. n = 0 draws nothing and detects nothing.
+    n = 0 draws nothing and detects nothing.
     """
     n = check_integer("n", n)
     trials = check_integer("trials", trials, 1)
     workers = check_integer("workers", workers, 1)
     r = check_real("sensing range", r, math.ulp(0.0))
+    return _estimates(model, [n], scenario, r, trials, seed.master, workers)[0]
 
-    def count(span):
-        seeds = derive_stream_seeds(seed.master, np.arange(*span, dtype=np.uint64))
-        return _count(model, n, scenario, r, seeds)
 
-    spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]
-    if workers == 1:
-        detected = sum(map(count, spans))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            detected = sum(pool.map(count, spans))
-    p_hat = detected / trials
-    return DetectionEstimate(p_hat, _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials), trials,
-                             detected, seed.master)
+def _sweep_group(config, spec: QuadratureSpec, kind: DeploymentKind, sigma: Optional[float],
+                 s: float, d: float, r: float, ns: List[int], seed: int) -> List[tuple]:
+    """(p_analytic, estimate or None, status) for each n of the ascending `ns`."""
+    try:
+        scenario = IntruderScenario(start_s=s, distance_d=d)
+        model = DeploymentModel(kind=kind, region=config.region, sigma=sigma)
+        p_single = capsule_probability(model, scenario, r, spec)
+        p_analytic = [detection_probability(p_single, n) for n in ns]
+    except (ValueError, QuadratureError) as exc:
+        return [(None, None, f"invalid: {exc}")] * len(ns)
+    try:
+        estimates = _estimates(model, ns, scenario, r, config.trials, seed, config.workers)
+        return [(p, estimate, "ok") for p, estimate in zip(p_analytic, estimates)]
+    except SamplingError:
+        pass
+    # a lone row draws a subset of the group's sensors, so one that fails
+    # there may succeed alone: replay each row alone for its own status
+    results = []
+    for n, p in zip(ns, p_analytic):
+        try:
+            results.append((p, estimate_detection(model, n, scenario, r, config.trials,
+                                                  RandomSeed(seed), config.workers), "ok"))
+        except SamplingError as exc:
+            results.append((p, None, f"invalid: {exc}"))
+    return results
 
 
 def sweep(config) -> List[SweepRow]:
     """Run the cartesian (model, sigma, N, S, d, r) experiment sweep.
 
-    Rows are ordered by (model, N, sigma, S, d, r); row i uses the
-    substream derive_stream_seed(master, i) as its own master seed, so the
-    whole result is reproducible from the config alone. Every row's
-    p_analytic is detection_probability(capsule_probability(model, ...), N)
-    for the deployment model the row samples. A row that fails (d > S, a
-    region the deployment cannot be sampled in) reports the failure as its
-    status and keeps whatever it computed; the rest of the sweep still runs.
+    Rows are ordered by (model, N, sigma, S, d, r). Rows that share
+    (model, sigma, S, d, r) form a group, which makes one Monte Carlo pass up
+    to its largest N (common random numbers across N): every row of the
+    group records the seed derive_stream_seed(master, i) of its first row i,
+    which has its smallest N, so the whole result is reproducible from the
+    config alone and p_hat never decreases with N within a group. A row's
+    seed still replays it alone through estimate_detection, which counts the
+    same first N sensors of the same trials. Every row's p_analytic is
+    detection_probability(capsule_probability(model, ...), N) for the
+    deployment model the row samples. A row that fails (d > S, a region the
+    deployment cannot be sampled in) reports the failure as its status and
+    keeps whatever it computed; the rest of the sweep still runs.
     """
     combos = sorted(
         (kind, n, sigma, s, d, r)
@@ -128,25 +188,20 @@ def sweep(config) -> List[SweepRow]:
         for d in config.d_values
         for r in config.r_values
     )
-    spec = QuadratureSpec(config.quadrature_tolerance)
-    rows = []
-    any_ok = False
+    groups = {}
     for index, (kind, n, sigma, s, d, r) in enumerate(combos):
-        row_seed = derive_stream_seed(config.master_seed, index)
-        p_analytic = p_hat = ci = None
-        status = "ok"
-        try:
-            scenario = IntruderScenario(start_s=s, distance_d=d)
-            model = DeploymentModel(kind=kind, region=config.region, sigma=sigma)
-            p_analytic = detection_probability(capsule_probability(model, scenario, r, spec), n)
-            estimate = estimate_detection(model, n, scenario, r, config.trials,
-                                          RandomSeed(row_seed), workers=config.workers)
-            p_hat, ci = estimate.p_hat, estimate.ci_half_width
-            any_ok = True
-        except (ValueError, QuadratureError, SamplingError) as exc:
-            status = f"invalid: {exc}"
-        rows.append(SweepRow(kind.value, sigma, n, s, d, r, config.trials, p_analytic,
-                             p_hat, ci, row_seed, status))
-    if rows and not any_ok:
+        groups.setdefault((kind, sigma, s, d, r), []).append(index)
+    spec = QuadratureSpec(config.quadrature_tolerance)
+    rows: List[Optional[SweepRow]] = [None] * len(combos)
+    for key, indices in groups.items():
+        seed = derive_stream_seed(config.master_seed, indices[0])
+        ns = [combos[i][1] for i in indices]
+        for i, (p_analytic, estimate, status) in zip(
+                indices, _sweep_group(config, spec, *key, ns, seed)):
+            kind, n, sigma, s, d, r = combos[i]
+            p_hat, ci = (estimate.p_hat, estimate.ci_half_width) if estimate else (None, None)
+            rows[i] = SweepRow(kind.value, sigma, n, s, d, r, config.trials, p_analytic,
+                               p_hat, ci, seed, status)
+    if rows and all(row.status != "ok" for row in rows):
         raise ValueError("every sweep row is invalid; nothing to estimate")
     return rows

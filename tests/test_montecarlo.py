@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hndeploy.analytic import capsule_probability, full_report
+from hndeploy.cli import sweep_csv
 from hndeploy.config import ExperimentConfig
 from hndeploy.distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
 from hndeploy import montecarlo
@@ -190,18 +192,22 @@ _PROPERTY_CASES = [
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(case=st.sampled_from(_PROPERTY_CASES), n=st.integers(0, 60),
+@given(case=st.sampled_from(_PROPERTY_CASES), drawn=st.lists(st.integers(0, 60), min_size=1,
+                                                             max_size=4),
        r=st.floats(0.1, 5.0), s=st.floats(0.0, 20.0), d_frac=st.floats(0.0, 1.0),
        trials=st.integers(1, 200), master=st.integers(0, 2**64 - 1))
-def test_chunked_count_equals_full_field_count(case, n, r, s, d_frac, trials, master):
+def test_chunked_count_equals_full_field_count(case, drawn, r, s, d_frac, trials, master):
     kind, region, sigma = case
     model = DeploymentModel(kind, region, sigma)
     scenario = IntruderScenario(start_s=s, distance_d=s * d_frac)
+    # 0, a duplicate, and 5 and 7, which share the chunk of sensors 4 to 11
+    ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
-    xs, ys = sample_positions(model, n, seeds)
-    expected = np.count_nonzero(detects_any(xs, ys, scenario, r))
-    est = estimate_detection(model, n, scenario, r, trials, RandomSeed(master))
-    assert est.detected_count == expected
+    xs, ys = sample_positions(model, ns[-1], seeds)
+    expected = [np.count_nonzero(detects_any(xs[:, :n], ys[:, :n], scenario, r)) for n in ns]
+    assert montecarlo._counts(model, ns, scenario, r, seeds) == expected
+    est = estimate_detection(model, drawn[0], scenario, r, trials, RandomSeed(master))
+    assert est.detected_count == expected[ns.index(drawn[0])]
 
 
 def _config(**overrides):
@@ -241,6 +247,11 @@ class TestSweep:
         config = _config(models=["uniform", "half_normal"], n_values=[10])
         assert config.models == [DeploymentKind.UNIFORM, DeploymentKind.HALF_NORMAL]
         assert sweep(config) == sweep(_config(n_values=[10]))
+
+    @pytest.mark.parametrize("region", [[0.0, 10.0, -5.0, 5.0], (0.0, 10.0, -5.0, 5.0), None])
+    def test_config_rejects_region_that_is_not_a_rectangle(self, region):
+        with pytest.raises(ValueError, match="^region must be a Rectangle"):
+            _config(region=region)
 
     def test_config_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="^bad deployment kind"):
@@ -328,11 +339,77 @@ class TestSweep:
         for n in (10, 50):
             assert by_model["half_normal"][n].p_hat >= by_model["uniform"][n].p_hat
 
-    def test_monotone_in_n_up_to_noise(self):
-        result = sweep(_config(trials=20_000))
+    def test_p_hat_non_decreasing_in_n(self):
+        # rows that differ only in N count the same trials' first N sensors
+        result = sweep(_config(n_values=[0, 4, 10, 50, 100], trials=5000))
         for model in ("half_normal", "uniform"):
-            rows = [row for row in result if row.model == model]
-            rows.sort(key=lambda row: row.N)
-            for a, b in zip(rows, rows[1:]):
-                combined = math.hypot(a.ci_half_width, b.ci_half_width)
-                assert b.p_hat >= a.p_hat - 2 * combined
+            p_hats = [row.p_hat for row in result if row.model == model]
+            assert len(p_hats) == 5 and p_hats == sorted(p_hats)
+
+
+def _replay(config, row):
+    """(estimate or None, status) of `row` run alone through estimate_detection
+    on its recorded seed."""
+    model = DeploymentModel(DeploymentKind(row.model), config.region, row.sigma)
+    scenario = IntruderScenario(start_s=row.S, distance_d=row.d)
+    try:
+        return estimate_detection(model, row.N, scenario, row.r, row.trials,
+                                  RandomSeed(row.seed)), "ok"
+    except SamplingError as exc:
+        return None, f"invalid: {exc}"
+
+
+# the two README models, and a box where sigma = 2 to 3 accepts 7% to 15% of
+# half-normal draws: there a group's pass up to N = 200 fails while
+# some of its smaller-N rows succeed alone, and a pass whose chunks ended at
+# each N would draw too few sensors to fail where N = 20 fails alone
+_GROUP_CONFIGS = {
+    "readme": dict(n_values=[0, 10, 50, 100, 200]),
+    "rejection": dict(models=[DeploymentKind.HALF_NORMAL], sigma_values=[2.0, 2.5, 3.0],
+                      n_values=[3, 6, 20, 60, 200], s_values=[0.5], d_values=[0.5],
+                      r_values=[0.1], region=Rectangle(0.0, 1.0, -1.0, 1.0), trials=200,
+                      master_seed=3),
+}
+
+
+class TestSweepGroups:
+    @pytest.mark.parametrize("name", sorted(_GROUP_CONFIGS))
+    def test_every_row_replays_alone(self, name):
+        config = _config(**_GROUP_CONFIGS[name])
+        rows = sweep(config)
+        for row in rows:
+            estimate, status = _replay(config, row)
+            assert row.status == status
+            if estimate is None:
+                assert row.p_hat is None and row.ci_half_width is None
+            else:
+                assert round(row.p_hat * row.trials) == estimate.detected_count
+                assert (row.p_hat, row.ci_half_width) == (estimate.p_hat, estimate.ci_half_width)
+        groups = {}
+        for row in rows:
+            groups.setdefault((row.model, row.sigma), []).append(row.status == "ok")
+        if name == "rejection":
+            assert any(any(ok) and not all(ok) for ok in groups.values())
+        else:
+            assert all(all(ok) for ok in groups.values())
+
+    def test_rows_differing_only_in_n_share_the_first_rows_seed(self):
+        config = _config(**_GROUP_CONFIGS["readme"])
+        rows = sweep(config)
+        for row in rows:
+            first = next(i for i, other in enumerate(rows) if other.model == row.model)
+            assert row.seed == derive_stream_seed(config.master_seed, first)
+            assert rows[first].N == 0
+
+    def test_single_n_sweep_keeps_every_row_seed(self):
+        config = _config(sigma_values=[5.0, 10.0], n_values=[10], d_values=[3.0, 5.0])
+        seeds = [row.seed for row in sweep(config)]
+        assert seeds == [derive_stream_seed(42, i) for i in range(6)]
+
+    @pytest.mark.parametrize("name", sorted(_GROUP_CONFIGS))
+    def test_csv_is_identical_for_any_worker_count(self, monkeypatch, name):
+        # several spans per pass, so the two workers share them
+        monkeypatch.setattr(montecarlo, "_BATCH", 64)
+        config = _config(**_GROUP_CONFIGS[name])
+        serial = sweep_csv(sweep(config))
+        assert sweep_csv(sweep(dataclasses.replace(config, workers=2))) == serial

@@ -42,7 +42,7 @@ SWEEP_CONFIG = {
     "d_values": [3.0, 8.0], "r_values": [1.0], "region": [0.0, 20.0, -5.0, 5.0],
     "trials": 500, "master_seed": 7, "workers": 2,
 }
-SWEEP_SHA256 = "519584da09690f5cc3a5492ed2521ad1c96f01373887d68e39f6fabec39164a1"
+SWEEP_SHA256 = "d5e30b7fe479e26ac19467124238b2547689a2d55a71c34ffca76e62ca5cba55"
 
 # full_report(scenario, r, sigma, N = 10, region, tolerance 1e-8) as float.hex:
 # p_rect, p_left, p_right, p_total and p_d = detection_probability(p_total, N)
