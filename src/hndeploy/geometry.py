@@ -119,14 +119,20 @@ def detects(sensor: Point, scenario: IntruderScenario, r: float) -> bool:
     return point_segment_distance(sensor, scenario.path_start, scenario.path_end) <= r
 
 
-def detects_any(xs: np.ndarray, ys: np.ndarray, scenario: IntruderScenario, r: float) -> np.ndarray:
-    """Row-wise any-sensor detection for position arrays of shape (trials, n).
+def segment_dist2(xs: np.ndarray, ys: np.ndarray, scenario: IntruderScenario) -> np.ndarray:
+    """Squared distance from each position to the intrusion path, elementwise.
 
     Exploits the path lying on y = 0: the squared distance to the segment
     is clip-in-x squared plus y squared.
     """
-    x_lo = scenario.start_s - scenario.distance_d
-    x_hi = scenario.start_s
-    dx = np.clip(xs, x_lo, x_hi) - xs
-    dist2 = dx * dx + ys * ys
-    return np.any(dist2 <= r * r, axis=-1)
+    # in place: a fresh array per step costs more than the arithmetic
+    dist2 = np.clip(xs, scenario.start_s - scenario.distance_d, scenario.start_s)
+    dist2 -= xs
+    dist2 *= dist2
+    dist2 += ys * ys
+    return dist2
+
+
+def detects_any(xs: np.ndarray, ys: np.ndarray, scenario: IntruderScenario, r: float) -> np.ndarray:
+    """Row-wise any-sensor detection for position arrays of shape (trials, n)."""
+    return np.any(segment_dist2(xs, ys, scenario) <= r * r, axis=-1)

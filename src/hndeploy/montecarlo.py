@@ -2,17 +2,20 @@
 
 Each trial draws its sensor field from the deployment model and checks
 whether any sensor lies in the intrusion capsule, estimating the
-deployment-averaged at-least-one detection probability. Sensors are drawn
-in column chunks through sample_positions(model, n, seeds, first), and a
-trial stops drawing after its first detecting chunk: the sensors it skips
-cannot change its outcome, so SamplingError can come only from a sensor
-that is drawn. Trial i always uses the substream derive_stream_seed(master,
-i), and sensor j always reads counter block j of it, so estimates are
-independent of batch size, chunk widths, evaluation order and worker count,
-and each trial's count equals that of its whole field. One pass up to the
-largest of several N gives the count at each N (the trials whose first N
-sensors detect), which is how a sweep runs the rows that differ only in N:
-common random numbers across N.
+deployment-averaged at-least-one detection probability. The primitive is the
+first-hit index: for each trial and case (scenario, r), the index of the
+first detecting sensor, or the largest N if none detects; the count at any N
+is the number of trials whose index is below N. Sensors are drawn in column
+chunks through sample_positions(model, n, seeds, first), and a trial stops
+drawing once every case has detected: the sensors it skips cannot change an
+index, so SamplingError can come only from a sensor that is drawn. Trial i
+always uses the substream derive_stream_seed(master, i), and sensor j always
+reads counter block j of it, so estimates are independent of batch size,
+chunk widths, evaluation order and worker count, and each trial's indices
+equal those of its whole field. A sensor field depends on the model and the
+seed only, so one pass serves every (S, d, r) and N of a sweep's (model,
+sigma) group: common random numbers across the scenario grid and N.
+estimate_detection is the same pass with one case and one N.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analytic import capsule_probability, detection_probability
 from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
-from .geometry import IntruderScenario, detects_any
+from .geometry import IntruderScenario, segment_dist2
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import RandomSeed, check_integer, check_real, derive_stream_seed, derive_stream_seeds
 
@@ -36,6 +39,9 @@ _BATCH = 1 << 15
 # half-normal trials stop early, and few chunks keep small N in few calls
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 16
+
+# a detection case: the intruder's path and the sensing range
+Case = Tuple[IntruderScenario, float]
 
 
 @dataclass(frozen=True)
@@ -67,46 +73,67 @@ class SweepRow:
     status: str = "ok"
 
 
-def _counts(model: DeploymentModel, ns: Sequence[int], scenario: IntruderScenario, r: float,
-            seeds: np.ndarray) -> List[int]:
-    """For each n of the ascending `ns`, the number of the deployments keyed by
-    `seeds` in which one of the first n sensors detects.
+def _scan(xs: np.ndarray, ys: np.ndarray, paths: dict, k: np.ndarray, j0: int) -> np.ndarray:
+    """Advance the first-hit indices k (live trials x cases) over the chunk of
+    sensors xs, ys whose first column is sensor j0.
 
-    One chunked pass draws up to max(ns) sensors; only trials with no
-    detection so far draw the next chunk. An n inside a chunk adds the hits
-    among that chunk's first columns to the trials already detected.
+    A case with no detection so far has k = j0; it gets the index of the
+    chunk's first detecting sensor, or the chunk's end if none detects.
     """
-    counts: List[int] = []
-    live = seeds
+    width = xs.shape[1]
+    # a last column that always hits: argmax gives the chunk's width where no
+    # sensor detects
+    hit = np.ones((xs.shape[0], width + 1), dtype=bool)
+    for scenario, cases in paths.items():
+        dist2 = segment_dist2(xs, ys, scenario)
+        for r2, c in cases:
+            np.less_equal(dist2, r2, out=hit[:, :width])
+            # a case that has detected keeps its index
+            np.add(k[:, c], hit.argmax(axis=1), out=k[:, c], where=k[:, c] == j0, casting="unsafe")
+    return k
+
+
+def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
+                seeds: np.ndarray) -> np.ndarray:
+    """K[trial, case]: the index of the first of the n_max sensors of the
+    deployment keyed by seeds[trial] that detects in the case (scenario, r),
+    or n_max if none does.
+
+    One chunked pass; a trial draws the next chunk only while some case has
+    no detection. Each chunk's squared distances to a path are computed once
+    and compared with the r^2 of every case on that path.
+    """
+    paths = {}
+    for c, (scenario, r) in enumerate(cases):
+        paths.setdefault(scenario, []).append((r * r, c))
+    # the narrowest unsigned type that holds n_max
+    k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
+    live = np.arange(seeds.size)
     j0, width = 0, _FIRST_CHUNK
-    while True:
-        # the trials detected so far settle every n the pass has reached, and
-        # every n once no trial is live
-        while len(counts) < len(ns) and (ns[len(counts)] <= j0 or not live.size):
-            counts.append(seeds.size - live.size)
-        if len(counts) == len(ns):
-            return counts
-        j1 = min(j0 + width, ns[-1])
-        xs, ys = sample_positions(model, j1, live, j0)
-        while ns[len(counts)] < j1:
-            head = ns[len(counts)] - j0
-            hits = np.count_nonzero(detects_any(xs[:, :head], ys[:, :head], scenario, r))
-            counts.append(seeds.size - live.size + int(hits))
-        live = live[~detects_any(xs, ys, scenario, r)]
+    while live.size and j0 < n_max:
+        j1 = min(j0 + width, n_max)
+        xs, ys = sample_positions(model, j1, seeds[live], j0)
+        k_live = _scan(xs, ys, paths, k[live], j0)
+        k[live] = k_live
+        live = live[(k_live == j1).any(axis=1)]
         j0, width = j1, min(2 * width, _MAX_CHUNK)
+    return k
 
 
-def _estimates(model: DeploymentModel, ns: Sequence[int], scenario: IntruderScenario, r: float,
-               trials: int, master: int, workers: int) -> List[DetectionEstimate]:
-    """One estimate per n of the ascending `ns`, all from one pass over the
-    trials keyed by `master`.
+def _detections(model: DeploymentModel, cases: Sequence[Case], ns: Sequence[int], trials: int,
+                master: int, workers: int) -> np.ndarray:
+    """Counts of shape (len(cases), len(ns)): of the trials keyed by `master`,
+    those in which one of the first n sensors detects, all from one pass.
 
-    Trials run in spans of _BATCH; `workers` threads share the spans, and
-    one worker runs them inline.
+    Trials run in spans of _BATCH, each with its own first-hit indices;
+    `workers` threads share the spans, and one worker runs them inline.
     """
+    ns = np.asarray(ns)
+
     def count(span):
         seeds = derive_stream_seeds(master, np.arange(*span, dtype=np.uint64))
-        return _counts(model, ns, scenario, r, seeds)
+        k = _first_hits(model, cases, int(ns.max()), seeds)
+        return np.count_nonzero(k[:, :, None] < ns, axis=0)
 
     spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]
     if workers == 1:
@@ -114,12 +141,13 @@ def _estimates(model: DeploymentModel, ns: Sequence[int], scenario: IntruderScen
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_span = list(pool.map(count, spans))
-    estimates = []
-    for detected in map(sum, zip(*per_span)):
-        p_hat = detected / trials
-        estimates.append(DetectionEstimate(
-            p_hat, _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials), trials, detected, master))
-    return estimates
+    return sum(per_span)
+
+
+def _estimate(detected: int, trials: int, seed: int) -> DetectionEstimate:
+    p_hat = detected / trials
+    return DetectionEstimate(p_hat, _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials), trials,
+                             detected, seed)
 
 
 def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenario, r: float,
@@ -132,33 +160,51 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
     trials = check_integer("trials", trials, 1)
     workers = check_integer("workers", workers, 1)
     r = check_real("sensing range", r, math.ulp(0.0))
-    return _estimates(model, [n], scenario, r, trials, seed.master, workers)[0]
+    detected = _detections(model, [(scenario, r)], [n], trials, seed.master, workers)
+    return _estimate(int(detected[0, 0]), trials, seed.master)
 
 
-def _sweep_group(config, spec: QuadratureSpec, kind: DeploymentKind, sigma: Optional[float],
-                 s: float, d: float, r: float, ns: List[int], seed: int) -> List[tuple]:
-    """(p_analytic, estimate or None, status) for each n of the ascending `ns`."""
+def _sweep_group(config, spec: QuadratureSpec, model: DeploymentModel, combos: List[tuple],
+                 seed: int) -> List[tuple]:
+    """(p_analytic, estimate or None, status) for each (kind, n, sigma, s, d, r)
+    of `combos`, which all sample `model`."""
+    # each case (s, d, r): its capsule probability, or the status of its failure
+    p_single = {}
+    for *_, s, d, r in combos:
+        if (s, d, r) not in p_single:
+            try:
+                p_single[s, d, r] = capsule_probability(
+                    model, IntruderScenario(start_s=s, distance_d=d), r, spec)
+            except (ValueError, QuadratureError) as exc:
+                p_single[s, d, r] = f"invalid: {exc}"
+    cases = [case for case, p in p_single.items() if not isinstance(p, str)]
+    ns = sorted({combo[1] for combo in combos})
+    detected = None
     try:
-        scenario = IntruderScenario(start_s=s, distance_d=d)
-        model = DeploymentModel(kind=kind, region=config.region, sigma=sigma)
-        p_single = capsule_probability(model, scenario, r, spec)
-        p_analytic = [detection_probability(p_single, n) for n in ns]
-    except (ValueError, QuadratureError) as exc:
-        return [(None, None, f"invalid: {exc}")] * len(ns)
-    try:
-        estimates = _estimates(model, ns, scenario, r, config.trials, seed, config.workers)
-        return [(p, estimate, "ok") for p, estimate in zip(p_analytic, estimates)]
+        if cases:
+            detected = _detections(model, [(IntruderScenario(s, d), r) for s, d, r in cases], ns,
+                                   config.trials, seed, config.workers)
     except SamplingError:
+        # a lone row draws a subset of the group's sensors, so one that fails
+        # there may succeed alone: replay each row alone for its own status
         pass
-    # a lone row draws a subset of the group's sensors, so one that fails
-    # there may succeed alone: replay each row alone for its own status
     results = []
-    for n, p in zip(ns, p_analytic):
-        try:
-            results.append((p, estimate_detection(model, n, scenario, r, config.trials,
-                                                  RandomSeed(seed), config.workers), "ok"))
-        except SamplingError as exc:
-            results.append((p, None, f"invalid: {exc}"))
+    for _, n, _, s, d, r in combos:
+        p = p_single[s, d, r]
+        if isinstance(p, str):
+            results.append((None, None, p))
+            continue
+        estimate, status = None, "ok"
+        if detected is not None:
+            count = int(detected[cases.index((s, d, r)), ns.index(n)])
+            estimate = _estimate(count, config.trials, seed)
+        else:
+            try:
+                estimate = estimate_detection(model, n, IntruderScenario(s, d), r, config.trials,
+                                              RandomSeed(seed), config.workers)
+            except SamplingError as exc:
+                status = f"invalid: {exc}"
+        results.append((detection_probability(p, n), estimate, status))
     return results
 
 
@@ -166,17 +212,19 @@ def sweep(config) -> List[SweepRow]:
     """Run the cartesian (model, sigma, N, S, d, r) experiment sweep.
 
     Rows are ordered by (model, N, sigma, S, d, r). Rows that share
-    (model, sigma, S, d, r) form a group, which makes one Monte Carlo pass up
-    to its largest N (common random numbers across N): every row of the
+    (model, sigma) form a group, which draws its sensor fields once: one
+    Monte Carlo pass up to its largest N tests every (S, d, r) of the group
+    (common random numbers across the scenario grid and N). Every row of the
     group records the seed derive_stream_seed(master, i) of its first row i,
-    which has its smallest N, so the whole result is reproducible from the
-    config alone and p_hat never decreases with N within a group. A row's
+    so the whole result is reproducible from the config alone, and within a
+    group p_hat never decreases with N, with r, or with d at fixed S. A row's
     seed still replays it alone through estimate_detection, which counts the
     same first N sensors of the same trials. Every row's p_analytic is
     detection_probability(capsule_probability(model, ...), N) for the
     deployment model the row samples. A row that fails (d > S, a region the
     deployment cannot be sampled in) reports the failure as its status and
-    keeps whatever it computed; the rest of the sweep still runs.
+    keeps whatever it computed; the rest of its group and of the sweep still
+    runs.
     """
     combos = sorted(
         (kind, n, sigma, s, d, r)
@@ -190,14 +238,15 @@ def sweep(config) -> List[SweepRow]:
     )
     groups = {}
     for index, (kind, n, sigma, s, d, r) in enumerate(combos):
-        groups.setdefault((kind, sigma, s, d, r), []).append(index)
+        groups.setdefault((kind, sigma), []).append(index)
     spec = QuadratureSpec(config.quadrature_tolerance)
     rows: List[Optional[SweepRow]] = [None] * len(combos)
-    for key, indices in groups.items():
+    for (kind, sigma), indices in groups.items():
         seed = derive_stream_seed(config.master_seed, indices[0])
-        ns = [combos[i][1] for i in indices]
+        model = DeploymentModel(kind=kind, region=config.region, sigma=sigma)
+        group = [combos[i] for i in indices]
         for i, (p_analytic, estimate, status) in zip(
-                indices, _sweep_group(config, spec, *key, ns, seed)):
+                indices, _sweep_group(config, spec, model, group, seed)):
             kind, n, sigma, s, d, r = combos[i]
             p_hat, ci = (estimate.p_hat, estimate.ci_half_width) if estimate else (None, None)
             rows[i] = SweepRow(kind.value, sigma, n, s, d, r, config.trials, p_analytic,

@@ -139,16 +139,22 @@ class TestEstimateDetection:
         est = estimate_detection(model, 20, scenario, 10.0, 1, RandomSeed(1))
         assert est.detected_count == 1
 
-    @pytest.mark.parametrize("kind,sigma", [(DeploymentKind.HALF_NORMAL, 10.0),
-                                            (DeploymentKind.UNIFORM, None)])
-    def test_peak_memory(self, kind, sigma):
-        # the README row at N = 500 in one span of 2^15 trials; the whole field
-        # would hold 2^15 x 500 positions (over 600 MiB at peak)
+    @pytest.mark.parametrize("kind,sigma,n,cases", [
+        (DeploymentKind.HALF_NORMAL, 10.0, 500, [(IntruderScenario(5.0, 5.0), 1.0)]),
+        (DeploymentKind.UNIFORM, None, 500, [(IntruderScenario(5.0, 5.0), 1.0)]),
+        # the 24 scenarios of one sigma of the benchmark's analytic grid
+        (DeploymentKind.HALF_NORMAL, 10.0, 100,
+         [(IntruderScenario(s, d), r) for s in (4.0, 8.0, 15.0, 25.0) for d in (1.0, 3.0)
+          for r in (0.5, 1.0, 2.0)]),
+    ])
+    def test_peak_memory(self, kind, sigma, n, cases):
+        # one span of 2^15 trials: the README rows at N = 500, and a scenario
+        # grid whose trials mostly draw every sensor; the whole field would
+        # hold 2^15 x n positions (over 600 MiB at peak for n = 500)
         model = DeploymentModel(kind, Rectangle(-50.0, 50.0, -50.0, 50.0), sigma)
         tracemalloc.start()
         try:
-            estimate_detection(model, 500, IntruderScenario(start_s=5.0, distance_d=5.0), 1.0,
-                               1 << 15, RandomSeed(1000))
+            montecarlo._detections(model, cases, [n], 1 << 15, 1000, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -194,20 +200,30 @@ _PROPERTY_CASES = [
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(case=st.sampled_from(_PROPERTY_CASES), drawn=st.lists(st.integers(0, 60), min_size=1,
                                                              max_size=4),
-       r=st.floats(0.1, 5.0), s=st.floats(0.0, 20.0), d_frac=st.floats(0.0, 1.0),
+       paths=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 1.0),
+                                st.lists(st.floats(0.1, 5.0), min_size=1, max_size=3)),
+                      min_size=1, max_size=3),
        trials=st.integers(1, 200), master=st.integers(0, 2**64 - 1))
-def test_chunked_count_equals_full_field_count(case, drawn, r, s, d_frac, trials, master):
+def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, master):
     kind, region, sigma = case
     model = DeploymentModel(kind, region, sigma)
-    scenario = IntruderScenario(start_s=s, distance_d=s * d_frac)
+    cases = [(IntruderScenario(start_s=s, distance_d=s * d_frac), r)
+             for s, d_frac, rs in paths for r in rs]
     # 0, a duplicate, and 5 and 7, which share the chunk of sensors 4 to 11
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    expected = [np.count_nonzero(detects_any(xs[:, :n], ys[:, :n], scenario, r)) for n in ns]
-    assert montecarlo._counts(model, ns, scenario, r, seeds) == expected
-    est = estimate_detection(model, drawn[0], scenario, r, trials, RandomSeed(master))
-    assert est.detected_count == expected[ns.index(drawn[0])]
+    first_hits = montecarlo._first_hits(model, cases, ns[-1], seeds)
+    counts = montecarlo._detections(model, cases, ns, trials, master, 1)
+    for c, (scenario, r) in enumerate(cases):
+        # one column per sensor: whether it alone detects
+        hit = detects_any(xs[:, :, None], ys[:, :, None], scenario, r)
+        assert first_hits[:, c].tolist() == np.where(hit.any(axis=1), hit.argmax(axis=1),
+                                                     ns[-1]).tolist()
+        expected = [np.count_nonzero(detects_any(xs[:, :n], ys[:, :n], scenario, r)) for n in ns]
+        assert counts[c].tolist() == expected
+        est = estimate_detection(model, drawn[0], scenario, r, trials, RandomSeed(master))
+        assert est.detected_count == expected[ns.index(drawn[0])]
 
 
 def _config(**overrides):
@@ -339,6 +355,18 @@ class TestSweep:
         for n in (10, 50):
             assert by_model["half_normal"][n].p_hat >= by_model["uniform"][n].p_hat
 
+    def test_p_hat_non_decreasing_in_r_and_d(self):
+        # the scenarios of a (model, sigma) group share its sensor fields, and
+        # a larger r, or a longer path from the same S, holds the smaller capsule
+        result = sweep(_config(n_values=[10, 50], s_values=[5.0, 15.0], d_values=[1.0, 3.0, 5.0],
+                               r_values=[0.5, 1.0, 2.0], trials=2000))
+        p_hat = {(row.model, row.N, row.S, row.d, row.r): row.p_hat for row in result}
+        assert None not in p_hat.values() and len(p_hat) == 72
+        for model, n, s, d, r in p_hat:
+            by_r = [p_hat[model, n, s, d, other] for other in (0.5, 1.0, 2.0)]
+            by_d = [p_hat[model, n, s, other, r] for other in (1.0, 3.0, 5.0)]
+            assert by_r == sorted(by_r) and by_d == sorted(by_d)
+
     def test_p_hat_non_decreasing_in_n(self):
         # rows that differ only in N count the same trials' first N sensors
         result = sweep(_config(n_values=[0, 4, 10, 50, 100], trials=5000))
@@ -351,20 +379,23 @@ def _replay(config, row):
     """(estimate or None, status) of `row` run alone through estimate_detection
     on its recorded seed."""
     model = DeploymentModel(DeploymentKind(row.model), config.region, row.sigma)
-    scenario = IntruderScenario(start_s=row.S, distance_d=row.d)
     try:
+        scenario = IntruderScenario(start_s=row.S, distance_d=row.d)
         return estimate_detection(model, row.N, scenario, row.r, row.trials,
                                   RandomSeed(row.seed)), "ok"
-    except SamplingError as exc:
+    except (ValueError, SamplingError) as exc:
         return None, f"invalid: {exc}"
 
 
-# the two README models, and a box where sigma = 2 to 3 accepts 7% to 15% of
+# the two README models; a scenario grid with a path longer than its start
+# (d = 8 > S = 4); and a box where sigma = 2 to 3 accepts 7% to 15% of
 # half-normal draws: there a group's pass up to N = 200 fails while
 # some of its smaller-N rows succeed alone, and a pass whose chunks ended at
 # each N would draw too few sensors to fail where N = 20 fails alone
 _GROUP_CONFIGS = {
     "readme": dict(n_values=[0, 10, 50, 100, 200]),
+    "grid": dict(sigma_values=[3.0, 10.0], n_values=[5, 20], s_values=[4.0, 15.0],
+                 d_values=[1.0, 3.0, 8.0], r_values=[0.5, 2.0], trials=300),
     "rejection": dict(models=[DeploymentKind.HALF_NORMAL], sigma_values=[2.0, 2.5, 3.0],
                       n_values=[3, 6, 20, 60, 200], s_values=[0.5], d_values=[0.5],
                       r_values=[0.1], region=Rectangle(0.0, 1.0, -1.0, 1.0), trials=200,
@@ -391,20 +422,18 @@ class TestSweepGroups:
         if name == "rejection":
             assert any(any(ok) and not all(ok) for ok in groups.values())
         else:
-            assert all(all(ok) for ok in groups.values())
+            # only a path longer than its start fails, and its group still runs
+            assert all((row.status == "ok") == (row.d <= row.S) for row in rows)
 
-    def test_rows_differing_only_in_n_share_the_first_rows_seed(self):
-        config = _config(**_GROUP_CONFIGS["readme"])
+    @pytest.mark.parametrize("name", sorted(_GROUP_CONFIGS))
+    def test_rows_of_a_model_sigma_group_share_its_first_rows_seed(self, name):
+        config = _config(**_GROUP_CONFIGS[name])
         rows = sweep(config)
         for row in rows:
-            first = next(i for i, other in enumerate(rows) if other.model == row.model)
+            first = next(i for i, other in enumerate(rows)
+                         if (other.model, other.sigma) == (row.model, row.sigma))
             assert row.seed == derive_stream_seed(config.master_seed, first)
-            assert rows[first].N == 0
-
-    def test_single_n_sweep_keeps_every_row_seed(self):
-        config = _config(sigma_values=[5.0, 10.0], n_values=[10], d_values=[3.0, 5.0])
-        seeds = [row.seed for row in sweep(config)]
-        assert seeds == [derive_stream_seed(42, i) for i in range(6)]
+            assert rows[first].N == min(config.n_values)
 
     @pytest.mark.parametrize("name", sorted(_GROUP_CONFIGS))
     def test_csv_is_identical_for_any_worker_count(self, monkeypatch, name):

@@ -42,7 +42,7 @@ SWEEP_CONFIG = {
     "d_values": [3.0, 8.0], "r_values": [1.0], "region": [0.0, 20.0, -5.0, 5.0],
     "trials": 500, "master_seed": 7, "workers": 2,
 }
-SWEEP_SHA256 = "d5e30b7fe479e26ac19467124238b2547689a2d55a71c34ffca76e62ca5cba55"
+SWEEP_SHA256 = "650ae2b75c1d9ea35945b492f36d224a2f87f2dfe09c877b3292b0875193c10d"
 
 # full_report(scenario, r, sigma, N = 10, region, tolerance 1e-8) as float.hex:
 # p_rect, p_left, p_right, p_total and p_d = detection_probability(p_total, N)
