@@ -96,6 +96,8 @@ class Marginal:
     pdf: Callable[[float], float]
     draw: Callable[[np.ndarray, np.ndarray], np.ndarray]
     counters: int
+    # every draw lies within the bounds marginal() was given
+    within: bool
 
 
 def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Marginal:
@@ -103,13 +105,19 @@ def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Margin
 
     lo and hi are the law's support clipped to the bounds (a uniform law is
     [lo, hi] itself); mass(a, b) is 0 when a >= b; pdf is the density on the
-    support; draw(seeds, base) reads `counters` counters from base.
+    support; draw(seeds, base) reads `counters` counters from base. within
+    says exactly whether every draw lies within the bounds given: a uniform
+    draw lo + width * u, with u in (0, 1], lies in [lo, lo + width], and
+    lo + width may round above hi; a (half-)normal draw is finite but
+    unbounded, so only bounds of -inf (or one <= 0 when folded) and +inf
+    hold it.
     """
     if shape == "uniform":
         width = hi - lo
         inverse = 1.0 / width
         return Marginal(lo, hi, lambda a, b: (b - a) / width if a < b else 0.0, lambda x: inverse,
-                        lambda seeds, base: lo + width * uniform_draws(seeds, base), 1)
+                        lambda seeds, base: lo + width * uniform_draws(seeds, base), 1,
+                        lo + width <= hi)
     folded = shape == "half_normal"
     k = 1.0 / (sigma * math.sqrt(2.0))
     # folding Normal(0, sigma^2) onto x >= 0 doubles its mass there
@@ -127,7 +135,8 @@ def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Margin
         z = normal_draws(seeds, base) * sigma
         return np.abs(z) if folded else z
 
-    return Marginal(max(0.0, lo) if folded else lo, hi, mass, pdf, draw, 2)
+    return Marginal(max(0.0, lo) if folded else lo, hi, mass, pdf, draw, 2,
+                    (lo <= 0.0 if folded else lo == -math.inf) and hi == math.inf)
 
 
 @dataclass(frozen=True)
@@ -149,6 +158,11 @@ class DeploymentModel:
         (x_shape, y_shape), region = MARGINALS[self.kind], self.region
         return (marginal(x_shape, self.sigma, region.x_min, region.x_max),
                 marginal(y_shape, self.sigma, region.y_min, region.y_max))
+
+    @property
+    def rejects(self) -> bool:
+        """Whether a draw can fall outside the region, so sampling must test it."""
+        return not all(m.within for m in self.marginals())
 
 
 class SamplingError(Exception):
@@ -202,6 +216,12 @@ def halfplane_pdf(x: float, y: float, params: HalfNormalParams) -> float:
     return math.exp(-(x * x + y * y) / (2.0 * s2)) / (math.pi * s2)
 
 
+def _counter_base(j: np.ndarray, attempt: int) -> np.ndarray:
+    """First counter of attempt `attempt` of sensors j."""
+    return (j.astype(np.uint64) * np.uint64(_BLOCK)
+            + np.uint64(attempt * _DRAWS_PER_ATTEMPT))
+
+
 def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
                      first: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Sensors first .. n - 1 of each seed's deployment; x and y of shape (len(seeds), n - first).
@@ -210,7 +230,9 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
     block j whatever the call, so first = 0 gives the whole field and any
     other first gives its last n - first columns, bit-identical. The first
     attempt draws every sensor at once; only the draws a bounded region
-    rejects are redrawn, from further attempt slots of the same counter block.
+    rejects are redrawn, from further attempt slots of the same counter
+    block. A model that never rejects (DeploymentModel.rejects) skips the
+    test.
     """
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
@@ -218,11 +240,12 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
     region, (mx, my) = model.region, model.marginals()
 
     def draw(stream_seeds, j, attempt):
-        base = ((j.astype(np.uint64) + np.uint64(first)) * np.uint64(_BLOCK)
-                + np.uint64(attempt * _DRAWS_PER_ATTEMPT))
+        base = _counter_base(j + first, attempt)
         return mx.draw(stream_seeds, base), my.draw(stream_seeds, base + np.uint64(mx.counters))
 
     xs, ys = draw(seeds[:, None], np.arange(n - first), 0)
+    if not model.rejects:
+        return xs, ys
     t, j = np.nonzero(~region.contains(xs, ys))
     for attempt in range(1, MAX_ATTEMPTS):
         if t.size == 0:
@@ -238,6 +261,29 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
             "sigma is grossly mismatched to the bounded region"
         )
     return xs, ys
+
+
+def sample_in_band(model: DeploymentModel, n: int, seeds: np.ndarray, first: int,
+                   band: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+    """The sensors of sample_positions(model, n, seeds, first) whose x lies in
+    band = (lo, hi): their x, their y and their (seed, column) indices, in
+    row-major order.
+
+    Every x is drawn, but y only for those sensors, from the same counters, so
+    the values are bit-identical to the full draw's. Only a model that never
+    rejects can skip a y: a rejected sensor's redraw depends on its y.
+    """
+    if model.rejects:
+        raise ValueError(f"{model.kind.value} deployment on {model.region} can reject a draw")
+    n = check_integer("n", n)
+    first = check_integer("first", first, 0, n)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    mx, my = model.marginals()
+    base = _counter_base(np.arange(first, n), 0)
+    xs = mx.draw(seeds[:, None], base)
+    # np.nonzero of the mask, but flat indices come out twice as fast
+    at = np.divmod(np.flatnonzero((xs >= band[0]) & (xs <= band[1])), n - first)
+    return xs[at], my.draw(seeds[at[0]], base[at[1]] + np.uint64(mx.counters)), at
 
 
 # Stein characterization test-function family: name -> (f, f', f(0))

@@ -8,7 +8,10 @@ first detecting sensor, or the largest N if none detects; the count at any N
 is the number of trials whose index is below N. Sensors are drawn in column
 chunks through sample_positions(model, n, seeds, first), and a trial stops
 drawing once every case has detected: the sensors it skips cannot change an
-index, so SamplingError can come only from a sensor that is drawn. Trial i
+index, so SamplingError can come only from a sensor that is drawn. On a
+model that never rejects a draw, where few sensors' x can lie within reach
+of the path, a chunk draws y only for those (sample_in_band), from the
+counters the full field reads them from. Trial i
 always uses the substream derive_stream_seed(master, i), and sensor j always
 reads counter block j of it, so estimates are independent of batch size,
 chunk widths, evaluation order and worker count, and each trial's indices
@@ -28,7 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analytic import capsule_probability, detection_probability
-from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
+from .distributions import (DeploymentKind, DeploymentModel, SamplingError, sample_in_band,
+                            sample_positions)
 from .geometry import IntruderScenario, segment_dist2
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import RandomSeed, check_integer, check_real, derive_stream_seed, derive_stream_seeds
@@ -39,6 +43,11 @@ _BATCH = 1 << 15
 # half-normal trials stop early, and few chunks keep small N in few calls
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 16
+# the x-first scan draws y only for sensors in the x band, but finding them
+# costs a pass over every x. Against the full scan it took 0.64 of the time
+# on the uniform README group (band mass 7%), 0.95 on a sigma = 10
+# half-plane (45%) and 1.13 on the sigma = 5 half-plane (61%)
+_X_FIRST_MASS = 0.25
 
 # a detection case: the intruder's path and the sensing range
 Case = Tuple[IntruderScenario, float]
@@ -73,21 +82,41 @@ class SweepRow:
     status: str = "ok"
 
 
-def _scan(xs: np.ndarray, ys: np.ndarray, paths: dict, k: np.ndarray, j0: int) -> np.ndarray:
-    """Advance the first-hit indices k (live trials x cases) over the chunk of
-    sensors xs, ys whose first column is sensor j0.
+def _x_band(cases: Sequence[Case]) -> Tuple[float, float]:
+    """An x interval outside which no sensor, whatever its y, detects in any case.
 
-    A case with no detection so far has k = j0; it gets the index of the
-    chunk's first detecting sensor, or the chunk's end if none detects.
+    A case (S, d, r) detects within [S - d - r, S + r]. segment_dist2 and
+    r * r round, so the hull of those ranges is widened by 16 ulps of its
+    largest S + r, which bounds their relative error, and by 2^-500 for
+    ranges whose square is subnormal or 0. Where r * r overflows, every
+    sensor detects.
     """
-    width = xs.shape[1]
+    if any(math.isinf(r * r) for _, r in cases):
+        return -math.inf, math.inf
+    hi = max(scenario.start_s + r for scenario, r in cases)
+    lo = min(scenario.start_s - scenario.distance_d - r for scenario, r in cases)
+    slack = 16.0 * math.ulp(hi) + 2.0 ** -500
+    return lo - slack, hi + slack
+
+
+def _scan(xs: np.ndarray, ys: np.ndarray, at: tuple, width: int, paths: dict, k: np.ndarray,
+          j0: int) -> np.ndarray:
+    """Advance the first-hit indices k (live trials x cases) over a chunk of
+    `width` sensors whose first column is sensor j0.
+
+    xs, ys are the positions of the chunk's sensors at index `at` of its
+    (live trials x width) grid; the others cannot detect. A case with no
+    detection so far has k = j0; it gets the index of the chunk's first
+    detecting sensor, or the chunk's end if none detects.
+    """
     # a last column that always hits: argmax gives the chunk's width where no
     # sensor detects
-    hit = np.ones((xs.shape[0], width + 1), dtype=bool)
+    hit = np.zeros((k.shape[0], width + 1), dtype=bool)
+    hit[:, width] = True
     for scenario, cases in paths.items():
         dist2 = segment_dist2(xs, ys, scenario)
         for r2, c in cases:
-            np.less_equal(dist2, r2, out=hit[:, :width])
+            hit[at] = dist2 <= r2
             # a case that has detected keeps its index
             np.add(k[:, c], hit.argmax(axis=1), out=k[:, c], where=k[:, c] == j0, casting="unsafe")
     return k
@@ -101,19 +130,31 @@ def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
 
     One chunked pass; a trial draws the next chunk only while some case has
     no detection. Each chunk's squared distances to a path are computed once
-    and compared with the r^2 of every case on that path.
+    and compared with the r^2 of every case on that path. On a model that
+    never rejects, a sensor's x decides whether it can detect, so where few
+    x fall in the cases' band (mass at most _X_FIRST_MASS) the chunk draws
+    x for every sensor and y only for those in the band (sample_in_band),
+    from the same counters, and tests those alone.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
         paths.setdefault(scenario, []).append((r * r, c))
+    band = _x_band(cases)
+    mx = model.marginals()[0]
+    x_first = (not model.rejects
+               and mx.mass(max(band[0], mx.lo), min(band[1], mx.hi)) <= _X_FIRST_MASS)
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
     live = np.arange(seeds.size)
     j0, width = 0, _FIRST_CHUNK
     while live.size and j0 < n_max:
         j1 = min(j0 + width, n_max)
-        xs, ys = sample_positions(model, j1, seeds[live], j0)
-        k_live = _scan(xs, ys, paths, k[live], j0)
+        if x_first:
+            xs, ys, at = sample_in_band(model, j1, seeds[live], j0, band)
+        else:
+            xs, ys = sample_positions(model, j1, seeds[live], j0)
+            at = np.s_[:, :j1 - j0]
+        k_live = _scan(xs, ys, at, j1 - j0, paths, k[live], j0)
         k[live] = k_live
         live = live[(k_live == j1).any(axis=1)]
         j0, width = j1, min(2 * width, _MAX_CHUNK)

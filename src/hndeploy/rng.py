@@ -117,9 +117,18 @@ _MUL2_U64 = np.uint64(_MUL2)
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MUL1_U64
-    z = (z ^ (z >> np.uint64(27))) * _MUL2_U64
-    return z ^ (z >> np.uint64(31))
+    """Vectorized mix64 into a fresh array; z is left as it is."""
+    return _mix64_inplace(np.array(z, dtype=np.uint64))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 of every word of the uint64 array z, computed in z itself."""
+    z ^= z >> np.uint64(30)
+    z *= _MUL1_U64
+    z ^= z >> np.uint64(27)
+    z *= _MUL2_U64
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def raw_draws(seeds, counters) -> np.ndarray:
@@ -127,7 +136,8 @@ def raw_draws(seeds, counters) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64_array(seeds + (counters + np.uint64(1)) * _GOLDEN_U64)
+        # a fresh array (0-d for scalar inputs), so the mix may overwrite it
+        return _mix64_inplace(np.asarray(seeds + (counters + np.uint64(1)) * _GOLDEN_U64))
 
 
 def derive_stream_seeds(master: int, indices) -> np.ndarray:
@@ -138,7 +148,12 @@ def derive_stream_seeds(master: int, indices) -> np.ndarray:
 def uniform_draws(seeds, counters) -> np.ndarray:
     """Vectorized uniform_draw, values in (0, 1]."""
     raw = raw_draws(seeds, counters)
-    return ((raw >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV53
+    raw >>= np.uint64(11)
+    # below 2^53, so the conversion, the + 1 and the power-of-two scale are exact
+    u = raw.astype(np.float64)
+    u += 1.0
+    u *= _INV53
+    return u
 
 
 def normal_draws(seeds, counters) -> np.ndarray:
@@ -147,4 +162,11 @@ def normal_draws(seeds, counters) -> np.ndarray:
     counters = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
         u2 = uniform_draws(seeds, counters + np.uint64(1))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    # sqrt(-2 log u1) cos(2 pi u2), in the two fresh arrays
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= _TWO_PI
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1

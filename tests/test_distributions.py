@@ -18,6 +18,7 @@ from hndeploy.distributions import (
     half_normal_pdf,
     halfplane_pdf,
     marginal,
+    sample_in_band,
     sample_positions,
     stein_residual,
 )
@@ -478,6 +479,69 @@ class TestSamplerCounterLayout:
         monkeypatch.setattr(distributions, "MAX_ATTEMPTS", 63)
         with pytest.raises(SamplingError):
             sample_positions(model, j + 1, seeds, j)
+
+
+# (kind, region, whether a draw can leave the region); on the first box
+# lo + width rounds above hi on both axes, so a draw of u = 1 leaves it
+_REJECTS_CASES = [
+    (DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1), True),
+    (DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0), False),
+    (DeploymentKind.UNIFORM, Rectangle(30.0, 40.0, -3.0, 3.0), False),
+    (DeploymentKind.HALF_NORMAL, HalfPlane(), False),
+    (DeploymentKind.HALF_NORMAL, Rectangle(-5.0, math.inf, -math.inf, math.inf), False),
+    (DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf), True),
+    (DeploymentKind.HALF_NORMAL, Rectangle(0.0, math.inf, 0.0, math.inf), True),
+    (DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -50.0, 50.0), True),
+    (DeploymentKind.QUADRANT, HalfPlane(), False),
+    (DeploymentKind.QUADRANT, Rectangle(0.0, math.inf, 1.0, math.inf), True),
+    (DeploymentKind.STRIP, Rectangle(-1.0, 3.0, -3.0, 3.0), True),
+]
+
+
+class TestNeverRejectingModels:
+    @pytest.mark.parametrize("kind,region,rejects", _REJECTS_CASES)
+    def test_rejects_is_exact(self, kind, region, rejects):
+        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 1.0)
+        assert model.rejects == rejects
+
+    def test_box_edges_round_above(self):
+        assert -1.1 + (0.3 - -1.1) > 0.3 and -0.3 + (0.1 - -0.3) > 0.1
+
+    @pytest.mark.parametrize("kind,region,rejects", _REJECTS_CASES)
+    def test_region_test_runs_only_where_a_draw_can_leave(self, kind, region, rejects,
+                                                          monkeypatch):
+        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 30.0)
+        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
+        tested = []
+        contains = Rectangle.contains
+        monkeypatch.setattr(Rectangle, "contains",
+                            lambda self, x, y: tested.append(1) or contains(self, x, y))
+        try:
+            xs, ys = sample_positions(model, 50, seeds)
+        except SamplingError:
+            assert rejects
+        else:
+            assert contains(region, xs, ys).all()
+        assert bool(tested) == rejects
+
+    @pytest.mark.parametrize("kind,region", [(k, r) for k, r, rejects in _REJECTS_CASES
+                                             if not rejects])
+    @pytest.mark.parametrize("band", [(-1.0, 2.0), (0.5, 0.5), (35.0, 100.0), (60.0, 70.0)])
+    def test_band_draw_is_the_full_draw_at_the_band(self, kind, region, band):
+        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 1.0)
+        seeds = np.array(_LAYOUT_SEEDS + _CHUNK_SEEDS, dtype=np.uint64)
+        full_x, full_y = sample_positions(model, 40, seeds)
+        xs, ys, at = sample_in_band(model, 40, seeds, 3, band)
+        expected = np.nonzero((full_x[:, 3:] >= band[0]) & (full_x[:, 3:] <= band[1]))
+        assert all(np.array_equal(a, b) for a, b in zip(at, expected))
+        assert np.array_equal(xs, full_x[:, 3:][at]) and np.array_equal(ys, full_y[:, 3:][at])
+        empty_x, empty_y, (empty_t, empty_j) = sample_in_band(model, 3, seeds, 3, band)
+        assert empty_x.size == empty_y.size == empty_t.size == empty_j.size == 0
+
+    def test_band_draw_refuses_a_rejecting_model(self):
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(1.0, 5.0, -1.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="can reject a draw"):
+            sample_in_band(model, 4, np.array(_CHUNK_SEEDS, dtype=np.uint64), 0, (0.0, 2.0))
 
 
 @pytest.mark.parametrize("region", [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0)])

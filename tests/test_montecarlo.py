@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hndeploy.analytic import capsule_probability, full_report
 from hndeploy.cli import sweep_csv
 from hndeploy.config import ExperimentConfig
 from hndeploy.distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
-from hndeploy import montecarlo
-from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, detects, detects_any
+from hndeploy import distributions, montecarlo
+from hndeploy.geometry import (HalfPlane, IntruderScenario, Rectangle, detects, detects_any,
+                               segment_dist2)
 from hndeploy.montecarlo import estimate_detection, sweep
 from hndeploy.rng import RandomSeed, derive_stream_seed
 
@@ -187,17 +189,25 @@ class TestEstimateDetection:
 
 
 # (kind, region, sigma); sigma = 5 on the small box rejects about four
-# half-normal draws in five
+# half-normal draws in five. The last four are where a model's exact
+# never-rejects check flips: on [-1.1, 0.3] x [-0.3, 0.1] lo + width rounds
+# above hi on both axes; the half-normal never rejects on x >= -5 and rejects
+# on x >= 1; on [30, 40] x [-3, 3] no sensor can detect in any case drawn here
 _PROPERTY_CASES = [
     (kind, region, None if kind == DeploymentKind.UNIFORM else sigma)
     for region in (Rectangle(0.0, 3.0, -3.0, 3.0), Rectangle(-50.0, 50.0, -50.0, 50.0))
     for kind in DeploymentKind
     for sigma in (1.0, 5.0)
 ] + [(kind, HalfPlane(), sigma) for kind in (DeploymentKind.HALF_NORMAL, DeploymentKind.QUADRANT)
-     for sigma in (1.0, 5.0)]
+     for sigma in (1.0, 5.0)] + [
+    (DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1), None),
+    (DeploymentKind.HALF_NORMAL, Rectangle(-5.0, math.inf, -math.inf, math.inf), 5.0),
+    (DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf), 5.0),
+    (DeploymentKind.UNIFORM, Rectangle(30.0, 40.0, -3.0, 3.0), None),
+]
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(case=st.sampled_from(_PROPERTY_CASES), drawn=st.lists(st.integers(0, 60), min_size=1,
                                                              max_size=4),
        paths=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 1.0),
@@ -213,17 +223,74 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    first_hits = montecarlo._first_hits(model, cases, ns[-1], seeds)
+    # the full scan, and the x-first scan wherever the model never rejects,
+    # whatever the band's mass
+    first_hits = []
+    for mass in (-1.0, 2.0):
+        with mock.patch.object(montecarlo, "_X_FIRST_MASS", mass):
+            first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
         # one column per sensor: whether it alone detects
         hit = detects_any(xs[:, :, None], ys[:, :, None], scenario, r)
-        assert first_hits[:, c].tolist() == np.where(hit.any(axis=1), hit.argmax(axis=1),
-                                                     ns[-1]).tolist()
+        expected_hits = np.where(hit.any(axis=1), hit.argmax(axis=1), ns[-1]).tolist()
+        assert [k[:, c].tolist() for k in first_hits] == [expected_hits] * 2
         expected = [np.count_nonzero(detects_any(xs[:, :n], ys[:, :n], scenario, r)) for n in ns]
         assert counts[c].tolist() == expected
         est = estimate_detection(model, drawn[0], scenario, r, trials, RandomSeed(master))
         assert est.detected_count == expected[ns.index(drawn[0])]
+
+
+@pytest.mark.parametrize("s,d,r", [
+    (5.0, 3.0, 1.0), (5.0, 5.0, 1.0), (0.0, 0.0, 0.1), (1e6, 0.5, 1e-6), (0.3, 0.1, 0.7),
+    (1e300, 1e299, 1e299), (1e300, 1e299, 1e150), (1e-300, 0.0, 1e-300),
+    (0.0, 0.0, math.ulp(0.0)), (1.0, 1.0, 1e-170),
+])
+def test_x_band_holds_every_detecting_x(s, d, r):
+    scenario = IntruderScenario(s, d)
+    lo, hi = montecarlo._x_band([(scenario, r)])
+    xs = []
+    for edge in (s - d - r, s + r, s - d, s, lo, hi):
+        # 300 ulps either side of the edge
+        for direction in (-math.inf, math.inf):
+            x = edge
+            for _ in range(300):
+                x = math.nextafter(x, direction)
+                xs.append(x)
+        # and offsets whose square is subnormal or 0
+        xs += [edge + sign * 2.0 ** -e for sign in (-1.0, 1.0) for e in range(480, 600, 5)]
+    xs = np.array(xs)
+    with np.errstate(over="ignore"):
+        detected = xs[segment_dist2(xs, np.zeros_like(xs), scenario) <= r * r]
+    assert detected.size
+    assert np.all((detected >= lo) & (detected <= hi))
+    if math.isinf(r * r):
+        assert detected.size == xs.size and (lo, hi) == (-math.inf, math.inf)
+    else:
+        # a few ulps wide, unless the squares underflow
+        assert s + r <= hi <= max(s + r + 32 * math.ulp(s + r), 2.0 ** -499)
+
+
+def test_x_first_scan_draws_y_only_for_band_sensors(monkeypatch):
+    # the README uniform row at N = 500: about 7% of x fall in the band
+    model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
+    scenario = IntruderScenario(5.0, 5.0)
+    drawn = {0: 0, 1: 0}
+    uniform_draws = distributions.uniform_draws
+
+    def counted(seeds, counters):
+        u = uniform_draws(seeds, counters)
+        # x reads a sensor's first counter, y the next
+        drawn[int(np.asarray(counters).flat[0]) % 256] += u.size
+        return u
+
+    monkeypatch.setattr(distributions, "uniform_draws", counted)
+    with mock.patch.object(montecarlo, "_X_FIRST_MASS", -1.0):
+        full = estimate_detection(model, 500, scenario, 1.0, 2000, RandomSeed(3))
+    assert drawn[0] == drawn[1] > 0
+    drawn.update({0: 0, 1: 0})
+    assert estimate_detection(model, 500, scenario, 1.0, 2000, RandomSeed(3)) == full
+    assert 0 < drawn[1] <= 0.1 * drawn[0]
 
 
 def _config(**overrides):
