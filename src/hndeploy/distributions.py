@@ -264,26 +264,32 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
 
 
 def sample_in_band(model: DeploymentModel, n: int, seeds: np.ndarray, first: int,
-                   band: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
-    """The sensors of sample_positions(model, n, seeds, first) whose x lies in
-    band = (lo, hi): their x, their y and their (seed, column) indices, in
-    row-major order.
+                   band: Tuple[float, float], axis: int) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+    """The sensors of sample_positions(model, n, seeds, first) whose coordinate
+    `axis` (0 for x, 1 for y) lies in band = (lo, hi): their x, their y and
+    their (seed, column) indices, in row-major order.
 
-    Every x is drawn, but y only for those sensors, from the same counters, so
-    the values are bit-identical to the full draw's. Only a model that never
-    rejects can skip a y: a rejected sensor's redraw depends on its y.
+    That coordinate is drawn for every sensor, the other only for those
+    sensors, each from the counters the full draw reads it from, so the values
+    are bit-identical to the full draw's. Only a model that never rejects can
+    skip a coordinate: a rejected sensor's redraw depends on both.
     """
     if model.rejects:
         raise ValueError(f"{model.kind.value} deployment on {model.region} can reject a draw")
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
+    axis = check_integer("axis", axis, 0, 1)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    mx, my = model.marginals()
+    marginals = model.marginals()
     base = _counter_base(np.arange(first, n), 0)
-    xs = mx.draw(seeds[:, None], base)
+    # y reads from the counter after x's
+    offsets = (np.uint64(0), np.uint64(marginals[0].counters))
+    drawn = marginals[axis].draw(seeds[:, None], base + offsets[axis])
     # np.nonzero of the mask, but flat indices come out twice as fast
-    at = np.divmod(np.flatnonzero((xs >= band[0]) & (xs <= band[1])), n - first)
-    return xs[at], my.draw(seeds[at[0]], base[at[1]] + np.uint64(mx.counters)), at
+    at = np.divmod(np.flatnonzero((drawn >= band[0]) & (drawn <= band[1])), n - first)
+    other = marginals[1 - axis].draw(seeds[at[0]], base[at[1]] + offsets[1 - axis])
+    xs, ys = (drawn[at], other) if axis == 0 else (other, drawn[at])
+    return xs, ys, at
 
 
 # Stein characterization test-function family: name -> (f, f', f(0))

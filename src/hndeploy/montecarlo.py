@@ -9,15 +9,17 @@ is the number of trials whose index is below N. Sensors are drawn in column
 chunks through sample_positions(model, n, seeds, first), and a trial stops
 drawing once every case has detected: the sensors it skips cannot change an
 index, so SamplingError can come only from a sensor that is drawn. On a
-model that never rejects a draw, where few sensors' x can lie within reach
-of the path, a chunk draws y only for those (sample_in_band), from the
-counters the full field reads them from. Trial i
-always uses the substream derive_stream_seed(master, i), and sensor j always
-reads counter block j of it, so estimates are independent of batch size,
-chunk widths, evaluation order and worker count, and each trial's indices
-equal those of its whole field. A sensor field depends on the model and the
-seed only, so one pass serves every (S, d, r) and N of a sweep's (model,
-sigma) group: common random numbers across the scenario grid and N.
+model that never rejects a draw, a sensor detects only if its x lies in the
+cases' x band and its y in their y band; where one band holds little mass,
+a chunk draws that coordinate first and the other only for the sensors in
+its band (sample_in_band), from the counters the full field reads them
+from. Trial i always uses the substream derive_stream_seed(master, i), and
+sensor j always reads counter block j of it, so estimates are independent
+of batch size, chunk widths, evaluation order and worker count, and each
+trial's indices equal those of its whole field. A sensor field depends on
+the model and the seed only, so one pass serves every (S, d, r) and N of a
+sweep's (model, sigma) group: common random numbers across the scenario
+grid and N.
 estimate_detection is the same pass with one case and one N.
 """
 
@@ -43,11 +45,13 @@ _BATCH = 1 << 15
 # half-normal trials stop early, and few chunks keep small N in few calls
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 16
-# the x-first scan draws y only for sensors in the x band, but finding them
-# costs a pass over every x. Against the full scan it took 0.64 of the time
-# on the uniform README group (band mass 7%), 0.95 on a sigma = 10
-# half-plane (45%) and 1.13 on the sigma = 5 half-plane (61%)
-_X_FIRST_MASS = 0.25
+# the band scan draws the other coordinate only for sensors in the narrow
+# band, but finding them costs a pass over every sensor. Against the full
+# scan it took 0.48 of the time on the uniform README group drawing y first
+# (band mass 2%; x first, 7%: 0.63), 0.54-0.63 on a sigma = 10 half-plane
+# (8%), 0.44-0.62 on the sigma = 5 half-plane (16%; x first, 61%: 0.8-1.0),
+# 0.77-0.87 at 31% and 1.26-1.40 drawing x first at 84%
+_NARROW_MASS = 0.25
 
 # a detection case: the intruder's path and the sensing range
 Case = Tuple[IntruderScenario, float]
@@ -82,21 +86,35 @@ class SweepRow:
     status: str = "ok"
 
 
-def _x_band(cases: Sequence[Case]) -> Tuple[float, float]:
-    """An x interval outside which no sensor, whatever its y, detects in any case.
+def _bands(cases: Sequence[Case]) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """An x and a y interval; a sensor outside either detects in no case.
 
-    A case (S, d, r) detects within [S - d - r, S + r]. segment_dist2 and
-    r * r round, so the hull of those ranges is widened by 16 ulps of its
-    largest S + r, which bounds their relative error, and by 2^-500 for
-    ranges whose square is subnormal or 0. Where r * r overflows, every
-    sensor detects.
+    A case (S, d, r) detects within x in [S - d - r, S + r] and y in [-r, r].
+    segment_dist2 and r * r round, so the hulls of those ranges are widened
+    by 16 ulps of their largest end, which bounds their relative error, and
+    by 2^-500 for ranges whose square is subnormal or 0. The y band is exact
+    as well: segment_dist2 is fl(fl(c^2) + fl(y^2)) >= fl(y^2). Where r * r
+    overflows, every sensor detects.
     """
     if any(math.isinf(r * r) for _, r in cases):
-        return -math.inf, math.inf
-    hi = max(scenario.start_s + r for scenario, r in cases)
-    lo = min(scenario.start_s - scenario.distance_d - r for scenario, r in cases)
-    slack = 16.0 * math.ulp(hi) + 2.0 ** -500
-    return lo - slack, hi + slack
+        return (-math.inf, math.inf), (-math.inf, math.inf)
+    x_hi = max(scenario.start_s + r for scenario, r in cases)
+    x_lo = min(scenario.start_s - scenario.distance_d - r for scenario, r in cases)
+    y_hi = max(r for _, r in cases)
+    x_slack, y_slack = (16.0 * math.ulp(hi) + 2.0 ** -500 for hi in (x_hi, y_hi))
+    return (x_lo - x_slack, x_hi + x_slack), (-y_hi - y_slack, y_hi + y_slack)
+
+
+def _narrow_axis(model: DeploymentModel, bands: Sequence[Tuple[float, float]]) -> Optional[int]:
+    """The axis (0 for x, 1 for y) whose band holds the least of its
+    marginal's mass, if the model never rejects and that mass is at most
+    _NARROW_MASS; otherwise None, for the full draw."""
+    if model.rejects:
+        return None
+    masses = [m.mass(max(lo, m.lo), min(hi, m.hi))
+              for m, (lo, hi) in zip(model.marginals(), bands)]
+    axis = masses.index(min(masses))
+    return axis if masses[axis] <= _NARROW_MASS else None
 
 
 def _scan(xs: np.ndarray, ys: np.ndarray, at: tuple, width: int, paths: dict, k: np.ndarray,
@@ -131,29 +149,27 @@ def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
     One chunked pass; a trial draws the next chunk only while some case has
     no detection. Each chunk's squared distances to a path are computed once
     and compared with the r^2 of every case on that path. On a model that
-    never rejects, a sensor's x decides whether it can detect, so where few
-    x fall in the cases' band (mass at most _X_FIRST_MASS) the chunk draws
-    x for every sensor and y only for those in the band (sample_in_band),
-    from the same counters, and tests those alone.
+    never rejects, either coordinate alone can rule a sensor out, so where
+    few sensors fall in one of the cases' bands (_narrow_axis) the chunk
+    draws that coordinate for every sensor and the other only for those in
+    the band (sample_in_band), from the same counters, and tests those alone.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
         paths.setdefault(scenario, []).append((r * r, c))
-    band = _x_band(cases)
-    mx = model.marginals()[0]
-    x_first = (not model.rejects
-               and mx.mass(max(band[0], mx.lo), min(band[1], mx.hi)) <= _X_FIRST_MASS)
+    bands = _bands(cases)
+    axis = _narrow_axis(model, bands)
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
     live = np.arange(seeds.size)
     j0, width = 0, _FIRST_CHUNK
     while live.size and j0 < n_max:
         j1 = min(j0 + width, n_max)
-        if x_first:
-            xs, ys, at = sample_in_band(model, j1, seeds[live], j0, band)
-        else:
+        if axis is None:
             xs, ys = sample_positions(model, j1, seeds[live], j0)
             at = np.s_[:, :j1 - j0]
+        else:
+            xs, ys, at = sample_in_band(model, j1, seeds[live], j0, bands[axis], axis)
         k_live = _scan(xs, ys, at, j1 - j0, paths, k[live], j0)
         k[live] = k_live
         live = live[(k_live == j1).any(axis=1)]

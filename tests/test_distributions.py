@@ -531,17 +531,23 @@ class TestNeverRejectingModels:
         model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 1.0)
         seeds = np.array(_LAYOUT_SEEDS + _CHUNK_SEEDS, dtype=np.uint64)
         full_x, full_y = sample_positions(model, 40, seeds)
-        xs, ys, at = sample_in_band(model, 40, seeds, 3, band)
-        expected = np.nonzero((full_x[:, 3:] >= band[0]) & (full_x[:, 3:] <= band[1]))
-        assert all(np.array_equal(a, b) for a, b in zip(at, expected))
-        assert np.array_equal(xs, full_x[:, 3:][at]) and np.array_equal(ys, full_y[:, 3:][at])
-        empty_x, empty_y, (empty_t, empty_j) = sample_in_band(model, 3, seeds, 3, band)
-        assert empty_x.size == empty_y.size == empty_t.size == empty_j.size == 0
+        for axis, full in enumerate((full_x, full_y)):
+            xs, ys, at = sample_in_band(model, 40, seeds, 3, band, axis)
+            expected = np.nonzero((full[:, 3:] >= band[0]) & (full[:, 3:] <= band[1]))
+            assert all(np.array_equal(a, b) for a, b in zip(at, expected))
+            assert np.array_equal(xs, full_x[:, 3:][at]) and np.array_equal(ys, full_y[:, 3:][at])
+            empty_x, empty_y, (empty_t, empty_j) = sample_in_band(model, 3, seeds, 3, band, axis)
+            assert empty_x.size == empty_y.size == empty_t.size == empty_j.size == 0
 
     def test_band_draw_refuses_a_rejecting_model(self):
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(1.0, 5.0, -1.0, 1.0), 1.0)
-        with pytest.raises(ValueError, match="can reject a draw"):
-            sample_in_band(model, 4, np.array(_CHUNK_SEEDS, dtype=np.uint64), 0, (0.0, 2.0))
+        for axis in (0, 1):
+            with pytest.raises(ValueError, match="can reject a draw"):
+                sample_in_band(model, 4, np.array(_CHUNK_SEEDS, dtype=np.uint64), 0, (0.0, 2.0),
+                               axis)
+        with pytest.raises(ValueError, match="axis must be"):
+            sample_in_band(DeploymentModel(DeploymentKind.QUADRANT, HalfPlane(), 1.0), 4,
+                           np.array(_CHUNK_SEEDS, dtype=np.uint64), 0, (0.0, 2.0), 2)
 
 
 @pytest.mark.parametrize("region", [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0)])

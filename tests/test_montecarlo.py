@@ -189,10 +189,11 @@ class TestEstimateDetection:
 
 
 # (kind, region, sigma); sigma = 5 on the small box rejects about four
-# half-normal draws in five. The last four are where a model's exact
-# never-rejects check flips: on [-1.1, 0.3] x [-0.3, 0.1] lo + width rounds
-# above hi on both axes; the half-normal never rejects on x >= -5 and rejects
-# on x >= 1; on [30, 40] x [-3, 3] no sensor can detect in any case drawn here
+# half-normal draws in five. Then where a model's exact never-rejects check
+# flips: on [-1.1, 0.3] x [-0.3, 0.1] lo + width rounds above hi on both
+# axes; the half-normal never rejects on x >= -5 and rejects on x >= 1. No
+# case drawn here reaches x in [30, 40] or, having r <= 5, y in [10, 20]:
+# there the x band, and then the y band, is empty
 _PROPERTY_CASES = [
     (kind, region, None if kind == DeploymentKind.UNIFORM else sigma)
     for region in (Rectangle(0.0, 3.0, -3.0, 3.0), Rectangle(-50.0, 50.0, -50.0, 50.0))
@@ -204,6 +205,7 @@ _PROPERTY_CASES = [
     (DeploymentKind.HALF_NORMAL, Rectangle(-5.0, math.inf, -math.inf, math.inf), 5.0),
     (DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf), 5.0),
     (DeploymentKind.UNIFORM, Rectangle(30.0, 40.0, -3.0, 3.0), None),
+    (DeploymentKind.UNIFORM, Rectangle(-5.0, 5.0, 10.0, 20.0), None),
 ]
 
 
@@ -223,18 +225,18 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    # the full scan, and the x-first scan wherever the model never rejects,
-    # whatever the band's mass
+    # the full scan, and wherever the model never rejects the x-first and the
+    # y-first scans, whatever their bands' mass
     first_hits = []
-    for mass in (-1.0, 2.0):
-        with mock.patch.object(montecarlo, "_X_FIRST_MASS", mass):
+    for axis in [None] + ([] if model.rejects else [0, 1]):
+        with mock.patch.object(montecarlo, "_narrow_axis", lambda model, bands: axis):
             first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
         # one column per sensor: whether it alone detects
         hit = detects_any(xs[:, :, None], ys[:, :, None], scenario, r)
         expected_hits = np.where(hit.any(axis=1), hit.argmax(axis=1), ns[-1]).tolist()
-        assert [k[:, c].tolist() for k in first_hits] == [expected_hits] * 2
+        assert [k[:, c].tolist() for k in first_hits] == [expected_hits] * len(first_hits)
         expected = [np.count_nonzero(detects_any(xs[:, :n], ys[:, :n], scenario, r)) for n in ns]
         assert counts[c].tolist() == expected
         est = estimate_detection(model, drawn[0], scenario, r, trials, RandomSeed(master))
@@ -248,7 +250,7 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
 ])
 def test_x_band_holds_every_detecting_x(s, d, r):
     scenario = IntruderScenario(s, d)
-    lo, hi = montecarlo._x_band([(scenario, r)])
+    (lo, hi), _ = montecarlo._bands([(scenario, r)])
     xs = []
     for edge in (s - d - r, s + r, s - d, s, lo, hi):
         # 300 ulps either side of the edge
@@ -271,26 +273,65 @@ def test_x_band_holds_every_detecting_x(s, d, r):
         assert s + r <= hi <= max(s + r + 32 * math.ulp(s + r), 2.0 ** -499)
 
 
-def test_x_first_scan_draws_y_only_for_band_sensors(monkeypatch):
-    # the README uniform row at N = 500: about 7% of x fall in the band
-    model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
-    scenario = IntruderScenario(5.0, 5.0)
-    drawn = {0: 0, 1: 0}
-    uniform_draws = distributions.uniform_draws
+@pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0), 1e200])
+def test_y_band_holds_every_detecting_y(r):
+    scenario = IntruderScenario(5.0, 3.0)
+    _, (lo, hi) = montecarlo._bands([(scenario, r)])
+    ys = []
+    for edge in (-r, r, lo, hi):
+        # 300 ulps either side of the edge
+        for direction in (-math.inf, math.inf):
+            y = edge
+            for _ in range(300):
+                y = math.nextafter(y, direction)
+                ys.append(y)
+        # and offsets whose square is subnormal or 0
+        ys += [edge + sign * 2.0 ** -e for sign in (-1.0, 1.0) for e in range(480, 600, 5)]
+    ys = np.array([y for y in ys if math.isfinite(y)])
+    # x inside the path, and at both ends of its clip
+    for x in (4.0, 2.0, 5.0):
+        xs = np.full_like(ys, x)
+        with np.errstate(over="ignore"):
+            detected = ys[segment_dist2(xs, ys, scenario) <= r * r]
+        assert detected.size
+        assert np.all((detected >= lo) & (detected <= hi))
+    if math.isinf(r * r):
+        assert detected.size == ys.size and (lo, hi) == (-math.inf, math.inf)
+    else:
+        # a few ulps wide, unless the squares underflow
+        assert lo == -hi and r <= hi <= max(r + 32 * math.ulp(r), 2.0 ** -499)
+
+
+@pytest.mark.parametrize("model,n,scenario,draws,x_share", [
+    # the README uniform row: 7% of x and 2% of y fall in their bands; x reads
+    # a sensor's first counter, y the next
+    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0)), 500,
+     IntruderScenario(5.0, 5.0), "uniform_draws", 0.05),
+    # the sigma = 5 half-plane: 61% of x and 16% of y; y reads the third counter
+    (HALF_NORMAL_MODEL, 100, SCENARIO, "normal_draws", 0.25),
+])
+def test_narrow_axis_scan_draws_x_only_for_band_sensors(monkeypatch, model, n, scenario, draws,
+                                                        x_share):
+    x_at, y_at = 0, model.marginals()[0].counters
+    # the values drawn at each counter offset within a sensor's block
+    drawn = {x_at: 0, y_at: 0}
+    draw = getattr(distributions, draws)
 
     def counted(seeds, counters):
-        u = uniform_draws(seeds, counters)
-        # x reads a sensor's first counter, y the next
-        drawn[int(np.asarray(counters).flat[0]) % 256] += u.size
-        return u
+        values = draw(seeds, counters)
+        if values.size:
+            drawn[int(np.asarray(counters).flat[0]) % 256] += values.size
+        return values
 
-    monkeypatch.setattr(distributions, "uniform_draws", counted)
-    with mock.patch.object(montecarlo, "_X_FIRST_MASS", -1.0):
-        full = estimate_detection(model, 500, scenario, 1.0, 2000, RandomSeed(3))
-    assert drawn[0] == drawn[1] > 0
-    drawn.update({0: 0, 1: 0})
-    assert estimate_detection(model, 500, scenario, 1.0, 2000, RandomSeed(3)) == full
-    assert 0 < drawn[1] <= 0.1 * drawn[0]
+    monkeypatch.setattr(distributions, draws, counted)
+    with mock.patch.object(montecarlo, "_narrow_axis", lambda model, bands: None):
+        full = estimate_detection(model, n, scenario, 1.0, 2000, RandomSeed(3))
+    examined = drawn[y_at]
+    assert drawn[x_at] == examined > 0
+    drawn.update({x_at: 0, y_at: 0})
+    assert estimate_detection(model, n, scenario, 1.0, 2000, RandomSeed(3)) == full
+    assert drawn[y_at] == examined
+    assert 0 < drawn[x_at] <= x_share * examined
 
 
 def _config(**overrides):
