@@ -15,13 +15,16 @@ engine. An axis with a uniform marginal needs a bounded region:
 
 Sampling is counter-based: sensor j of a deployment keyed by seed s uses
 the counter block [j * 256, (j + 1) * 256) of stream s, four counters per
-rejection attempt starting at base = j * 256 + 4 * attempt. x reads from
-counter base; y reads from the next free counter, base + x.counters: base + 1
-after a uniform x (one counter) and base + 2 after a (half-)normal x (two
-counters, one Box-Muller normal). Draws falling outside a bounded region are
-rejected and redrawn from the next attempt slot, up to MAX_ATTEMPTS per
-sensor. The addressing makes batched, sequential and column-chunked sampling
-(sample_positions with first > 0) bit-identical.
+rejection attempt starting at base = j * 256 + 4 * attempt. A uniform x
+reads counter base and a uniform y base + 1. half_normal and quadrant read
+one Box-Muller pair: u1 at base gives the radius rho = sigma sqrt(-2 ln u1)
+and u2 at base + 1 the angle phi = 2 pi u2, and the sensor is
+(|rho cos phi|, rho sin phi), or (|rho cos phi|, |rho sin phi|) for
+quadrant. strip's x is the same |rho cos phi| and its uniform y reads
+base + 2. Draws falling outside a bounded region are rejected and redrawn
+from the next attempt slot, up to MAX_ATTEMPTS per sensor. The addressing
+makes batched, sequential, column-chunked (sample_positions with
+first > 0) and screened (sample_screened) sampling bit-identical.
 """
 
 from __future__ import annotations
@@ -35,13 +38,19 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Rectangle
-from .rng import check_integer, check_real, normal_draws, uniform_draws
+from .rng import check_integer, check_real, normal_draws, normal_pairs, raw_draws, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 MAX_ATTEMPTS = 64
 _DRAWS_PER_ATTEMPT = 4
 _BLOCK = MAX_ATTEMPTS * _DRAWS_PER_ATTEMPT
+# sample_screened screens about _SCREEN_BLOCK sensors and places _PLACE_BLOCK
+# candidates at a time, so its temporaries stay small whatever the grid; the
+# screen's steps are cheap per sensor, so its blocks are larger, which keeps
+# two worker threads from queuing on the interpreter lock between them
+_SCREEN_BLOCK = 1 << 17
+_PLACE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,8 @@ def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Margin
 
     lo and hi are the law's support clipped to the bounds (a uniform law is
     [lo, hi] itself); mass(a, b) is 0 when a >= b; pdf is the density on the
-    support; draw(seeds, base) reads `counters` counters from base. within
+    support; draw(seeds, base) reads `counters` counters from base (a
+    (half-)normal draw is the cosine branch of a Box-Muller pair). within
     says exactly whether every draw lies within the bounds given: a uniform
     draw lo + width * u, with u in (0, 1], lies in [lo, lo + width], and
     lo + width may round above hi; a (half-)normal draw is finite but
@@ -164,6 +174,24 @@ class DeploymentModel:
         """Whether a draw can fall outside the region, so sampling must test it."""
         return not all(m.within for m in self.marginals())
 
+    @property
+    def polar(self) -> bool:
+        """Whether x and y are the two branches of one Box-Muller pair (half_normal, quadrant)."""
+        return "uniform" not in MARGINALS[self.kind]
+
+    def draw(self, seeds, base) -> Tuple[np.ndarray, np.ndarray]:
+        """x and y of the attempt whose first counter is base, before the region test."""
+        if self.polar:
+            x, y = normal_pairs(seeds, base)
+            np.abs(x, out=x)
+            x *= self.sigma
+            y *= self.sigma
+            if MARGINALS[self.kind][1] == "half_normal":
+                np.abs(y, out=y)
+            return x, y
+        mx, my = self.marginals()
+        return mx.draw(seeds, base), my.draw(seeds, base + np.uint64(mx.counters))
+
 
 class SamplingError(Exception):
     """Rejection sampling exceeded the retry bound (sigma mismatched to region)."""
@@ -217,9 +245,40 @@ def halfplane_pdf(x: float, y: float, params: HalfNormalParams) -> float:
 
 
 def _counter_base(j: np.ndarray, attempt: int) -> np.ndarray:
-    """First counter of attempt `attempt` of sensors j."""
-    return (j.astype(np.uint64) * np.uint64(_BLOCK)
-            + np.uint64(attempt * _DRAWS_PER_ATTEMPT))
+    """First counter of attempt `attempt` of sensors j (uint64)."""
+    return j * np.uint64(_BLOCK) + np.uint64(attempt * _DRAWS_PER_ATTEMPT)
+
+
+def _place(model: DeploymentModel, seeds: np.ndarray,
+           columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y of sensors `columns` (uint64) of the deployments keyed by
+    `seeds`, which broadcast together.
+
+    The first attempt draws every sensor at once; only the draws a bounded
+    region rejects are redrawn, from further attempt slots of the same counter
+    block. A model that never rejects (DeploymentModel.rejects) skips the
+    test.
+    """
+    xs, ys = model.draw(seeds, _counter_base(columns, 0))
+    if not model.rejects:
+        return xs, ys
+    seeds, columns = np.broadcast_arrays(seeds, columns)
+    region = model.region
+    pending = np.nonzero(~region.contains(xs, ys))
+    for attempt in range(1, MAX_ATTEMPTS):
+        if pending[0].size == 0:
+            break
+        x, y = model.draw(seeds[pending], _counter_base(columns[pending], attempt))
+        accepted = region.contains(x, y)
+        placed = tuple(index[accepted] for index in pending)
+        xs[placed], ys[placed] = x[accepted], y[accepted]
+        pending = tuple(index[~accepted] for index in pending)
+    if pending[0].size:
+        raise SamplingError(
+            f"{pending[0].size} draw(s) still rejected after {MAX_ATTEMPTS} attempts; "
+            "sigma is grossly mismatched to the bounded region"
+        )
+    return xs, ys
 
 
 def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
@@ -228,68 +287,46 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
 
     Each seed keys one independent deployment, and sensor j reads counter
     block j whatever the call, so first = 0 gives the whole field and any
-    other first gives its last n - first columns, bit-identical. The first
-    attempt draws every sensor at once; only the draws a bounded region
-    rejects are redrawn, from further attempt slots of the same counter
-    block. A model that never rejects (DeploymentModel.rejects) skips the
-    test.
+    other first gives its last n - first columns, bit-identical.
     """
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    region, (mx, my) = model.region, model.marginals()
-
-    def draw(stream_seeds, j, attempt):
-        base = _counter_base(j + first, attempt)
-        return mx.draw(stream_seeds, base), my.draw(stream_seeds, base + np.uint64(mx.counters))
-
-    xs, ys = draw(seeds[:, None], np.arange(n - first), 0)
-    if not model.rejects:
-        return xs, ys
-    t, j = np.nonzero(~region.contains(xs, ys))
-    for attempt in range(1, MAX_ATTEMPTS):
-        if t.size == 0:
-            break
-        x, y = draw(seeds[t], j, attempt)
-        accepted = region.contains(x, y)
-        xs[t[accepted], j[accepted]] = x[accepted]
-        ys[t[accepted], j[accepted]] = y[accepted]
-        t, j = t[~accepted], j[~accepted]
-    if t.size:
-        raise SamplingError(
-            f"{t.size} draw(s) still rejected after {MAX_ATTEMPTS} attempts; "
-            "sigma is grossly mismatched to the bounded region"
-        )
-    return xs, ys
+    return _place(model, seeds[:, None], np.arange(first, n, dtype=np.uint64))
 
 
-def sample_in_band(model: DeploymentModel, n: int, seeds: np.ndarray, first: int,
-                   band: Tuple[float, float], axis: int) -> Tuple[np.ndarray, np.ndarray, Tuple]:
-    """The sensors of sample_positions(model, n, seeds, first) whose coordinate
-    `axis` (0 for x, 1 for y) lies in band = (lo, hi): their x, their y and
-    their (seed, column) indices, in row-major order.
+def sample_screened(model: DeploymentModel, n: int, seeds: np.ndarray, first: int,
+                    screen: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+    """The candidates among sensors first .. n - 1 of each seed's deployment:
+    their x, their y and their (seed, column) indices, in row-major order.
 
-    That coordinate is drawn for every sensor, the other only for those
-    sensors, each from the counters the full draw reads it from, so the values
-    are bit-identical to the full draw's. Only a model that never rejects can
-    skip a coordinate: a rejected sensor's redraw depends on both.
+    screen = (offset, a, width): a sensor is a candidate when the raw draw at
+    counter offset `offset` of its first attempt lies in [a, a + width],
+    taken mod 2^64 (raw - a <= width in uint64 arithmetic). Only that one raw
+    draw is read for every sensor; the candidates are placed in full, with
+    rejection, so their positions are bit-identical to sample_positions'.
+    Both steps run in blocks.
     """
-    if model.rejects:
-        raise ValueError(f"{model.kind.value} deployment on {model.region} can reject a draw")
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
-    axis = check_integer("axis", axis, 0, 1)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    marginals = model.marginals()
-    base = _counter_base(np.arange(first, n), 0)
-    # y reads from the counter after x's
-    offsets = (np.uint64(0), np.uint64(marginals[0].counters))
-    drawn = marginals[axis].draw(seeds[:, None], base + offsets[axis])
-    # np.nonzero of the mask, but flat indices come out twice as fast
-    at = np.divmod(np.flatnonzero((drawn >= band[0]) & (drawn <= band[1])), n - first)
-    other = marginals[1 - axis].draw(seeds[at[0]], base[at[1]] + offsets[1 - axis])
-    xs, ys = (drawn[at], other) if axis == 0 else (other, drawn[at])
-    return xs, ys, at
+    offset, a, width = screen
+    columns = np.arange(first, n, dtype=np.uint64)
+    counters = _counter_base(columns, 0) + np.uint64(offset)
+    candidate = np.empty((seeds.size, n - first), dtype=bool)
+    rows = max(1, _SCREEN_BLOCK // max(n - first, 1))
+    for lo in range(0, seeds.size, rows):
+        raw = raw_draws(seeds[lo:lo + rows, None], counters)
+        raw -= np.uint64(a)
+        np.less_equal(raw, np.uint64(width), out=candidate[lo:lo + rows])
+    # (seed, column) pairs in the narrowest index type that holds the grid
+    index = np.int32 if candidate.size <= np.iinfo(np.int32).max else np.intp
+    t, j = np.divmod(np.flatnonzero(candidate).astype(index), max(n - first, 1))
+    xs, ys = np.empty(t.size), np.empty(t.size)
+    for lo in range(0, t.size, _PLACE_BLOCK):
+        block = slice(lo, lo + _PLACE_BLOCK)
+        xs[block], ys[block] = _place(model, seeds[t[block]], columns[j[block]])
+    return xs, ys, (t, j)
 
 
 # Stein characterization test-function family: name -> (f, f', f(0))

@@ -8,12 +8,11 @@ first detecting sensor, or the largest N if none detects; the count at any N
 is the number of trials whose index is below N. Sensors are drawn in column
 chunks through sample_positions(model, n, seeds, first), and a trial stops
 drawing once every case has detected: the sensors it skips cannot change an
-index, so SamplingError can come only from a sensor that is drawn. On a
-model that never rejects a draw, a sensor detects only if its x lies in the
-cases' x band and its y in their y band; where one band holds little mass,
-a chunk draws that coordinate first and the other only for the sensors in
-its band (sample_in_band), from the counters the full field reads them
-from. Trial i always uses the substream derive_stream_seed(master, i), and
+index, so SamplingError can come only from a sensor that is drawn. Where
+most sensors can be decided from one raw draw (_screen), a chunk reads that
+draw for every sensor and places only the candidates in full
+(sample_screened), at the counters the full field reads them from. Trial i
+always uses the substream derive_stream_seed(master, i), and
 sensor j always reads counter block j of it, so estimates are independent
 of batch size, chunk widths, evaluation order and worker count, and each
 trial's indices equal those of its whole field. A sensor field depends on
@@ -33,11 +32,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analytic import capsule_probability, detection_probability
-from .distributions import (DeploymentKind, DeploymentModel, SamplingError, sample_in_band,
-                            sample_positions)
+from .distributions import (DeploymentKind, DeploymentModel, SamplingError, sample_positions,
+                            sample_screened)
 from .geometry import IntruderScenario, segment_dist2
 from .numerics import QuadratureError, QuadratureSpec
-from .rng import RandomSeed, check_integer, check_real, derive_stream_seed, derive_stream_seeds
+from .rng import (RandomSeed, check_integer, check_real, derive_stream_seed, derive_stream_seeds,
+                  polar_radius)
 
 _Z95 = 1.96
 _BATCH = 1 << 15
@@ -45,13 +45,14 @@ _BATCH = 1 << 15
 # half-normal trials stop early, and few chunks keep small N in few calls
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 16
-# the band scan draws the other coordinate only for sensors in the narrow
-# band, but finding them costs a pass over every sensor. Against the full
-# scan it took 0.48 of the time on the uniform README group drawing y first
-# (band mass 2%; x first, 7%: 0.63), 0.54-0.63 on a sigma = 10 half-plane
-# (8%), 0.44-0.62 on the sigma = 5 half-plane (16%; x first, 61%: 0.8-1.0),
-# 0.77-0.87 at 31% and 1.26-1.40 drawing x first at 84%
-_NARROW_MASS = 0.25
+# the screen costs one raw draw per sensor and the full draw per candidate.
+# Against the full scan, one thread, 2^15 trials: half-normal 0.35-0.38 of the
+# time at 16.5% candidates (the README sigma = 10 group), 0.48 at 31%, 0.73 at
+# 51% (the sigma = 5 half-plane), 0.90 at 62%, 1.04 at 71%; uniform 0.35 at 2%
+# (the README group), 0.84 at 25%, 1.24 at 56%. No workload lies in between
+_MAX_CANDIDATES = 0.6
+# the polar screen widens reach, and narrows inner, by this share plus 2^-500
+_MARGIN = 1e-9
 
 # a detection case: the intruder's path and the sensing range
 Case = Tuple[IntruderScenario, float]
@@ -105,16 +106,74 @@ def _bands(cases: Sequence[Case]) -> Tuple[Tuple[float, float], Tuple[float, flo
     return (x_lo - x_slack, x_hi + x_slack), (-y_hi - y_slack, y_hi + y_slack)
 
 
-def _narrow_axis(model: DeploymentModel, bands: Sequence[Tuple[float, float]]) -> Optional[int]:
-    """The axis (0 for x, 1 for y) whose band holds the least of its
-    marginal's mass, if the model never rejects and that mass is at most
-    _NARROW_MASS; otherwise None, for the full draw."""
-    if model.rejects:
+def _first_index(predicate) -> int:
+    """The least m in [0, 2^53] with predicate(m), for a predicate that is
+    false up to some m and true from there on (2^53 where it never holds)."""
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _screen(model: DeploymentModel, cases: Sequence[Case]) -> Optional[Tuple[int, int, int]]:
+    """(counter offset, a, width) for sample_screened: a sensor whose
+    first-attempt raw draw at that offset satisfies (raw - a) mod 2^64 > width
+    is placed on that attempt and detects in no case. None for no screen.
+
+    The screen is an interval of m = raw >> 11, which fixes the uniform
+    u = (m + 1) 2^-53 of the draw.
+    - half_normal and quadrant: u is u1, and the radius rho = sigma sqrt(-2 ln
+      u1) falls as m grows. Every case's capsule lies within reach = max(S + r)
+      of the origin (0 <= d <= S), and a draw with rho < inner lies in the
+      region: inner = min(x_max, -y_min, y_max) for half_normal and
+      min(x_max, y_max) for quadrant, where x_min <= 0 (and y_min <= 0 for
+      quadrant). So reach < rho < inner screens a sensor out. Both ends are
+      found by bisection, after widening reach and narrowing inner by _MARGIN
+      of themselves plus 2^-500, so neither the rounding of log, sqrt, sin and
+      cos (in any library) nor a square that underflows can flip a decision.
+    - uniform, on a model that never rejects: u places the coordinate whose
+      band (_bands) holds fewer draws, at lo + width u. That map is monotone
+      in m and rounds as the draw does, so its interval is exact.
+    No screen where some r * r overflows (every sensor detects), for strip,
+    or where more than _MAX_CANDIDATES of the sensors are candidates.
+    """
+    if any(math.isinf(r * r) for _, r in cases):
         return None
-    masses = [m.mass(max(lo, m.lo), min(hi, m.hi))
-              for m, (lo, hi) in zip(model.marginals(), bands)]
-    axis = masses.index(min(masses))
-    return axis if masses[axis] <= _NARROW_MASS else None
+    if model.polar:
+        region, sigma = model.region, model.sigma
+        folded_y = model.kind == DeploymentKind.QUADRANT
+        if region.x_min > 0.0 or (folded_y and region.y_min > 0.0):
+            return None
+        inner = min(region.x_max, region.y_max, math.inf if folded_y else -region.y_min)
+        inner = inner * (1.0 - _MARGIN) - 2.0 ** -500
+        reach = max(scenario.start_s + r for scenario, r in cases)
+        reach = reach * (1.0 + _MARGIN) + 2.0 ** -500
+        # below m_inner rho may leave the region; from m_reach on it may detect
+        m_inner = _first_index(lambda m: sigma * polar_radius(m << 11) < inner)
+        m_reach = _first_index(lambda m: sigma * polar_radius(m << 11) <= reach)
+        # candidates m >= m_reach or m < m_inner, an interval that wraps
+        offset, start, count = 0, m_reach, (1 << 53) - max(m_reach - m_inner, 0)
+    elif not model.rejects and model.kind == DeploymentKind.UNIFORM:
+        intervals = []
+        for offset, (m, (lo, hi)) in enumerate(zip(model.marginals(), _bands(cases))):
+            def value(k):
+                # the draw's coordinate at u = (k + 1) 2^-53, rounded as the draw rounds it
+                return m.lo + (m.hi - m.lo) * ((k + 1) * 2.0 ** -53)
+            start = _first_index(lambda k: value(k) >= lo)
+            intervals.append((_first_index(lambda k: value(k) > hi) - start, offset, start))
+        count, offset, start = min(intervals)
+        if count <= 0:
+            # no candidate; m = 0 stands in for one, since a candidate costs only its draw
+            start, count = 0, 1
+    else:
+        return None
+    if count > _MAX_CANDIDATES * (1 << 53):
+        return None
+    return offset, start << 11, (count << 11) - 1
 
 
 def _scan(xs: np.ndarray, ys: np.ndarray, at: tuple, width: int, paths: dict, k: np.ndarray,
@@ -148,28 +207,26 @@ def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
 
     One chunked pass; a trial draws the next chunk only while some case has
     no detection. Each chunk's squared distances to a path are computed once
-    and compared with the r^2 of every case on that path. On a model that
-    never rejects, either coordinate alone can rule a sensor out, so where
-    few sensors fall in one of the cases' bands (_narrow_axis) the chunk
-    draws that coordinate for every sensor and the other only for those in
-    the band (sample_in_band), from the same counters, and tests those alone.
+    and compared with the r^2 of every case on that path. Where one raw
+    draw rules most sensors out (_screen), the chunk reads it for every
+    sensor and places and tests the candidates alone (sample_screened), from
+    the same counters.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
         paths.setdefault(scenario, []).append((r * r, c))
-    bands = _bands(cases)
-    axis = _narrow_axis(model, bands)
+    screen = _screen(model, cases)
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
     live = np.arange(seeds.size)
     j0, width = 0, _FIRST_CHUNK
     while live.size and j0 < n_max:
         j1 = min(j0 + width, n_max)
-        if axis is None:
+        if screen is None:
             xs, ys = sample_positions(model, j1, seeds[live], j0)
             at = np.s_[:, :j1 - j0]
         else:
-            xs, ys, at = sample_in_band(model, j1, seeds[live], j0, bands[axis], axis)
+            xs, ys, at = sample_screened(model, j1, seeds[live], j0, screen)
         k_live = _scan(xs, ys, at, j1 - j0, paths, k[live], j0)
         k[live] = k_live
         live = live[(k_live == j1).any(axis=1)]

@@ -10,9 +10,10 @@ any set of counters at once and still reproduce exactly the raw and uniform
 values of the scalar functions (normals within 2 ulps), and a vectorized
 result never depends on batch size or thread count.
 
-Normal variates use the Box-Muller transform on two consecutive counters
-(the sine branch is discarded), giving every normal draw a fixed footprint
-of two counters.
+Normal variates use the Box-Muller transform on two consecutive counters:
+u1 at the first gives the radius sqrt(-2 ln u1), u2 at the second the angle
+2 pi u2. normal_draw is the cosine branch; normal_pair gives both branches,
+two independent normals from the same two counters.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -89,11 +90,26 @@ def uniform_draw(seed: int, counter: int) -> float:
     return ((raw_draw(seed, counter) >> 11) + 1) * _INV53
 
 
+def polar_radius(raw: int) -> float:
+    """Box-Muller radius sqrt(-2 ln u) of the uniform u of a raw draw.
+
+    u = ((raw >> 11) + 1) 2^-53, so the radius falls as raw >> 11 grows.
+    """
+    return math.sqrt(-2.0 * math.log(((raw >> 11) + 1) * _INV53))
+
+
+def normal_pair(seed: int, counter: int) -> Tuple[float, float]:
+    """Two independent standard normals (rho cos phi, rho sin phi) from
+    counters (counter, counter + 1): rho = sqrt(-2 ln u1), phi = 2 pi u2."""
+    rho = polar_radius(raw_draw(seed, counter))
+    phi = _TWO_PI * uniform_draw(seed, counter + 1)
+    return rho * math.cos(phi), rho * math.sin(phi)
+
+
 def normal_draw(seed: int, counter: int) -> float:
-    """Standard normal draw consuming counters (counter, counter + 1)."""
-    u1 = uniform_draw(seed, counter)
-    u2 = uniform_draw(seed, counter + 1)
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+    """Standard normal draw consuming counters (counter, counter + 1): the
+    cosine branch of normal_pair."""
+    return normal_pair(seed, counter)[0]
 
 
 def derive_stream_seed(master: int, index: int) -> int:
@@ -108,8 +124,9 @@ def derive_stream_seed(master: int, index: int) -> int:
 
 # -- vectorized counterparts ------------------------------------------------
 # raw and uniform draws are bit-identical to the scalar functions; normal
-# draws agree within 2 ulps, since numpy's log and cos may round differently
-# from libm's. Every determinism guarantee uses the vectorized path only.
+# draws agree within 2 ulps, since numpy's log, cos and sin may round
+# differently from libm's. Every determinism guarantee uses the vectorized
+# path only.
 
 _GOLDEN_U64 = np.uint64(GOLDEN)
 _MUL1_U64 = np.uint64(_MUL1)
@@ -156,17 +173,33 @@ def uniform_draws(seeds, counters) -> np.ndarray:
     return u
 
 
-def normal_draws(seeds, counters) -> np.ndarray:
-    """Vectorized normal_draw; each entry consumes counters (c, c + 1)."""
-    u1 = uniform_draws(seeds, counters)
+def _polar(seeds, counters) -> Tuple[np.ndarray, np.ndarray]:
+    """The Box-Muller radius sqrt(-2 ln u1) and angle 2 pi u2 of counters (c, c + 1)."""
+    rho = uniform_draws(seeds, counters)
     counters = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        u2 = uniform_draws(seeds, counters + np.uint64(1))
-    # sqrt(-2 log u1) cos(2 pi u2), in the two fresh arrays
-    np.log(u1, out=u1)
-    u1 *= -2.0
-    np.sqrt(u1, out=u1)
-    u2 *= _TWO_PI
-    np.cos(u2, out=u2)
-    u1 *= u2
-    return u1
+        phi = uniform_draws(seeds, counters + np.uint64(1))
+    # in the two fresh arrays
+    np.log(rho, out=rho)
+    rho *= -2.0
+    np.sqrt(rho, out=rho)
+    phi *= _TWO_PI
+    return rho, phi
+
+
+def normal_draws(seeds, counters) -> np.ndarray:
+    """Vectorized normal_draw; each entry consumes counters (c, c + 1)."""
+    rho, phi = _polar(seeds, counters)
+    np.cos(phi, out=phi)
+    rho *= phi
+    return rho
+
+
+def normal_pairs(seeds, counters) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized normal_pair; each entry consumes counters (c, c + 1)."""
+    rho, phi = _polar(seeds, counters)
+    sine = np.sin(phi)
+    sine *= rho
+    np.cos(phi, out=phi)
+    phi *= rho
+    return phi, sine

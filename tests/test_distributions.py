@@ -18,13 +18,13 @@ from hndeploy.distributions import (
     half_normal_pdf,
     halfplane_pdf,
     marginal,
-    sample_in_band,
     sample_positions,
+    sample_screened,
     stein_residual,
 )
 from hndeploy.geometry import HalfPlane, Rectangle
 from hndeploy.numerics import QuadratureSpec, integrate_1d, integrate_2d
-from hndeploy.rng import normal_draw, uniform_draw, uniform_draws
+from hndeploy.rng import normal_draw, normal_pair, raw_draws, uniform_draw, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -146,6 +146,28 @@ class TestSampling:
             if stat <= critical:
                 break
         assert stat <= critical
+
+
+    @pytest.mark.parametrize("kind", [DeploymentKind.HALF_NORMAL, DeploymentKind.QUADRANT])
+    def test_polar_pair_is_two_independent_marginals(self, kind):
+        # x and y are the two branches of one Box-Muller pair: each follows its
+        # marginal (Kolmogorov-Smirnov at the 1% level) and the pair is
+        # independent (chi-square on the table of the quartiles of x and |y|,
+        # 9 degrees of freedom, at the 1% level)
+        n = 40_000
+        model = DeploymentModel(kind, HalfPlane(), 2.0)
+        xs, ys = sample_positions(model, n, np.array([17], dtype=np.uint64))
+        for z, m in zip((xs[0], ys[0]), model.marginals()):
+            z = np.sort(z)
+            cdf = np.array([m.mass(m.lo, v) for v in z.tolist()])
+            stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+            assert stat <= 1.628 / math.sqrt(n)
+        quartile = [np.searchsorted(np.quantile(z, [0.25, 0.5, 0.75]), z)
+                    for z in (xs[0], np.abs(ys[0]))]
+        table = np.zeros((4, 4))
+        np.add.at(table, tuple(quartile), 1)
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+        assert np.sum((table - expected) ** 2 / expected) <= 21.666
 
 
 # (shape, sigma, bounds): each shape on bounded and, where it can be, unbounded bounds
@@ -368,9 +390,11 @@ class TestDeploymentSampling:
 def _reference_positions(model, n, seed):
     """Per-sensor scalar loop over the documented counter layout.
 
-    Sensor j, attempt a reads counters j*256 + 4a (x) and +1 (uniform y)
-    or +2 (normal y). Returns x, y and the attempt index each sensor
-    was accepted on.
+    Sensor j, attempt a reads from counter c = j*256 + 4a: a uniform x at c
+    and a uniform y at c + 1; half_normal and quadrant one Box-Muller pair
+    (normal_pair) at c and c + 1; strip the pair's cosine branch
+    (normal_draw) for x and a uniform y at c + 2. Returns x, y and the
+    attempt index each sensor was accepted on.
     """
     region, kind, sigma = model.region, model.kind, model.sigma
     xs, ys, attempts = [], [], []
@@ -380,13 +404,13 @@ def _reference_positions(model, n, seed):
             if kind == DeploymentKind.UNIFORM:
                 x = region.x_min + region.width * uniform_draw(seed, c)
                 y = region.y_min + region.height * uniform_draw(seed, c + 1)
-            else:
+            elif kind == DeploymentKind.STRIP:
                 x = abs(normal_draw(seed, c)) * sigma
-                if kind == DeploymentKind.STRIP:
-                    y = region.y_min + region.height * uniform_draw(seed, c + 2)
-                else:
-                    y = normal_draw(seed, c + 2) * sigma
-                    y = abs(y) if kind == DeploymentKind.QUADRANT else y
+                y = region.y_min + region.height * uniform_draw(seed, c + 2)
+            else:
+                cosine, sine = normal_pair(seed, c)
+                x = abs(cosine) * sigma
+                y = abs(sine) * sigma if kind == DeploymentKind.QUADRANT else sine * sigma
             if region.contains(x, y):
                 break
         else:
@@ -402,9 +426,9 @@ def _reference_positions(model, n, seed):
 _NORMAL_MAXULP = 4
 _LAYOUT_SEEDS = [0, 7, 123456789, 2**63 + 5, 2**64 - 1]
 # with sigma = 5 on the box [0, 1] x [-1, 1], every sensor of these 12-sensor
-# fields is placed, and seeds 4, 241 and 737 place sensors 1, 7 and 11 on the
-# last of the 64 attempts when y is (half-)normal
-_CHUNK_SEEDS = [1, 4, 5, 241, 737]
+# fields is placed, and seeds 950, 1958 and 1743 place sensors 1, 7 and 11 on
+# the last of the 64 attempts when y is (half-)normal
+_CHUNK_SEEDS = [3, 950, 12, 1958, 1743]
 
 
 class TestSamplerCounterLayout:
@@ -432,11 +456,11 @@ class TestSamplerCounterLayout:
         assert (retried > 0) == (region.bounded and kind != DeploymentKind.UNIFORM)
 
     def test_sensor_accepted_on_last_attempt(self):
-        # seed 106 puts its only sensor inside this box on attempt 64 of 64
+        # seed 38 puts its only sensor inside this box on attempt 64 of 64
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
-        x_ref, y_ref, attempts = _reference_positions(model, 1, 106)
+        x_ref, y_ref, attempts = _reference_positions(model, 1, 38)
         assert attempts == [63]
-        xs, ys = sample_positions(model, 1, np.array([106], dtype=np.uint64))
+        xs, ys = sample_positions(model, 1, np.array([38], dtype=np.uint64))
         np.testing.assert_array_max_ulp(xs[0], x_ref, maxulp=_NORMAL_MAXULP)
         np.testing.assert_array_max_ulp(ys[0], y_ref, maxulp=_NORMAL_MAXULP)
 
@@ -471,7 +495,7 @@ class TestSamplerCounterLayout:
         full_x, full_y = sample_positions(model, 6, seeds)
         assert np.array_equal(xs, full_x[:, 2:]) and np.array_equal(ys, full_y[:, 2:])
 
-    @pytest.mark.parametrize("seed,j", [(4, 1), (241, 7), (737, 11)])
+    @pytest.mark.parametrize("seed,j", [(950, 1), (1958, 7), (1743, 11)])
     def test_chunk_sensor_accepted_on_last_attempt(self, seed, j, monkeypatch):
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
         seeds = np.array([seed], dtype=np.uint64)
@@ -524,30 +548,56 @@ class TestNeverRejectingModels:
             assert contains(region, xs, ys).all()
         assert bool(tested) == rejects
 
-    @pytest.mark.parametrize("kind,region", [(k, r) for k, r, rejects in _REJECTS_CASES
-                                             if not rejects])
-    @pytest.mark.parametrize("band", [(-1.0, 2.0), (0.5, 0.5), (35.0, 100.0), (60.0, 70.0)])
-    def test_band_draw_is_the_full_draw_at_the_band(self, kind, region, band):
+
+
+# (offset, a, width) screens: the lower half of the raw draws at x's counter,
+# a quarter at the next counter, a half that wraps past 2^64, every draw, and
+# a single raw value at the third counter
+_SCREENS = [(0, 0, 2**63 - 1), (1, 2**63 + 5, 2**62), (0, 2**64 - 2**62, 2**63),
+            (0, 0, 2**64 - 1), (2, 12345, 0)]
+
+
+class TestScreenedSampling:
+    @pytest.mark.parametrize("kind,region", [(k, r) for k, r, _ in _REJECTS_CASES])
+    @pytest.mark.parametrize("screen", _SCREENS)
+    def test_screened_draw_is_the_full_draw_at_the_candidates(self, kind, region, screen):
         model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 1.0)
         seeds = np.array(_LAYOUT_SEEDS + _CHUNK_SEEDS, dtype=np.uint64)
         full_x, full_y = sample_positions(model, 40, seeds)
-        for axis, full in enumerate((full_x, full_y)):
-            xs, ys, at = sample_in_band(model, 40, seeds, 3, band, axis)
-            expected = np.nonzero((full[:, 3:] >= band[0]) & (full[:, 3:] <= band[1]))
-            assert all(np.array_equal(a, b) for a, b in zip(at, expected))
-            assert np.array_equal(xs, full_x[:, 3:][at]) and np.array_equal(ys, full_y[:, 3:][at])
-            empty_x, empty_y, (empty_t, empty_j) = sample_in_band(model, 3, seeds, 3, band, axis)
-            assert empty_x.size == empty_y.size == empty_t.size == empty_j.size == 0
+        offset, a, width = screen
+        # sensor j's first attempt starts at counter 256 j
+        raw = raw_draws(seeds[:, None], np.arange(3, 40, dtype=np.uint64) * np.uint64(256)
+                        + np.uint64(offset))
+        expected = np.nonzero([[(int(v) - a) % 2**64 <= width for v in row] for row in raw])
+        xs, ys, at = sample_screened(model, 40, seeds, 3, screen)
+        assert all(np.array_equal(got, want) for got, want in zip(at, expected))
+        assert np.array_equal(xs, full_x[:, 3:][at]) and np.array_equal(ys, full_y[:, 3:][at])
+        empty_x, empty_y, (empty_t, empty_j) = sample_screened(model, 3, seeds, 3, screen)
+        assert empty_x.size == empty_y.size == empty_t.size == empty_j.size == 0
 
-    def test_band_draw_refuses_a_rejecting_model(self):
-        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(1.0, 5.0, -1.0, 1.0), 1.0)
-        for axis in (0, 1):
-            with pytest.raises(ValueError, match="can reject a draw"):
-                sample_in_band(model, 4, np.array(_CHUNK_SEEDS, dtype=np.uint64), 0, (0.0, 2.0),
-                               axis)
-        with pytest.raises(ValueError, match="axis must be"):
-            sample_in_band(DeploymentModel(DeploymentKind.QUADRANT, HalfPlane(), 1.0), 4,
-                           np.array(_CHUNK_SEEDS, dtype=np.uint64), 0, (0.0, 2.0), 2)
+    def test_only_a_candidate_can_fail(self, monkeypatch):
+        # seed 950 places sensor 1 on its last attempt: with one attempt fewer
+        # it fails, and a screen that leaves it out draws the rest in full
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
+        seeds = np.array([950], dtype=np.uint64)
+        raw = int(raw_draws(seeds, np.uint64(256))[0])
+        monkeypatch.setattr(distributions, "MAX_ATTEMPTS", 63)
+        with pytest.raises(SamplingError):
+            sample_screened(model, 4, seeds, 0, (0, raw, 0))
+        # every raw value but sensor 1's, an interval that wraps
+        xs, ys, (t, j) = sample_screened(model, 4, seeds, 0, (0, raw + 1, 2**64 - 2))
+        assert j.tolist() == [0, 2, 3]
+
+    @pytest.mark.parametrize("rows,block", [(1, 1), (3, 2), (40, 5)])
+    def test_blocks_do_not_change_the_draw(self, monkeypatch, rows, block):
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
+        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
+        whole = sample_screened(model, 12, seeds, 2, _SCREENS[2])
+        monkeypatch.setattr(distributions, "_SCREEN_BLOCK", rows)
+        monkeypatch.setattr(distributions, "_PLACE_BLOCK", block)
+        blocked = sample_screened(model, 12, seeds, 2, _SCREENS[2])
+        assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
+        assert all(np.array_equal(a, b) for a, b in zip(blocked[2], whole[2]))
 
 
 @pytest.mark.parametrize("region", [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0)])

@@ -11,11 +11,11 @@ from hndeploy.analytic import capsule_probability, full_report
 from hndeploy.cli import sweep_csv
 from hndeploy.config import ExperimentConfig
 from hndeploy.distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
-from hndeploy import distributions, montecarlo
+from hndeploy import distributions, montecarlo, rng
 from hndeploy.geometry import (HalfPlane, IntruderScenario, Rectangle, detects, detects_any,
                                segment_dist2)
 from hndeploy.montecarlo import estimate_detection, sweep
-from hndeploy.rng import RandomSeed, derive_stream_seed
+from hndeploy.rng import RandomSeed, derive_stream_seed, derive_stream_seeds
 
 
 HALF_NORMAL_MODEL = DeploymentModel(kind=DeploymentKind.HALF_NORMAL,
@@ -129,16 +129,16 @@ class TestEstimateDetection:
         assert abs(est.p_hat - report.p_d) <= max(0.01, 3 * est.ci_half_width)
 
     def test_detected_trial_draws_no_further_sensors(self):
-        # every point of this box lies within r = 10 of the path; master 1's
+        # every point of this box lies within r = 10 of the path; master 7's
         # trial places its first 8 sensors but rejects a later one of its 20 on
         # every attempt, so only the full field raises
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
         scenario = IntruderScenario(start_s=1.0, distance_d=1.0)
-        seeds = np.array([derive_stream_seed(1, 0)], dtype=np.uint64)
+        seeds = np.array([derive_stream_seed(7, 0)], dtype=np.uint64)
         sample_positions(model, 8, seeds)
         with pytest.raises(SamplingError):
             sample_positions(model, 20, seeds)
-        est = estimate_detection(model, 20, scenario, 10.0, 1, RandomSeed(1))
+        est = estimate_detection(model, 20, scenario, 10.0, 1, RandomSeed(7))
         assert est.detected_count == 1
 
     @pytest.mark.parametrize("kind,sigma,n,cases", [
@@ -193,7 +193,9 @@ class TestEstimateDetection:
 # flips: on [-1.1, 0.3] x [-0.3, 0.1] lo + width rounds above hi on both
 # axes; the half-normal never rejects on x >= -5 and rejects on x >= 1. No
 # case drawn here reaches x in [30, 40] or, having r <= 5, y in [10, 20]:
-# there the x band, and then the y band, is empty
+# there the x band, and then the y band, is empty. Last, two boxes that
+# reject about a sixth of the draws at sigma = 30, yet are screened for every
+# case drawn here (all lie within 25 of the origin)
 _PROPERTY_CASES = [
     (kind, region, None if kind == DeploymentKind.UNIFORM else sigma)
     for region in (Rectangle(0.0, 3.0, -3.0, 3.0), Rectangle(-50.0, 50.0, -50.0, 50.0))
@@ -206,10 +208,12 @@ _PROPERTY_CASES = [
     (DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf), 5.0),
     (DeploymentKind.UNIFORM, Rectangle(30.0, 40.0, -3.0, 3.0), None),
     (DeploymentKind.UNIFORM, Rectangle(-5.0, 5.0, 10.0, 20.0), None),
+    (DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -60.0, 50.0), 30.0),
+    (DeploymentKind.QUADRANT, Rectangle(-1.0, 55.0, -2.0, 50.0), 30.0),
 ]
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=66, derandomize=True, database=None, deadline=None)
 @given(case=st.sampled_from(_PROPERTY_CASES), drawn=st.lists(st.integers(0, 60), min_size=1,
                                                              max_size=4),
        paths=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 1.0),
@@ -225,12 +229,10 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    # the full scan, and wherever the model never rejects the x-first and the
-    # y-first scans, whatever their bands' mass
-    first_hits = []
-    for axis in [None] + ([] if model.rejects else [0, 1]):
-        with mock.patch.object(montecarlo, "_narrow_axis", lambda model, bands: axis):
-            first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
+    # the screened scan wherever it pays, and the full scan
+    first_hits = [montecarlo._first_hits(model, cases, ns[-1], seeds)]
+    with mock.patch.object(montecarlo, "_screen", lambda model, cases: None):
+        first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
         # one column per sensor: whether it alone detects
@@ -302,36 +304,120 @@ def test_y_band_holds_every_detecting_y(r):
         assert lo == -hi and r <= hi <= max(r + 32 * math.ulp(r), 2.0 ** -499)
 
 
-@pytest.mark.parametrize("model,n,scenario,draws,x_share", [
-    # the README uniform row: 7% of x and 2% of y fall in their bands; x reads
-    # a sensor's first counter, y the next
-    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0)), 500,
-     IntruderScenario(5.0, 5.0), "uniform_draws", 0.05),
-    # the sigma = 5 half-plane: 61% of x and 16% of y; y reads the third counter
-    (HALF_NORMAL_MODEL, 100, SCENARIO, "normal_draws", 0.25),
+def _draw_at(model, raws):
+    """model.draw on chosen raw values: raws[i][k] is read at counter offset k
+    of sensor i's first attempt."""
+    raws = np.array(raws, dtype=np.uint64)
+
+    def fixed(seeds, counters):
+        sensor, offset = np.divmod(np.asarray(counters, dtype=np.intp), 4)
+        return raws[sensor, offset]
+
+    with mock.patch.object(rng, "raw_draws", fixed):
+        return model.draw(np.uint64(0), np.arange(len(raws), dtype=np.uint64) * np.uint64(4))
+
+
+def _screened_out_sensors(model, cases, other_raws):
+    """The sensors of raws m << 11 for m within 300 of either end of the
+    screen's interval, combined with each of other_raws at the other offset,
+    that the screen rules out: their x and y."""
+    offset, a, width = montecarlo._screen(model, cases)
+    ends = (a >> 11, ((a + width + 1) % 2**64) >> 11)
+    ms = {m for end in ends for m in range(end - 300, end + 301) if 0 <= m < 2**53}
+    raws = [(m << 11, other) if offset == 0 else (other, m << 11)
+            for m in sorted(ms) for other in other_raws if ((m << 11) - a) % 2**64 > width]
+    assert raws
+    return _draw_at(model, raws)
+
+
+# u2 raw values for the angles 0 and 2 pi (nearest the capsule and x_max),
+# pi / 2 and 3 pi / 2 (nearest y_max and y_min), pi, and one step past each
+_ANGLES = [k + step for k in (0, 2**51 - 1, 2**52 - 1, 3 * 2**51 - 1, 2**53 - 1)
+           for step in (0, 1, -1) if 0 <= k + step < 2**53]
+
+
+@pytest.mark.parametrize("model", [
+    DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0),
+    DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0),
+    DeploymentModel(DeploymentKind.QUADRANT, Rectangle(-1.0, 40.0, -2.0, 30.0), 8.0),
 ])
-def test_narrow_axis_scan_draws_x_only_for_band_sensors(monkeypatch, model, n, scenario, draws,
-                                                        x_share):
-    x_at, y_at = 0, model.marginals()[0].counters
-    # the values drawn at each counter offset within a sensor's block
-    drawn = {x_at: 0, y_at: 0}
-    draw = getattr(distributions, draws)
+@pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0)])
+@pytest.mark.parametrize("s,d", [(5.0, 3.0), (0.0, 0.0)])
+def test_polar_screen_rules_out_only_placed_sensors_that_miss(model, r, s, d):
+    cases = [(IntruderScenario(s, d), r)]
+    xs, ys = _screened_out_sensors(model, cases, [k << 11 for k in _ANGLES])
+    assert np.all(model.region.contains(xs, ys))
+    assert np.all(segment_dist2(xs, ys, cases[0][0]) > r * r)
+
+
+@pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0)])
+@pytest.mark.parametrize("s,d", [(5.0, 5.0), (0.0, 0.0), (50.0, 3.0)])
+def test_uniform_screen_rules_out_only_sensors_that_miss(r, s, d):
+    model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
+    cases = [(IntruderScenario(s, d), r)]
+    offset = montecarlo._screen(model, cases)[0]
+    # the other coordinate at its middle (0) and at the path's ends
+    others = [(2**52 - 1) << 11] + [int((c + 50.0) / 100.0 * 2**53 - 1) << 11
+                                     for c in (s - d, s)]
+    xs, ys = _screened_out_sensors(model, cases, others)
+    assert np.all(model.region.contains(xs, ys))
+    assert np.all(segment_dist2(xs, ys, cases[0][0]) > r * r)
+
+
+@pytest.mark.parametrize("model,r", [
+    # a polar sensor with x below x_min > 0, or a quadrant y below y_min > 0,
+    # may lie at any radius
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf),
+                     10.0), 1.0),
+    (DeploymentModel(DeploymentKind.QUADRANT, Rectangle(0.0, math.inf, 1.0, math.inf), 10.0), 1.0),
+    # a uniform draw may leave this box (lo + width rounds above hi), and a
+    # strip's half-normal x may leave any box
+    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1)), 1e-3),
+    (DeploymentModel(DeploymentKind.STRIP, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0), 1.0),
+    # every sensor detects where r * r overflows
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 1e200),
+    # 84% of the radii at sigma = 3 lie within the reach of 6
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 3.0), 1.0),
+])
+def test_no_screen_where_it_cannot_rule_sensors_out(model, r):
+    assert montecarlo._screen(model, [(IntruderScenario(5.0, 3.0), r)]) is None
+
+
+@pytest.mark.parametrize("model,screened_at,share", [
+    # the README half-normal row: u1 decides all but 16.5% of the sensors,
+    # which also draw u2
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0), 0,
+     0.2),
+    # the README uniform row: y decides all but 2%, which also draw x
+    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0)), 1, 0.05),
+])
+def test_screen_draws_the_rest_only_for_candidates(monkeypatch, model, screened_at, share):
+    cases = [(IntruderScenario(5.0, 5.0), 1.0)]
+    seeds = derive_stream_seeds(3, np.arange(2000, dtype=np.uint64))
+    # the raw values drawn at each counter offset within a sensor's block
+    drawn = np.zeros(256, dtype=np.int64)
+    raw_draws = rng.raw_draws
 
     def counted(seeds, counters):
-        values = draw(seeds, counters)
-        if values.size:
-            drawn[int(np.asarray(counters).flat[0]) % 256] += values.size
+        values = raw_draws(seeds, counters)
+        offsets = np.broadcast_to(np.asarray(counters, dtype=np.uint64), values.shape) % 256
+        drawn[:] += np.bincount(offsets.ravel().astype(np.intp), minlength=256)
         return values
 
-    monkeypatch.setattr(distributions, draws, counted)
-    with mock.patch.object(montecarlo, "_narrow_axis", lambda model, bands: None):
-        full = estimate_detection(model, n, scenario, 1.0, 2000, RandomSeed(3))
-    examined = drawn[y_at]
-    assert drawn[x_at] == examined > 0
-    drawn.update({x_at: 0, y_at: 0})
-    assert estimate_detection(model, n, scenario, 1.0, 2000, RandomSeed(3)) == full
-    assert drawn[y_at] == examined
-    assert 0 < drawn[x_at] <= x_share * examined
+    # the screen calls raw_draws directly, the full draw through rng's own functions
+    monkeypatch.setattr(rng, "raw_draws", counted)
+    monkeypatch.setattr(distributions, "raw_draws", counted)
+    assert montecarlo._screen(model, cases) is not None
+    with mock.patch.object(montecarlo, "_screen", lambda model, cases: None):
+        full = montecarlo._first_hits(model, cases, 500, seeds)
+    examined, other = drawn[screened_at], drawn[1 - screened_at]
+    # the full draw reads both offsets of the first attempt for every sensor
+    assert examined == other > 0
+    drawn[:] = 0
+    assert np.array_equal(montecarlo._first_hits(model, cases, 500, seeds), full)
+    # the screen reads one offset for every sensor; a candidate reads both
+    assert drawn[screened_at] == examined + drawn[1 - screened_at]
+    assert 0 < drawn[1 - screened_at] <= share * examined
 
 
 def _config(**overrides):
@@ -507,7 +593,7 @@ _GROUP_CONFIGS = {
     "rejection": dict(models=[DeploymentKind.HALF_NORMAL], sigma_values=[2.0, 2.5, 3.0],
                       n_values=[3, 6, 20, 60, 200], s_values=[0.5], d_values=[0.5],
                       r_values=[0.1], region=Rectangle(0.0, 1.0, -1.0, 1.0), trials=200,
-                      master_seed=3),
+                      master_seed=0),
 }
 
 

@@ -28,6 +28,9 @@ from hndeploy.rng import (
     mix64,
     normal_draw,
     normal_draws,
+    normal_pair,
+    normal_pairs,
+    polar_radius,
     raw_draw,
     raw_draws,
     uniform_draw,
@@ -65,6 +68,12 @@ def test_vectorized_matches_scalar():
     nv = normal_draws(987654321, counters * np.uint64(2))
     ns = [normal_draw(987654321, 2 * c) for c in range(n)]
     np.testing.assert_array_max_ulp(nv, np.array(ns), maxulp=2)
+
+    # normal_draw is the cosine branch of normal_pair, in both forms
+    cosine, sine = normal_pairs(987654321, counters * np.uint64(2))
+    pairs = np.array([normal_pair(987654321, 2 * c) for c in range(n)])
+    assert cosine.tolist() == nv.tolist() and pairs[:, 0].tolist() == ns
+    np.testing.assert_array_max_ulp(sine, pairs[:, 1], maxulp=2)
 
 
 def test_mix64_array_matches_scalar():
@@ -110,6 +119,15 @@ def test_derive_stream_seeds_matches_scalar(master):
     seeds = derive_stream_seeds(master, indices)
     assert seeds.dtype == np.uint64
     assert seeds.tolist() == [derive_stream_seed(master, int(i)) for i in indices]
+
+
+def test_polar_radius_is_the_box_muller_radius():
+    # sqrt(-2 ln u) of the raw draw's uniform; u = 1 at the top m gives 0
+    for seed, counter in ((1, 0), (99, 12345), (2**64 - 1, 7)):
+        u = uniform_draw(seed, counter)
+        assert polar_radius(raw_draw(seed, counter)) == math.sqrt(-2.0 * math.log(u))
+    assert polar_radius(MASK64) == 0.0
+    assert polar_radius(0) == pytest.approx(math.sqrt(106.0 * math.log(2.0)), rel=1e-15)
 
 
 def test_normal_moments():
