@@ -25,8 +25,6 @@ from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .montecarlo import SweepRow, estimate_detection, sweep
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import RandomSeed, check_real
-from .svgplot import PlotSpec, render_line_chart
-from .validate import run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -104,6 +102,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    # imported here, so that the other commands do not load them
+    from .svgplot import PlotSpec, render_line_chart
+
     spec = PlotSpec(
         x_column=args.x,
         y_columns=tuple(args.y),
@@ -122,6 +123,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validate import run_validation
+
     results = run_validation()
     failed = 0
     for result in results:

@@ -15,16 +15,21 @@ engine. An axis with a uniform marginal needs a bounded region:
 
 Sampling is counter-based: sensor j of a deployment keyed by seed s uses
 the counter block [j * 256, (j + 1) * 256) of stream s, four counters per
-rejection attempt starting at base = j * 256 + 4 * attempt. A uniform x
-reads counter base and a uniform y base + 1. half_normal and quadrant read
-one Box-Muller pair: u1 at base gives the radius rho = sigma sqrt(-2 ln u1)
-and u2 at base + 1 the angle phi = 2 pi u2, and the sensor is
-(|rho cos phi|, rho sin phi), or (|rho cos phi|, |rho sin phi|) for
-quadrant. strip's x is the same |rho cos phi| and its uniform y reads
+rejection attempt starting at base = j * 256 + 4 * attempt. half_normal
+and quadrant read one Box-Muller pair: u1 at base gives the radius
+rho = sigma sqrt(-2 ln u1) and u2 at base + 1 the angle phi = 2 pi u2, and
+the sensor is (|rho cos phi|, rho sin phi), or (|rho cos phi|, |rho sin phi|)
+for quadrant. strip's x is the same |rho cos phi| and its uniform y reads
 base + 2. Draws falling outside a bounded region are rejected and redrawn
-from the next attempt slot, up to MAX_ATTEMPTS per sensor. The addressing
-makes batched, sequential, column-chunked (sample_positions with
-first > 0) and screened (sample_screened) sampling bit-identical.
+from the next attempt slot, up to MAX_ATTEMPTS per sensor. A uniform field
+is defined through its Ladder, nested levels of |y| that depend on the
+model alone: each sensor's level comes from per-level Geometric gap streams
+on their own substreams of s (exact up to the rounding of log, not
+bit-identical to a per-sensor Bernoulli draw), its uniform x reads counter
+base and its y, uniform on its level's ring, base + 1, both clamped into
+the region. The addressing makes batched, sequential, column-chunked
+(sample_positions with first > 0), screened (sample_screened) and
+level-by-level (LadderScan) sampling bit-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Rectangle
-from .rng import check_integer, check_real, normal_draws, normal_pairs, raw_draws, uniform_draws
+from .rng import (check_integer, check_real, derive_stream_seeds, normal_draws, normal_pairs,
+                  raw_draws, uniform_draws)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -51,6 +57,11 @@ _BLOCK = MAX_ATTEMPTS * _DRAWS_PER_ATTEMPT
 # two worker threads from queuing on the interpreter lock between them
 _SCREEN_BLOCK = 1 << 17
 _PLACE_BLOCK = 1 << 14
+# a uniform field's Ladder: each level holds _LADDER_RATIO times the share of
+# the y mass of the one below it, over _LADDER_STEPS steps up to the top
+# level, which holds every sensor; the deepest level holds 2^-8
+_LADDER_RATIO = 2.0 ** 0.5
+_LADDER_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -171,8 +182,9 @@ class DeploymentModel:
 
     @property
     def rejects(self) -> bool:
-        """Whether a draw can fall outside the region, so sampling must test it."""
-        return not all(m.within for m in self.marginals())
+        """Whether a draw can fall outside the region, so sampling must test it
+        (never for uniform, whose Ladder clamps its draws into the region)."""
+        return self.kind != DeploymentKind.UNIFORM and not all(m.within for m in self.marginals())
 
     @property
     def polar(self) -> bool:
@@ -287,22 +299,180 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
 
     Each seed keys one independent deployment, and sensor j reads counter
     block j whatever the call, so first = 0 gives the whole field and any
-    other first gives its last n - first columns, bit-identical.
+    other first gives its last n - first columns, bit-identical. A uniform
+    field is the one its Ladder places: every sensor, each at its level.
     """
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    return _place(model, seeds[:, None], np.arange(first, n, dtype=np.uint64))
+    if model.kind != DeploymentKind.UNIFORM:
+        return _place(model, seeds[:, None], np.arange(first, n, dtype=np.uint64))
+    ladder = Ladder(model)
+    scan = LadderScan(ladder, seeds, ladder.top)
+    every = slice(0, seeds.size)
+    scan.advance(first, every)
+    rows, columns, levels = scan.members(first, n, every)
+    xs, ys = ladder.place(seeds[rows], columns, levels)
+    return xs.reshape(seeds.size, n - first), ys.reshape(seeds.size, n - first)
+
+
+class Ladder:
+    """The nested levels of a uniform deployment's sensors by |y|.
+
+    Level k holds the sensors with |y| <= bound[k], and share[k] of them; the
+    bounds depend on the model alone. Level 0 holds 2^-8 of the y mass, each
+    level above it _LADDER_RATIO times as much, and the top level every
+    sensor. A sensor's level is drawn first: process k < top picks each
+    sensor index independently with probability rate[k] = (share[k] -
+    share[k - 1]) / (1 - share[k - 1]), and a sensor belongs to the deepest
+    process that picks it, or to the top level if none does; the product of
+    the (1 - rate) telescopes, so a sensor lies within level k with
+    probability share[k]. Process k enumerates its picks by Geometric(rate[k])
+    gaps, floor(ln u / ln(1 - rate[k])), on the substream
+    derive_stream_seed(seed, k) of the deployment's seed: its first pick is
+    the first gap, read at counter 0, and the gap after a pick at j is read at
+    counter j + 1. That is exact up to the rounding of log, not bit-identical
+    to a per-sensor Bernoulli draw.
+    Given its level, sensor j's y is uniform on the level's ring (|y| above
+    the bound below, within the region: up to two intervals) from u at
+    counter 256 j + 1, and its x is uniform from u at 256 j. Both are clamped
+    into the region, never redrawn, so the field never rejects.
+    """
+
+    def __init__(self, model: DeploymentModel):
+        (x, _), region = model.marginals(), model.region
+        y_min, y_max = region.y_min, region.y_max
+        self._x = x
+        # the bound w of each target share: the region's y within |y| <= w
+        # starts at the least |y| it holds, `near`, and grows on both sides
+        # of 0 until w reaches `both`, then on one side
+        near = max(y_min, -y_max, 0.0)
+        both = max(0.0, min(-y_min, y_max))
+        length = _LADDER_RATIO ** -np.arange(_LADDER_STEPS, 0, -1.0) * region.height
+        bound = near + np.where(length <= 2.0 * both, 0.5 * length, length - both)
+        bound = np.append(bound[bound > near], max(-y_min, y_max))
+        # rounding may merge neighbouring bounds
+        self.bound = bound[np.diff(bound, prepend=near) > 0]
+        # each ring as a piece below 0 and one above; level 0's is one piece
+        inner = np.append(-self.bound[0], self.bound[:-1])
+        self._lo = np.stack([np.maximum(y_min, -self.bound), np.maximum(y_min, inner)])
+        self._hi = np.stack([np.minimum(y_max, np.append(-math.inf, -self.bound[:-1])),
+                             np.minimum(y_max, self.bound)])
+        self._length = np.maximum(self._hi - self._lo, 0.0)
+        ring = self._length.sum(axis=0)
+        within = np.cumsum(ring)
+        self.share = within / within[-1]
+        self.top = ring.size - 1
+        # the share of what lies outside the levels below
+        self.rate = ring[:-1] / np.cumsum(ring[::-1])[:0:-1]
+        self._log_keep = np.log1p(-self.rate)
+        self._ring = ring
+
+    def level(self, half_width: float) -> int:
+        """The deepest level outside which every sensor has |y| > half_width."""
+        return min(int(np.searchsorted(self.bound, half_width, side="right")), self.top)
+
+    def place(self, seeds, columns: np.ndarray,
+              levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """x and y of sensors `columns` (at `levels`) of the deployments keyed
+        by `seeds`, which broadcast together."""
+        base = np.asarray(columns, dtype=np.uint64) * np.uint64(_BLOCK)
+        xs = self._x.draw(seeds, base)
+        np.minimum(xs, self._x.hi, out=xs)
+        t = uniform_draws(seeds, base + np.uint64(1))
+        t *= self._ring.take(levels)
+        # the piece below 0 holds the first stretch of the ring's length
+        below = self._length[0].take(levels)
+        piece = t > below
+        t -= below * piece
+        # the chosen piece's entry in the (piece, level) tables
+        at = levels + piece * self._ring.size
+        lo = self._lo.take(at)
+        ys = lo + t
+        np.maximum(ys, lo, out=ys)
+        np.minimum(ys, self._hi.take(at), out=ys)
+        return xs, ys
+
+
+class LadderScan:
+    """The picks of a Ladder's processes up to one level, for a set of
+    deployments, scanned by index windows in order."""
+
+    def __init__(self, ladder: Ladder, seeds: np.ndarray, level: int):
+        self.ladder, self.level = ladder, level
+        # stream s is process s % depth of deployment s // depth
+        self.depth = min(level + 1, ladder.top)
+        processes = np.arange(self.depth, dtype=np.uint64)
+        self.seeds = derive_stream_seeds(seeds[:, None], processes).ravel()
+        # each stream's next pick; every stream starts from a pick at index -1
+        self.pos = np.full(self.seeds.size, -1, dtype=np.int64)
+
+    def advance(self, stop: int, rows: slice) -> Tuple[np.ndarray, np.ndarray]:
+        """(stream, index) of every pick below `stop` of the deployments
+        `rows`, in no set order, index -1 among them; each of their streams
+        moves on to its first pick at or past stop."""
+        first = rows.start * self.depth
+        found_streams, found = [], []
+        s = first + np.flatnonzero(self.pos[first:rows.stop * self.depth] < stop)
+        while s.size:
+            pos = self.pos[s]
+            found_streams.append(s)
+            found.append(pos)
+            # the gap after the pick at j reads u at counter j + 1
+            pos = pos + 1
+            gap = np.log(uniform_draws(self.seeds[s], pos.view(np.uint64)))
+            gap /= self.ladder._log_keep[s % self.depth]
+            # no gap this long is ever reached
+            pos += np.minimum(gap, 2.0 ** 53, out=gap).astype(np.int64)
+            self.pos[s] = pos
+            s = s[pos < stop]
+        return (np.concatenate(found_streams or [np.empty(0, np.intp)]),
+                np.concatenate(found or [np.empty(0, np.int64)]))
+
+    def members(self, start: int, stop: int,
+                rows: slice) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(deployment, index, level) of the members of the scan's level among
+        indices start .. stop - 1 of the deployments `rows`, in (deployment,
+        index) order, with deployments counted from rows.start; their streams
+        stand at start."""
+        streams, index = self.advance(stop, rows)
+        picked = index >= start
+        streams, index = streams[picked], index[picked]
+        width = stop - start
+        key = streams // self.depth - rows.start
+        key *= width
+        key += index - start
+        key *= self.depth
+        key += streams % self.depth
+        key.sort()
+        cell, level = np.divmod(key, self.depth)
+        # the deepest process that picks a sensor owns it
+        first = np.ones(cell.size, dtype=bool)
+        np.not_equal(cell[1:], cell[:-1], out=first[1:])
+        cell, level = cell[first], level[first]
+        if self.level == self.ladder.top:
+            # every sensor; those no process picks are at the top level
+            every = np.full((rows.stop - rows.start) * width, self.level, dtype=np.int64)
+            every[cell] = level
+            cell, level = np.arange(every.size), every
+        deployments, columns = np.divmod(cell, width)
+        columns += start
+        return deployments, columns, level
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the deployments not selected by the boolean mask `rows`."""
+        keep = np.repeat(rows, self.depth)
+        self.seeds, self.pos = self.seeds[keep], self.pos[keep]
 
 
 def sample_screened(model: DeploymentModel, n: int, seeds: np.ndarray, first: int,
-                    screen: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+                    screen: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
     """The candidates among sensors first .. n - 1 of each seed's deployment:
     their x, their y and their (seed, column) indices, in row-major order.
 
-    screen = (offset, a, width): a sensor is a candidate when the raw draw at
-    counter offset `offset` of its first attempt lies in [a, a + width],
-    taken mod 2^64 (raw - a <= width in uint64 arithmetic). Only that one raw
+    screen = (a, width): a sensor is a candidate when the raw draw at the
+    first counter of its first attempt lies in [a, a + width], taken mod
+    2^64 (raw - a <= width in uint64 arithmetic). Only that one raw
     draw is read for every sensor; the candidates are placed in full, with
     rejection, so their positions are bit-identical to sample_positions'.
     Both steps run in blocks.
@@ -310,9 +480,9 @@ def sample_screened(model: DeploymentModel, n: int, seeds: np.ndarray, first: in
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    offset, a, width = screen
+    a, width = screen
     columns = np.arange(first, n, dtype=np.uint64)
-    counters = _counter_base(columns, 0) + np.uint64(offset)
+    counters = _counter_base(columns, 0)
     candidate = np.empty((seeds.size, n - first), dtype=bool)
     rows = max(1, _SCREEN_BLOCK // max(n - first, 1))
     for lo in range(0, seeds.size, rows):

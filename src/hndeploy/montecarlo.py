@@ -11,7 +11,13 @@ drawing once every case has detected: the sensors it skips cannot change an
 index, so SamplingError can come only from a sensor that is drawn. Where
 most sensors can be decided from one raw draw (_screen), a chunk reads that
 draw for every sensor and places only the candidates in full
-(sample_screened), at the counters the full field reads them from. Trial i
+(sample_screened), at the counters the full field reads them from. A
+uniform field is defined through its Ladder of nested |y| levels, which
+depend on the model alone: a pass takes the deepest level that holds every
+case's y band, enumerates that level's members by Geometric gaps on the
+levels' own substreams of the trial seed (exact up to the rounding of log,
+not bit-identical to a per-sensor Bernoulli draw) and places and tests only
+them, since no other sensor can detect. Trial i
 always uses the substream derive_stream_seed(master, i), and
 sensor j always reads counter block j of it, so estimates are independent
 of batch size, chunk widths, evaluation order and worker count, and each
@@ -25,15 +31,14 @@ estimate_detection is the same pass with one case and one N.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analytic import capsule_probability, detection_probability
-from .distributions import (DeploymentKind, DeploymentModel, SamplingError, sample_positions,
-                            sample_screened)
+from .distributions import (DeploymentKind, DeploymentModel, Ladder, LadderScan, SamplingError,
+                            sample_positions, sample_screened)
 from .geometry import IntruderScenario, segment_dist2
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import (RandomSeed, check_integer, check_real, derive_stream_seed, derive_stream_seeds,
@@ -45,11 +50,12 @@ _BATCH = 1 << 15
 # half-normal trials stop early, and few chunks keep small N in few calls
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 16
+# a uniform chunk places and tests its Ladder members about this many at a time
+_MEMBER_BLOCK = 1 << 14
 # the screen costs one raw draw per sensor and the full draw per candidate.
 # Against the full scan, one thread, 2^15 trials: half-normal 0.35-0.38 of the
 # time at 16.5% candidates (the README sigma = 10 group), 0.48 at 31%, 0.73 at
-# 51% (the sigma = 5 half-plane), 0.90 at 62%, 1.04 at 71%; uniform 0.35 at 2%
-# (the README group), 0.84 at 25%, 1.24 at 56%. No workload lies in between
+# 51% (the sigma = 5 half-plane), 0.90 at 62%, 1.04 at 71%
 _MAX_CANDIDATES = 0.6
 # the polar screen widens reach, and narrows inner, by this share plus 2^-500
 _MARGIN = 1e-9
@@ -87,23 +93,19 @@ class SweepRow:
     status: str = "ok"
 
 
-def _bands(cases: Sequence[Case]) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-    """An x and a y interval; a sensor outside either detects in no case.
+def _y_band(cases: Sequence[Case]) -> float:
+    """A half-width h: a sensor with |y| > h detects in no case.
 
-    A case (S, d, r) detects within x in [S - d - r, S + r] and y in [-r, r].
-    segment_dist2 and r * r round, so the hulls of those ranges are widened
-    by 16 ulps of their largest end, which bounds their relative error, and
-    by 2^-500 for ranges whose square is subnormal or 0. The y band is exact
-    as well: segment_dist2 is fl(fl(c^2) + fl(y^2)) >= fl(y^2). Where r * r
+    A case (S, d, r) detects within y in [-r, r]. r * r rounds, so the
+    largest r is widened by 16 ulps, which bounds its relative error, and by
+    2^-500 for an r whose square is subnormal or 0; segment_dist2 is
+    fl(fl(c^2) + fl(y^2)) >= fl(y^2), so the band is exact. Where r * r
     overflows, every sensor detects.
     """
     if any(math.isinf(r * r) for _, r in cases):
-        return (-math.inf, math.inf), (-math.inf, math.inf)
-    x_hi = max(scenario.start_s + r for scenario, r in cases)
-    x_lo = min(scenario.start_s - scenario.distance_d - r for scenario, r in cases)
-    y_hi = max(r for _, r in cases)
-    x_slack, y_slack = (16.0 * math.ulp(hi) + 2.0 ** -500 for hi in (x_hi, y_hi))
-    return (x_lo - x_slack, x_hi + x_slack), (-y_hi - y_slack, y_hi + y_slack)
+        return math.inf
+    r = max(r for _, r in cases)
+    return r + 16.0 * math.ulp(r) + 2.0 ** -500
 
 
 def _first_index(predicate) -> int:
@@ -119,61 +121,62 @@ def _first_index(predicate) -> int:
     return lo
 
 
-def _screen(model: DeploymentModel, cases: Sequence[Case]) -> Optional[Tuple[int, int, int]]:
-    """(counter offset, a, width) for sample_screened: a sensor whose
-    first-attempt raw draw at that offset satisfies (raw - a) mod 2^64 > width
+def _screen(model: DeploymentModel, cases: Sequence[Case]) -> Optional[Tuple[int, int]]:
+    """(a, width) for sample_screened: a sensor whose first raw draw (at the
+    first counter of its first attempt) satisfies (raw - a) mod 2^64 > width
     is placed on that attempt and detects in no case. None for no screen.
 
     The screen is an interval of m = raw >> 11, which fixes the uniform
-    u = (m + 1) 2^-53 of the draw.
-    - half_normal and quadrant: u is u1, and the radius rho = sigma sqrt(-2 ln
-      u1) falls as m grows. Every case's capsule lies within reach = max(S + r)
-      of the origin (0 <= d <= S), and a draw with rho < inner lies in the
-      region: inner = min(x_max, -y_min, y_max) for half_normal and
-      min(x_max, y_max) for quadrant, where x_min <= 0 (and y_min <= 0 for
-      quadrant). So reach < rho < inner screens a sensor out. Both ends are
-      found by bisection, after widening reach and narrowing inner by _MARGIN
-      of themselves plus 2^-500, so neither the rounding of log, sqrt, sin and
-      cos (in any library) nor a square that underflows can flip a decision.
-    - uniform, on a model that never rejects: u places the coordinate whose
-      band (_bands) holds fewer draws, at lo + width u. That map is monotone
-      in m and rounds as the draw does, so its interval is exact.
-    No screen where some r * r overflows (every sensor detects), for strip,
-    or where more than _MAX_CANDIDATES of the sensors are candidates.
+    u1 = (m + 1) 2^-53 of the draw, for half_normal and quadrant: the radius
+    rho = sigma sqrt(-2 ln u1) falls as m grows. Every case's capsule lies
+    within reach = max(S + r) of the origin (0 <= d <= S), and a draw with
+    rho < inner lies in the region: inner = min(x_max, -y_min, y_max) for
+    half_normal and min(x_max, y_max) for quadrant, where x_min <= 0 (and
+    y_min <= 0 for quadrant). So reach < rho < inner screens a sensor out.
+    Both ends are found by bisection, after widening reach and narrowing inner
+    by _MARGIN of themselves plus 2^-500, so neither the rounding of log,
+    sqrt, sin and cos (in any library) nor a square that underflows can flip
+    a decision. No screen where some r * r overflows (every sensor detects),
+    for strip and uniform (whose Ladder draws only the candidates), or where
+    more than _MAX_CANDIDATES of the sensors are candidates.
     """
-    if any(math.isinf(r * r) for _, r in cases):
+    if any(math.isinf(r * r) for _, r in cases) or not model.polar:
         return None
-    if model.polar:
-        region, sigma = model.region, model.sigma
-        folded_y = model.kind == DeploymentKind.QUADRANT
-        if region.x_min > 0.0 or (folded_y and region.y_min > 0.0):
-            return None
-        inner = min(region.x_max, region.y_max, math.inf if folded_y else -region.y_min)
-        inner = inner * (1.0 - _MARGIN) - 2.0 ** -500
-        reach = max(scenario.start_s + r for scenario, r in cases)
-        reach = reach * (1.0 + _MARGIN) + 2.0 ** -500
-        # below m_inner rho may leave the region; from m_reach on it may detect
-        m_inner = _first_index(lambda m: sigma * polar_radius(m << 11) < inner)
-        m_reach = _first_index(lambda m: sigma * polar_radius(m << 11) <= reach)
-        # candidates m >= m_reach or m < m_inner, an interval that wraps
-        offset, start, count = 0, m_reach, (1 << 53) - max(m_reach - m_inner, 0)
-    elif not model.rejects and model.kind == DeploymentKind.UNIFORM:
-        intervals = []
-        for offset, (m, (lo, hi)) in enumerate(zip(model.marginals(), _bands(cases))):
-            def value(k):
-                # the draw's coordinate at u = (k + 1) 2^-53, rounded as the draw rounds it
-                return m.lo + (m.hi - m.lo) * ((k + 1) * 2.0 ** -53)
-            start = _first_index(lambda k: value(k) >= lo)
-            intervals.append((_first_index(lambda k: value(k) > hi) - start, offset, start))
-        count, offset, start = min(intervals)
-        if count <= 0:
-            # no candidate; m = 0 stands in for one, since a candidate costs only its draw
-            start, count = 0, 1
-    else:
+    region, sigma = model.region, model.sigma
+    folded_y = model.kind == DeploymentKind.QUADRANT
+    if region.x_min > 0.0 or (folded_y and region.y_min > 0.0):
         return None
+    inner = min(region.x_max, region.y_max, math.inf if folded_y else -region.y_min)
+    inner = inner * (1.0 - _MARGIN) - 2.0 ** -500
+    reach = max(scenario.start_s + r for scenario, r in cases)
+    reach = reach * (1.0 + _MARGIN) + 2.0 ** -500
+    # below m_inner rho may leave the region; from m_reach on it may detect
+    m_inner = _first_index(lambda m: sigma * polar_radius(m << 11) < inner)
+    m_reach = _first_index(lambda m: sigma * polar_radius(m << 11) <= reach)
+    # candidates m >= m_reach or m < m_inner, an interval that wraps
+    start, count = m_reach, (1 << 53) - max(m_reach - m_inner, 0)
     if count > _MAX_CANDIDATES * (1 << 53):
         return None
-    return offset, start << 11, (count << 11) - 1
+    return start << 11, (count << 11) - 1
+
+
+def _scan_members(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, columns: np.ndarray,
+                  paths: dict, k: np.ndarray, j0: int, j1: int) -> None:
+    """Advance the first-hit indices k (live trials x cases) over sensors
+    j0 .. j1 - 1, of which only the members (rows, columns), in row-major
+    order, can detect; xs, ys are their positions. A case with no detection
+    so far has k = j0; it gets the index of its first detecting member, or
+    j1 if none detects.
+    """
+    for scenario, cases in paths.items():
+        dist2 = segment_dist2(xs, ys, scenario)
+        for r2, c in cases:
+            hit = np.flatnonzero(dist2 <= r2)
+            # a row's first hit comes first
+            first = hit[np.diff(rows[hit], prepend=-1) != 0]
+            found = np.full(k.shape[0], j1, dtype=k.dtype)
+            found[rows[first]] = columns[first]
+            np.copyto(k[:, c], found, where=k[:, c] == j0)
 
 
 def _scan(xs: np.ndarray, ys: np.ndarray, at: tuple, width: int, paths: dict, k: np.ndarray,
@@ -210,27 +213,48 @@ def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
     and compared with the r^2 of every case on that path. Where one raw
     draw rules most sensors out (_screen), the chunk reads it for every
     sensor and places and tests the candidates alone (sample_screened), from
-    the same counters.
+    the same counters. A uniform field places only the members of the
+    deepest level of its Ladder that holds every case's y band, since no
+    other sensor can detect; its chunks are index windows that hold about
+    4, 8, then 16 members.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
         paths.setdefault(scenario, []).append((r * r, c))
-    screen = _screen(model, cases)
+    uniform = model.kind == DeploymentKind.UNIFORM
+    if uniform:
+        ladder = Ladder(model)
+        level = ladder.level(_y_band(cases))
+        scan, share = LadderScan(ladder, seeds, level), ladder.share[level]
+    else:
+        screen, share = _screen(model, cases), 1.0
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
     live = np.arange(seeds.size)
-    j0, width = 0, _FIRST_CHUNK
+    j0, chunk = 0, _FIRST_CHUNK
     while live.size and j0 < n_max:
-        j1 = min(j0 + width, n_max)
-        if screen is None:
-            xs, ys = sample_positions(model, j1, seeds[live], j0)
-            at = np.s_[:, :j1 - j0]
+        j1 = min(j0 + math.ceil(chunk / share), n_max)
+        if uniform:
+            k_live = k[live]
+            step = max(1, _MEMBER_BLOCK // chunk)
+            for lo in range(0, live.size, step):
+                block = slice(lo, min(lo + step, live.size))
+                rows, columns, levels = scan.members(j0, j1, block)
+                xs, ys = ladder.place(seeds[live[block]][rows], columns, levels)
+                _scan_members(xs, ys, rows, columns, paths, k_live[block], j0, j1)
         else:
-            xs, ys, at = sample_screened(model, j1, seeds[live], j0, screen)
-        k_live = _scan(xs, ys, at, j1 - j0, paths, k[live], j0)
+            if screen is None:
+                xs, ys = sample_positions(model, j1, seeds[live], j0)
+                at = np.s_[:, :j1 - j0]
+            else:
+                xs, ys, at = sample_screened(model, j1, seeds[live], j0, screen)
+            k_live = _scan(xs, ys, at, j1 - j0, paths, k[live], j0)
         k[live] = k_live
-        live = live[(k_live == j1).any(axis=1)]
-        j0, width = j1, min(2 * width, _MAX_CHUNK)
+        going = (k_live == j1).any(axis=1)
+        live = live[going]
+        if uniform:
+            scan.keep(going)
+        j0, chunk = j1, min(2 * chunk, _MAX_CHUNK)
     return k
 
 
@@ -253,6 +277,7 @@ def _detections(model: DeploymentModel, cases: Sequence[Case], ns: Sequence[int]
     if workers == 1:
         per_span = list(map(count, spans))
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_span = list(pool.map(count, spans))
     return sum(per_span)

@@ -100,7 +100,7 @@ def render_line_chart(rows: Sequence[Dict[str, str]], spec: PlotSpec) -> str:
     needed = [spec.x_column, *spec.y_columns] + ([spec.series_key] if spec.series_key else [])
     missing = [c for c in needed if c not in rows[0]]
     if missing:
-        raise KeyError(f"missing columns: {missing}")
+        raise ValueError(f"missing columns: {missing}")
     series = _collect_series(rows, spec)
     if not series:
         raise ValueError("no plottable data rows (all values empty)")

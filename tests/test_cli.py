@@ -295,8 +295,8 @@ class TestPlotCommand:
         csv_path = self._sweep_csv(tmp_path)
         rc = main(["plot", "--csv", str(csv_path), "--x", "N", "--y", "nope",
                    "--out", str(tmp_path / "c.svg")])
-        assert rc == EXIT_VALIDATION
-        assert "nope" in capsys.readouterr().err
+        assert rc == EXIT_VALIDATION == 1
+        assert capsys.readouterr().err == "invalid input: missing columns: ['nope']\n"
 
     def test_empty_data_rows(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -352,6 +352,17 @@ class TestPlotCommand:
         content = svg.read_text()
         assert "nan" not in content
         assert content.count(">1e+16</text>") == 1
+
+
+def test_import_loads_no_command_only_modules():
+    # plot, validate and worker threads load their modules only when used
+    script = ("import sys, hndeploy.cli; "
+              "print(sorted(m for m in ('hndeploy.svgplot', 'hndeploy.validate', "
+              "'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestValidateCommand:

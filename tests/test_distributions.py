@@ -11,6 +11,8 @@ from hndeploy.distributions import (
     DeploymentKind,
     DeploymentModel,
     HalfNormalParams,
+    Ladder,
+    LadderScan,
     SamplingError,
     correlated_half_normal_pdf,
     half_normal_cdf,
@@ -24,7 +26,8 @@ from hndeploy.distributions import (
 )
 from hndeploy.geometry import HalfPlane, Rectangle
 from hndeploy.numerics import QuadratureSpec, integrate_1d, integrate_2d
-from hndeploy.rng import normal_draw, normal_pair, raw_draws, uniform_draw, uniform_draws
+from hndeploy.rng import (derive_stream_seed, derive_stream_seeds, normal_draw, normal_pair,
+                          raw_draws, uniform_draw, uniform_draws)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -387,24 +390,60 @@ class TestDeploymentSampling:
         assert first[1].tobytes() == second[1].tobytes()
 
 
+def _reference_levels(ladder, n, seed):
+    """Each of sensors 0 .. n - 1's Ladder level, by a scalar walk of every
+    process's Geometric gaps: on substream k of the seed, process k's gap
+    after a pick at j reads u at counter j + 1 (from j = -1 for its first
+    pick), and the deepest process that picks a sensor owns it."""
+    levels = [ladder.top] * n
+    for k in reversed(range(ladder.top)):
+        stream, log_keep = derive_stream_seed(seed, k), math.log1p(-float(ladder.rate[k]))
+        j = -1
+        while True:
+            j += 1 + math.floor(math.log(uniform_draw(stream, j + 1)) / log_keep)
+            if j >= n:
+                break
+            levels[j] = k
+    return levels
+
+
+def _reference_ring_y(ladder, region, level, u):
+    """y uniform on the ring of `level` from u: the ring's piece below 0
+    first, then the one above, each clamped to its own ends."""
+    outer = float(ladder.bound[level])
+    inner = float(ladder.bound[level - 1]) if level else -outer
+    below = (max(region.y_min, -outer), min(region.y_max, -inner if level else -math.inf))
+    above = (max(region.y_min, inner), min(region.y_max, outer))
+    lengths = [max(hi - lo, 0.0) for lo, hi in (below, above)]
+    t = u * (lengths[0] + lengths[1])
+    (lo, hi), t = (below, t) if t <= lengths[0] else (above, t - lengths[0])
+    return min(max(lo + t, lo), hi)
+
+
 def _reference_positions(model, n, seed):
     """Per-sensor scalar loop over the documented counter layout.
 
-    Sensor j, attempt a reads from counter c = j*256 + 4a: a uniform x at c
-    and a uniform y at c + 1; half_normal and quadrant one Box-Muller pair
-    (normal_pair) at c and c + 1; strip the pair's cosine branch
-    (normal_draw) for x and a uniform y at c + 2. Returns x, y and the
-    attempt index each sensor was accepted on.
+    Sensor j, attempt a reads from counter c = j*256 + 4a: half_normal and
+    quadrant one Box-Muller pair (normal_pair) at c and c + 1; strip the
+    pair's cosine branch (normal_draw) for x and a uniform y at c + 2. A
+    uniform sensor takes one attempt: x uniform at c and y at c + 1, on the
+    ring of its Ladder level. Returns x, y and the attempt index each sensor
+    was accepted on.
     """
     region, kind, sigma = model.region, model.kind, model.sigma
+    if kind == DeploymentKind.UNIFORM:
+        ladder = Ladder(model)
+        levels = _reference_levels(ladder, n, seed)
+        xs = [min(region.x_min + region.width * uniform_draw(seed, 256 * j), region.x_max)
+              for j in range(n)]
+        ys = [_reference_ring_y(ladder, region, levels[j], uniform_draw(seed, 256 * j + 1))
+              for j in range(n)]
+        return np.array(xs), np.array(ys), [0] * n
     xs, ys, attempts = [], [], []
     for j in range(n):
         for a in range(64):
             c = j * 256 + 4 * a
-            if kind == DeploymentKind.UNIFORM:
-                x = region.x_min + region.width * uniform_draw(seed, c)
-                y = region.y_min + region.height * uniform_draw(seed, c + 1)
-            elif kind == DeploymentKind.STRIP:
+            if kind == DeploymentKind.STRIP:
                 x = abs(normal_draw(seed, c)) * sigma
                 y = region.y_min + region.height * uniform_draw(seed, c + 2)
             else:
@@ -506,9 +545,10 @@ class TestSamplerCounterLayout:
 
 
 # (kind, region, whether a draw can leave the region); on the first box
-# lo + width rounds above hi on both axes, so a draw of u = 1 leaves it
+# lo + width rounds above hi on both axes, but a uniform field clamps its
+# draws into the region
 _REJECTS_CASES = [
-    (DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1), True),
+    (DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1), False),
     (DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0), False),
     (DeploymentKind.UNIFORM, Rectangle(30.0, 40.0, -3.0, 3.0), False),
     (DeploymentKind.HALF_NORMAL, HalfPlane(), False),
@@ -550,24 +590,24 @@ class TestNeverRejectingModels:
 
 
 
-# (offset, a, width) screens: the lower half of the raw draws at x's counter,
-# a quarter at the next counter, a half that wraps past 2^64, every draw, and
-# a single raw value at the third counter
-_SCREENS = [(0, 0, 2**63 - 1), (1, 2**63 + 5, 2**62), (0, 2**64 - 2**62, 2**63),
-            (0, 0, 2**64 - 1), (2, 12345, 0)]
+# (a, width) screens: the lower half of the raw draws, a quarter of them
+# from 2^63 + 5, a half that wraps past 2^64, every draw, and a single raw value
+_SCREENS = [(0, 2**63 - 1), (2**63 + 5, 2**62), (2**64 - 2**62, 2**63), (0, 2**64 - 1),
+            (12345, 0)]
 
 
 class TestScreenedSampling:
-    @pytest.mark.parametrize("kind,region", [(k, r) for k, r, _ in _REJECTS_CASES])
+    # a uniform field is never screened: its Ladder draws only the candidates
+    @pytest.mark.parametrize("kind,region", [(k, r) for k, r, _ in _REJECTS_CASES
+                                             if k != DeploymentKind.UNIFORM])
     @pytest.mark.parametrize("screen", _SCREENS)
     def test_screened_draw_is_the_full_draw_at_the_candidates(self, kind, region, screen):
-        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 1.0)
+        model = DeploymentModel(kind, region, 1.0)
         seeds = np.array(_LAYOUT_SEEDS + _CHUNK_SEEDS, dtype=np.uint64)
         full_x, full_y = sample_positions(model, 40, seeds)
-        offset, a, width = screen
+        a, width = screen
         # sensor j's first attempt starts at counter 256 j
-        raw = raw_draws(seeds[:, None], np.arange(3, 40, dtype=np.uint64) * np.uint64(256)
-                        + np.uint64(offset))
+        raw = raw_draws(seeds[:, None], np.arange(3, 40, dtype=np.uint64) * np.uint64(256))
         expected = np.nonzero([[(int(v) - a) % 2**64 <= width for v in row] for row in raw])
         xs, ys, at = sample_screened(model, 40, seeds, 3, screen)
         assert all(np.array_equal(got, want) for got, want in zip(at, expected))
@@ -583,9 +623,9 @@ class TestScreenedSampling:
         raw = int(raw_draws(seeds, np.uint64(256))[0])
         monkeypatch.setattr(distributions, "MAX_ATTEMPTS", 63)
         with pytest.raises(SamplingError):
-            sample_screened(model, 4, seeds, 0, (0, raw, 0))
+            sample_screened(model, 4, seeds, 0, (raw, 0))
         # every raw value but sensor 1's, an interval that wraps
-        xs, ys, (t, j) = sample_screened(model, 4, seeds, 0, (0, raw + 1, 2**64 - 2))
+        xs, ys, (t, j) = sample_screened(model, 4, seeds, 0, (raw + 1, 2**64 - 2))
         assert j.tolist() == [0, 2, 3]
 
     @pytest.mark.parametrize("rows,block", [(1, 1), (3, 2), (40, 5)])
@@ -598,6 +638,103 @@ class TestScreenedSampling:
         blocked = sample_screened(model, 12, seeds, 2, _SCREENS[2])
         assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
         assert all(np.array_equal(a, b) for a, b in zip(blocked[2], whole[2]))
+
+
+# the README box, a box whose y never comes near 0, and one that holds 0 off-centre
+_LADDER_REGIONS = [Rectangle(-50.0, 50.0, -50.0, 50.0), Rectangle(-5.0, 5.0, 10.0, 20.0),
+                   Rectangle(0.0, 20.0, -1.0, 9.0)]
+
+
+def _chi_square_critical(dof, z=3.09):
+    """The Wilson-Hilferty chi-square quantile at the normal quantile z (0.1% for 3.09)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+class TestLadder:
+    @pytest.mark.parametrize("region", _LADDER_REGIONS)
+    def test_levels_are_nested_and_model_only(self, region):
+        ladder = Ladder(DeploymentModel(DeploymentKind.UNIFORM, region))
+        assert np.all(np.diff(ladder.bound) > 0) and np.all(np.diff(ladder.share) > 0)
+        assert ladder.bound[-1] == max(-region.y_min, region.y_max) and ladder.share[-1] == 1.0
+        # 2^-8 of the y mass at the deepest level, 2^(1/2) times as much at each next one
+        assert ladder.top == 16
+        np.testing.assert_allclose(ladder.share, 2.0 ** (np.arange(17) / 2.0 - 8.0), rtol=1e-12)
+        # level k's share is the region's y mass within |y| <= bound[k]
+        mass = [(min(w, region.y_max) - max(-w, region.y_min)) / region.height
+                for w in ladder.bound.tolist()]
+        np.testing.assert_allclose(ladder.share, mass, rtol=1e-12)
+
+    @pytest.mark.parametrize("region", _LADDER_REGIONS)
+    def test_process_picks_are_binomial(self, region):
+        # each process picks each of n indices with probability rate[k], so its
+        # pick count per deployment is Binomial(n, rate[k]): chi-square over
+        # 2000 deployments, tail bins merged to an expected count of 5 or more
+        ladder = Ladder(DeploymentModel(DeploymentKind.UNIFORM, region))
+        trials, n = 2000, 200
+        scan = LadderScan(ladder, derive_stream_seeds(5, np.arange(trials, dtype=np.uint64)),
+                          ladder.top)
+        streams, index = scan.advance(n, slice(0, trials))
+        # every stream starts from a pick at index -1
+        streams = streams[index >= 0]
+        counts = np.bincount(streams, minlength=trials * scan.depth).reshape(trials, scan.depth)
+        for k, rate in enumerate(ladder.rate.tolist()):
+            pmf = np.array([math.comb(n, i) * rate ** i * (1.0 - rate) ** (n - i)
+                            for i in range(n + 1)]) * trials
+            observed = np.bincount(counts[:, k], minlength=n + 1)
+            # merge bins from both tails inward until each holds an expected 5
+            edges = [0]
+            total = 0.0
+            for i, e in enumerate(pmf):
+                total += e
+                if total >= 5.0 and pmf[i + 1:].sum() >= 5.0:
+                    edges.append(i + 1)
+                    total = 0.0
+            expected = np.add.reduceat(pmf, edges)
+            got = np.add.reduceat(observed, edges)
+            stat = float(np.sum((got - expected) ** 2 / expected))
+            assert stat <= _chi_square_critical(len(edges) - 1), (k, stat)
+
+    @pytest.mark.parametrize("region", _LADDER_REGIONS)
+    def test_field_is_uniform(self, region):
+        # x and y of one field against the uniform law on the region:
+        # Kolmogorov-Smirnov at the 1% level
+        n = 20_000
+        model = DeploymentModel(DeploymentKind.UNIFORM, region)
+        xs, ys = sample_positions(model, n, np.array([17], dtype=np.uint64))
+        for z, lo, hi in ((xs[0], region.x_min, region.x_max),
+                          (ys[0], region.y_min, region.y_max)):
+            assert np.all((z >= lo) & (z <= hi))
+            cdf = (np.sort(z) - lo) / (hi - lo)
+            stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+            assert stat <= 1.628 / math.sqrt(n)
+
+    @pytest.mark.parametrize("region", _LADDER_REGIONS + [Rectangle(-1.1, 0.3, -0.3, 0.1)])
+    def test_ring_draws_stay_in_their_ring(self, region, monkeypatch):
+        # u at the ends of the ring and next to the step between its two
+        # pieces: every y lies in the region with bound[k - 1] <= |y| <= bound[k]
+        ladder = Ladder(DeploymentModel(DeploymentKind.UNIFORM, region))
+        ms = [0, 1, 2, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1]
+        for k in range(ladder.top + 1):
+            below = max(min(region.y_max, -ladder.bound[k - 1] if k else -math.inf)
+                        - max(region.y_min, -ladder.bound[k]), 0.0)
+            step = below / ladder._ring[k] * 2**53
+            ms += [int(step) + d for d in range(-3, 4) if 0 <= int(step) + d < 2**53]
+        raws = np.array(sorted(set(ms)), dtype=np.uint64) << np.uint64(11)
+        monkeypatch.setattr(distributions, "uniform_draws",
+                            lambda seeds, counters: _uniform_draws_at(raws, counters))
+        for k in range(ladder.top + 1):
+            xs, ys = ladder.place(np.uint64(0), np.arange(raws.size),
+                                  np.full(raws.size, k))
+            inner = ladder.bound[k - 1] if k else 0.0
+            assert np.all((np.abs(ys) >= inner) & (np.abs(ys) <= ladder.bound[k]))
+            assert np.all(region.contains(xs, ys))
+
+
+def _uniform_draws_at(raws, counters):
+    """The uniform draws of chosen raw values: raws[j] at sensor j's counters."""
+    j = (np.asarray(counters, dtype=np.uint64) // np.uint64(256)).astype(np.intp)
+    return ((raws[j] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
 
 
 @pytest.mark.parametrize("region", [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0)])

@@ -229,10 +229,12 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    # the screened scan wherever it pays, and the full scan
+    # the screened scan wherever it pays, and the full scan; a uniform field
+    # has one scan, over its Ladder's members
     first_hits = [montecarlo._first_hits(model, cases, ns[-1], seeds)]
-    with mock.patch.object(montecarlo, "_screen", lambda model, cases: None):
-        first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
+    if kind != DeploymentKind.UNIFORM:
+        with mock.patch.object(montecarlo, "_screen", lambda model, cases: None):
+            first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
         # one column per sensor: whether it alone detects
@@ -245,40 +247,11 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
         assert est.detected_count == expected[ns.index(drawn[0])]
 
 
-@pytest.mark.parametrize("s,d,r", [
-    (5.0, 3.0, 1.0), (5.0, 5.0, 1.0), (0.0, 0.0, 0.1), (1e6, 0.5, 1e-6), (0.3, 0.1, 0.7),
-    (1e300, 1e299, 1e299), (1e300, 1e299, 1e150), (1e-300, 0.0, 1e-300),
-    (0.0, 0.0, math.ulp(0.0)), (1.0, 1.0, 1e-170),
-])
-def test_x_band_holds_every_detecting_x(s, d, r):
-    scenario = IntruderScenario(s, d)
-    (lo, hi), _ = montecarlo._bands([(scenario, r)])
-    xs = []
-    for edge in (s - d - r, s + r, s - d, s, lo, hi):
-        # 300 ulps either side of the edge
-        for direction in (-math.inf, math.inf):
-            x = edge
-            for _ in range(300):
-                x = math.nextafter(x, direction)
-                xs.append(x)
-        # and offsets whose square is subnormal or 0
-        xs += [edge + sign * 2.0 ** -e for sign in (-1.0, 1.0) for e in range(480, 600, 5)]
-    xs = np.array(xs)
-    with np.errstate(over="ignore"):
-        detected = xs[segment_dist2(xs, np.zeros_like(xs), scenario) <= r * r]
-    assert detected.size
-    assert np.all((detected >= lo) & (detected <= hi))
-    if math.isinf(r * r):
-        assert detected.size == xs.size and (lo, hi) == (-math.inf, math.inf)
-    else:
-        # a few ulps wide, unless the squares underflow
-        assert s + r <= hi <= max(s + r + 32 * math.ulp(s + r), 2.0 ** -499)
-
-
 @pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0), 1e200])
 def test_y_band_holds_every_detecting_y(r):
     scenario = IntruderScenario(5.0, 3.0)
-    _, (lo, hi) = montecarlo._bands([(scenario, r)])
+    hi = montecarlo._y_band([(scenario, r)])
+    lo = -hi
     ys = []
     for edge in (-r, r, lo, hi):
         # 300 ulps either side of the edge
@@ -298,10 +271,10 @@ def test_y_band_holds_every_detecting_y(r):
         assert detected.size
         assert np.all((detected >= lo) & (detected <= hi))
     if math.isinf(r * r):
-        assert detected.size == ys.size and (lo, hi) == (-math.inf, math.inf)
+        assert detected.size == ys.size and hi == math.inf
     else:
         # a few ulps wide, unless the squares underflow
-        assert lo == -hi and r <= hi <= max(r + 32 * math.ulp(r), 2.0 ** -499)
+        assert r <= hi <= max(r + 32 * math.ulp(r), 2.0 ** -499)
 
 
 def _draw_at(model, raws):
@@ -319,13 +292,13 @@ def _draw_at(model, raws):
 
 def _screened_out_sensors(model, cases, other_raws):
     """The sensors of raws m << 11 for m within 300 of either end of the
-    screen's interval, combined with each of other_raws at the other offset,
+    screen's interval, combined with each of other_raws at the next counter,
     that the screen rules out: their x and y."""
-    offset, a, width = montecarlo._screen(model, cases)
+    a, width = montecarlo._screen(model, cases)
     ends = (a >> 11, ((a + width + 1) % 2**64) >> 11)
     ms = {m for end in ends for m in range(end - 300, end + 301) if 0 <= m < 2**53}
-    raws = [(m << 11, other) if offset == 0 else (other, m << 11)
-            for m in sorted(ms) for other in other_raws if ((m << 11) - a) % 2**64 > width]
+    raws = [(m << 11, other) for m in sorted(ms) for other in other_raws
+            if ((m << 11) - a) % 2**64 > width]
     assert raws
     return _draw_at(model, raws)
 
@@ -350,28 +323,14 @@ def test_polar_screen_rules_out_only_placed_sensors_that_miss(model, r, s, d):
     assert np.all(segment_dist2(xs, ys, cases[0][0]) > r * r)
 
 
-@pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0)])
-@pytest.mark.parametrize("s,d", [(5.0, 5.0), (0.0, 0.0), (50.0, 3.0)])
-def test_uniform_screen_rules_out_only_sensors_that_miss(r, s, d):
-    model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
-    cases = [(IntruderScenario(s, d), r)]
-    offset = montecarlo._screen(model, cases)[0]
-    # the other coordinate at its middle (0) and at the path's ends
-    others = [(2**52 - 1) << 11] + [int((c + 50.0) / 100.0 * 2**53 - 1) << 11
-                                     for c in (s - d, s)]
-    xs, ys = _screened_out_sensors(model, cases, others)
-    assert np.all(model.region.contains(xs, ys))
-    assert np.all(segment_dist2(xs, ys, cases[0][0]) > r * r)
-
-
 @pytest.mark.parametrize("model,r", [
     # a polar sensor with x below x_min > 0, or a quadrant y below y_min > 0,
     # may lie at any radius
     (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf),
                      10.0), 1.0),
     (DeploymentModel(DeploymentKind.QUADRANT, Rectangle(0.0, math.inf, 1.0, math.inf), 10.0), 1.0),
-    # a uniform draw may leave this box (lo + width rounds above hi), and a
-    # strip's half-normal x may leave any box
+    # a uniform field is never screened (its Ladder draws only the
+    # candidates), and a strip's half-normal x may leave any box
     (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1)), 1e-3),
     (DeploymentModel(DeploymentKind.STRIP, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0), 1.0),
     # every sensor detects where r * r overflows
@@ -383,15 +342,10 @@ def test_no_screen_where_it_cannot_rule_sensors_out(model, r):
     assert montecarlo._screen(model, [(IntruderScenario(5.0, 3.0), r)]) is None
 
 
-@pytest.mark.parametrize("model,screened_at,share", [
+def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
     # the README half-normal row: u1 decides all but 16.5% of the sensors,
     # which also draw u2
-    (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0), 0,
-     0.2),
-    # the README uniform row: y decides all but 2%, which also draw x
-    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0)), 1, 0.05),
-])
-def test_screen_draws_the_rest_only_for_candidates(monkeypatch, model, screened_at, share):
+    model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0)
     cases = [(IntruderScenario(5.0, 5.0), 1.0)]
     seeds = derive_stream_seeds(3, np.arange(2000, dtype=np.uint64))
     # the raw values drawn at each counter offset within a sensor's block
@@ -410,14 +364,39 @@ def test_screen_draws_the_rest_only_for_candidates(monkeypatch, model, screened_
     assert montecarlo._screen(model, cases) is not None
     with mock.patch.object(montecarlo, "_screen", lambda model, cases: None):
         full = montecarlo._first_hits(model, cases, 500, seeds)
-    examined, other = drawn[screened_at], drawn[1 - screened_at]
+    examined, other = drawn[0], drawn[1]
     # the full draw reads both offsets of the first attempt for every sensor
     assert examined == other > 0
     drawn[:] = 0
     assert np.array_equal(montecarlo._first_hits(model, cases, 500, seeds), full)
     # the screen reads one offset for every sensor; a candidate reads both
-    assert drawn[screened_at] == examined + drawn[1 - screened_at]
-    assert 0 < drawn[1 - screened_at] <= share * examined
+    assert drawn[0] == examined + drawn[1]
+    assert 0 < drawn[1] <= 0.2 * examined
+
+
+def test_ladder_places_only_the_members(monkeypatch):
+    # the README uniform row: |y| <= 1 holds 2% of the sensors, within the
+    # level that holds 2^-5.5 of them; only its members are placed, and the
+    # first hits are those of the whole fields
+    model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
+    cases = [(IntruderScenario(5.0, 5.0), 1.0)]
+    trials, n = 2000, 500
+    seeds = derive_stream_seeds(3, np.arange(trials, dtype=np.uint64))
+    ladder = distributions.Ladder(model)
+    assert ladder.share[ladder.level(montecarlo._y_band(cases))] == pytest.approx(2.0 ** -5.5)
+    placed = []
+    place = distributions.Ladder.place
+
+    def counted(self, seeds, columns, levels):
+        placed.append(np.size(columns))
+        return place(self, seeds, columns, levels)
+
+    monkeypatch.setattr(distributions.Ladder, "place", counted)
+    k = montecarlo._first_hits(model, cases, n, seeds)
+    assert 0 < sum(placed) <= 0.03 * trials * n
+    xs, ys = sample_positions(model, n, seeds)
+    hit = detects_any(xs[:, :, None], ys[:, :, None], *cases[0])
+    assert k[:, 0].tolist() == np.where(hit.any(axis=1), hit.argmax(axis=1), n).tolist()
 
 
 def _config(**overrides):
@@ -594,6 +573,10 @@ _GROUP_CONFIGS = {
                       n_values=[3, 6, 20, 60, 200], s_values=[0.5], d_values=[0.5],
                       r_values=[0.1], region=Rectangle(0.0, 1.0, -1.0, 1.0), trials=200,
                       master_seed=0),
+    # a uniform group whose pass draws the members of the Ladder level that
+    # holds |y| <= 6, while its r = 0.3 rows alone draw those of a deeper one
+    "ladder": dict(models=[DeploymentKind.UNIFORM], n_values=[10, 300], s_values=[5.0],
+                   d_values=[2.0, 5.0], r_values=[0.3, 1.0, 6.0], trials=3000),
 }
 
 
@@ -618,6 +601,14 @@ class TestSweepGroups:
         else:
             # only a path longer than its start fails, and its group still runs
             assert all((row.status == "ok") == (row.d <= row.S) for row in rows)
+
+    def test_a_row_alone_may_use_a_deeper_ladder_level(self):
+        config = _config(**_GROUP_CONFIGS["ladder"])
+        ladder = distributions.Ladder(DeploymentModel(DeploymentKind.UNIFORM, config.region))
+        cases = [(IntruderScenario(5.0, 5.0), r) for r in config.r_values]
+        levels = [ladder.level(montecarlo._y_band([case])) for case in cases]
+        assert levels == sorted(set(levels))
+        assert ladder.level(montecarlo._y_band(cases)) == levels[-1]
 
     @pytest.mark.parametrize("name", sorted(_GROUP_CONFIGS))
     def test_rows_of_a_model_sigma_group_share_its_first_rows_seed(self, name):
