@@ -730,6 +730,32 @@ class TestLadder:
             assert np.all((np.abs(ys) >= inner) & (np.abs(ys) <= ladder.bound[k]))
             assert np.all(region.contains(xs, ys))
 
+    @pytest.mark.parametrize("region", _LADDER_REGIONS)
+    @pytest.mark.parametrize("level", [0, 4, 9, 15, 16])
+    def test_scan_members_are_the_scalar_walks(self, region, level):
+        # windows scanned in order, by blocks of deployments and after some
+        # are dropped, hold the sensors the scalar walk puts at `level` or
+        # deeper, each at its own level, in (deployment, index) order
+        ladder = Ladder(DeploymentModel(DeploymentKind.UNIFORM, region))
+        seeds = derive_stream_seeds(11, np.arange(7, dtype=np.uint64))
+        n = 300
+        reference = [_reference_levels(ladder, n, int(seed)) for seed in seeds]
+        scan = LadderScan(ladder, seeds, level)
+        live = np.arange(seeds.size)
+        for start, stop, drop in ((0, 7, 1), (7, 8, None), (8, 120, 0), (120, n, None)):
+            got = []
+            for lo in range(0, live.size, 3):
+                block = slice(lo, min(lo + 3, live.size))
+                rows, columns, levels = scan.members(start, stop, block)
+                got += zip(live[block][rows].tolist(), columns.tolist(), levels.tolist())
+            want = [(t, j, reference[t][j]) for t in live.tolist() for j in range(start, stop)
+                    if reference[t][j] <= level]
+            assert got == want
+            if drop is not None:
+                keep = np.arange(live.size) != drop
+                scan.keep(keep)
+                live = live[keep]
+
 
 def _uniform_draws_at(raws, counters):
     """The uniform draws of chosen raw values: raws[j] at sensor j's counters."""

@@ -342,6 +342,46 @@ def test_no_screen_where_it_cannot_rule_sensors_out(model, r):
     assert montecarlo._screen(model, [(IntruderScenario(5.0, 3.0), r)]) is None
 
 
+@pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0)])
+@pytest.mark.parametrize("s,d", [(5.0, 5.0), (0.0, 0.0), (50.0, 3.0)])
+def test_uniform_ladder_rules_out_only_sensors_that_miss(monkeypatch, r, s, d):
+    # a uniform field places only the members of the level that holds the
+    # y band: a sensor past that level's bound, or anywhere on a ring above
+    # it, detects in no case, at any x
+    model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
+    scenario = IntruderScenario(s, d)
+    ladder = distributions.Ladder(model)
+    band = montecarlo._y_band([(scenario, r)])
+    level = ladder.level(band)
+    bound = float(ladder.bound[level])
+    assert level < ladder.top and bound > band
+    # 300 ulps past the bound on either side
+    ys, y = [], bound
+    for _ in range(300):
+        y = math.nextafter(y, math.inf)
+        ys += [y, -y]
+    # each ring above at its ends and next to the step between its two pieces
+    for k in range(level + 1, ladder.top + 1):
+        below = max(min(50.0, -float(ladder.bound[k - 1])) - max(-50.0, -float(ladder.bound[k])),
+                    0.0)
+        step = int(below / ladder._ring[k] * 2**53)
+        ms = [m for m in [0, 1, 2**53 - 2, 2**53 - 1] + list(range(step - 3, step + 4))
+              if 0 <= m < 2**53]
+        u = (np.array(ms, dtype=np.float64) + 1.0) * 2.0 ** -53
+        # sensor j draws u[j] at each of its counters
+        monkeypatch.setattr(distributions, "uniform_draws",
+                            lambda seeds, counters, u=u: u[(counters // np.uint64(256))
+                                                           .astype(np.intp)])
+        ys += ladder.place(np.uint64(0), np.arange(u.size), np.full(u.size, k))[1].tolist()
+    ys = np.array(ys)
+    assert np.all(np.abs(ys) >= bound)
+    # x at the ends of the path, of its capsule and of the region, a few ulps either side
+    xs = [x for edge in (s - d - r, s - d, s, s + r, -50.0, 0.0, 50.0)
+          for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))]
+    xs, ys = np.broadcast_arrays(np.array(xs)[:, None], ys)
+    assert np.all(segment_dist2(xs, ys, scenario) > r * r)
+
+
 def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
     # the README half-normal row: u1 decides all but 16.5% of the sensors,
     # which also draw u2
