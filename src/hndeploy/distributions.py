@@ -22,14 +22,15 @@ the sensor is (|rho cos phi|, rho sin phi), or (|rho cos phi|, |rho sin phi|)
 for quadrant. strip's x is the same |rho cos phi| and its uniform y reads
 base + 2. Draws falling outside a bounded region are rejected and redrawn
 from the next attempt slot, up to MAX_ATTEMPTS per sensor. A uniform field
-is defined through its Ladder, nested levels of |y| that depend on the
-model alone: each sensor's level comes from per-level Geometric gap streams
-on their own substreams of s (exact up to the rounding of log, not
-bit-identical to a per-sensor Bernoulli draw), its uniform x reads counter
-base and its y, uniform on its level's ring, base + 1, both clamped into
-the region. The addressing makes batched, sequential, column-chunked
+(UniformField) splits its sensors by |y| into an inner band, which holds a
+fixed share of them and depends on the model alone, and the rest: which
+indices are inner comes from Geometric gaps read past every sensor's
+counter block (exact up to the rounding of log, not bit-identical to a
+per-sensor Bernoulli draw); a sensor's uniform x reads counter base and its
+y, uniform on its part of the region, base + 1, both clamped into the
+region. The addressing makes batched, sequential, column-chunked
 (sample_positions with first > 0), screened (sample_screened) and
-level-by-level (LadderScan) sampling bit-identical.
+window-by-window (InnerPicks) sampling bit-identical.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Rectangle
-from .rng import (check_integer, check_real, derive_stream_seeds, normal_draws, normal_pairs,
-                  raw_draws, uniform_draws)
+from .rng import check_integer, check_real, normal_draws, normal_pairs, raw_draws, uniform_draws
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -57,11 +57,11 @@ _BLOCK = MAX_ATTEMPTS * _DRAWS_PER_ATTEMPT
 # two worker threads from queuing on the interpreter lock between them
 _SCREEN_BLOCK = 1 << 17
 _PLACE_BLOCK = 1 << 14
-# a uniform field's Ladder: each level holds _LADDER_RATIO times the share of
-# the y mass of the one below it, over _LADDER_STEPS steps up to the top
-# level, which holds every sensor; the deepest level holds 2^-8
-_LADDER_RATIO = 2.0 ** 0.5
-_LADDER_STEPS = 16
+# a uniform field's inner band holds this share of its y mass; the gaps
+# between inner sensors read counters from _GAP_COUNTER on, past the counter
+# block of any sensor j < 2^55
+_INNER_SHARE = 2.0 ** -5
+_GAP_COUNTER = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ class DeploymentModel:
     @property
     def rejects(self) -> bool:
         """Whether a draw can fall outside the region, so sampling must test it
-        (never for uniform, whose Ladder clamps its draws into the region)."""
+        (never for uniform, whose UniformField clamps its draws into the region)."""
         return self.kind != DeploymentKind.UNIFORM and not all(m.within for m in self.marginals())
 
     @property
@@ -300,169 +300,208 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
     Each seed keys one independent deployment, and sensor j reads counter
     block j whatever the call, so first = 0 gives the whole field and any
     other first gives its last n - first columns, bit-identical. A uniform
-    field is the one its Ladder places: every sensor, each at its level.
+    field is placed through its UniformField.
     """
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
     seeds = np.asarray(seeds, dtype=np.uint64)
+    columns = np.arange(first, n, dtype=np.uint64)
     if model.kind != DeploymentKind.UNIFORM:
-        return _place(model, seeds[:, None], np.arange(first, n, dtype=np.uint64))
-    ladder = Ladder(model)
-    scan = LadderScan(ladder, seeds, ladder.top)
-    every = slice(0, seeds.size)
-    scan.advance(first, every)
-    rows, columns, levels = scan.members(first, n, every)
-    xs, ys = ladder.place(seeds[rows], columns, levels)
-    return xs.reshape(seeds.size, n - first), ys.reshape(seeds.size, n - first)
+        return _place(model, seeds[:, None], columns)
+    field = UniformField(model)
+    t, j = InnerPicks(field, seeds).advance(first, n, slice(0, seeds.size))
+    return field.place(seeds[:, None], columns, t * (n - first) + (j - first))
 
 
-class Ladder:
-    """The nested levels of a uniform deployment's sensors by |y|.
+def _linear(lo: float, hi: float, within: bool, u):
+    """lo + (hi - lo) u for the uniform u (an array, which it overwrites, or
+    a float, rounded alike), at most hi unless `within` says that it always
+    is; nondecreasing in u."""
+    if isinstance(u, float):
+        v = lo + (hi - lo) * u
+        return v if within else min(v, hi)
+    u *= hi - lo
+    u += lo
+    return u if within else np.minimum(u, hi, out=u)
 
-    Level k holds the sensors with |y| <= bound[k], and share[k] of them; the
-    bounds depend on the model alone. Level 0 holds 2^-8 of the y mass, each
-    level above it _LADDER_RATIO times as much, and the top level every
-    sensor. A sensor's level is drawn first: process k < top picks each
-    sensor index independently with probability rate[k] = (share[k] -
-    share[k - 1]) / (1 - share[k - 1]), and a sensor belongs to the deepest
-    process that picks it, or to the top level if none does; the product of
-    the (1 - rate) telescopes, so a sensor lies within level k with
-    probability share[k]. Process k enumerates its picks by Geometric(rate[k])
-    gaps, floor(ln u / ln(1 - rate[k])), on the substream
-    derive_stream_seed(seed, k) of the deployment's seed: its first pick is
-    the first gap, read at counter 0, and the gap after a pick at j is read at
-    counter j + 1. That is exact up to the rounding of log, not bit-identical
-    to a per-sensor Bernoulli draw.
-    Given its level, sensor j's y is uniform on the level's ring (|y| above
-    the bound below, within the region: up to two intervals) from u at
-    counter 256 j + 1, and its x is uniform from u at 256 j. Both are clamped
-    into the region, never redrawn, so the field never rejects.
+
+class UniformField:
+    """A uniform deployment's field, split by |y| into an inner band and the
+    rest so that the inner sensors can be enumerated without reading the
+    others.
+
+    The inner band is the region's y within |y| <= bound, which holds
+    _INNER_SHARE of the y mass (share, after rounding); bound depends on the
+    model alone. Each sensor index is inner with probability share, by a
+    Bernoulli process enumerated through Geometric(share) gaps,
+    floor(ln u / ln(1 - share)): gap m reads u at counter _GAP_COUNTER + m of
+    the deployment's own stream, past every sensor's counter block, and the
+    first inner index is gap 0, each next one the last plus 1 plus the next
+    gap. That is exact up to the rounding of log, not bit-identical to a
+    per-sensor Bernoulli draw. Sensor j's x is uniform on the region's x
+    from u at counter 256 j, and its y, from u at 256 j + 1, uniform on the
+    band if it is inner and on the rest of the region's y (up to two
+    intervals, with |y| >= bound up to rounding: >= outer_min) if not, so y
+    is uniform on the region. Every draw is clamped into the region, so the
+    field never rejects.
     """
 
     def __init__(self, model: DeploymentModel):
-        (x, _), region = model.marginals(), model.region
-        y_min, y_max = region.y_min, region.y_max
-        self._x = x
-        # the bound w of each target share: the region's y within |y| <= w
-        # starts at the least |y| it holds, `near`, and grows on both sides
-        # of 0 until w reaches `both`, then on one side
-        near = max(y_min, -y_max, 0.0)
-        both = max(0.0, min(-y_min, y_max))
-        length = _LADDER_RATIO ** -np.arange(_LADDER_STEPS, 0, -1.0) * region.height
-        bound = near + np.where(length <= 2.0 * both, 0.5 * length, length - both)
-        bound = np.append(bound[bound > near], max(-y_min, y_max))
-        # rounding may merge neighbouring bounds
-        self.bound = bound[np.diff(bound, prepend=near) > 0]
-        # each ring as a piece below 0 and one above; level 0's is one piece
-        inner = np.append(-self.bound[0], self.bound[:-1])
-        self._lo = np.stack([np.maximum(y_min, -self.bound), np.maximum(y_min, inner)])
-        self._hi = np.stack([np.minimum(y_max, np.append(-math.inf, -self.bound[:-1])),
-                             np.minimum(y_max, self.bound)])
-        self._length = np.maximum(self._hi - self._lo, 0.0)
-        ring = self._length.sum(axis=0)
-        within = np.cumsum(ring)
-        self.share = within / within[-1]
-        self.top = ring.size - 1
-        # the share of what lies outside the levels below
-        self.rate = ring[:-1] / np.cumsum(ring[::-1])[:0:-1]
-        self._log_keep = np.log1p(-self.rate)
-        self._ring = ring
+        (x, y), region = model.marginals(), model.region
+        self._x, self._y = (x.lo, x.hi, x.within), (y.lo, y.hi)
+        # the region's y within |y| <= w starts at the least |y| it holds,
+        # `near`, and grows on both sides of 0 until w reaches `both`, then
+        # on one side
+        near = max(y.lo, -y.hi, 0.0)
+        both = max(0.0, min(-y.lo, y.hi))
+        length = _INNER_SHARE * region.height
+        self.bound = near + (0.5 * length if length <= 2.0 * both else length - both)
+        lo, hi = max(y.lo, -self.bound), min(y.hi, self.bound)
+        self._inner = (lo, hi, lo + (hi - lo) <= hi)
+        self.share = (hi - lo) / region.height
+        # a gap is floor(ln u * _gap_scale); no gap is drawn where share is 0
+        self._gap_scale = 1.0 / math.log1p(-self.share) if self.share > 0.0 else 0.0
+        # a sensor that is not inner takes t = u * _rest along the region's y
+        # with the band cut out, and steps over the band's length past the
+        # piece below it: every step rounds by at most 2^-53 of the region's
+        # extent, so its |y| is at least outer_min
+        self._below = lo - y.lo
+        self._rest = self._below + (y.hi - hi)
+        self._length = hi - lo
+        self.outer_min = self.bound - 2.0 ** -48 * (abs(y.lo) + abs(y.hi) + region.height)
 
-    def level(self, half_width: float) -> int:
-        """The deepest level outside which every sensor has |y| > half_width."""
-        return min(int(np.searchsorted(self.bound, half_width, side="right")), self.top)
+    def x(self, u):
+        """x at the uniform u (an array or a float, rounded alike)."""
+        return _linear(*self._x, u)
 
-    def place(self, seeds, columns: np.ndarray,
-              levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """x and y of sensors `columns` (at `levels`) of the deployments keyed
-        by `seeds`, which broadcast together."""
+    def outer_y(self, u):
+        """The y of a sensor that is not inner at the uniform u (an array,
+        which it overwrites, or a float, rounded alike); nondecreasing in u,
+        with |y| >= outer_min."""
+        if isinstance(u, float):
+            t = u * self._rest
+            return min(t + self._y[0] + (self._length if t > self._below else 0.0), self._y[1])
+        u *= self._rest
+        above = u > self._below
+        u += self._y[0]
+        u += self._length * above
+        return np.minimum(u, self._y[1], out=u)
+
+    def place(self, seeds, columns, inner) -> Tuple[np.ndarray, np.ndarray]:
+        """x and y of sensors `columns` of the deployments keyed by `seeds`,
+        which broadcast together; inner is True where every sensor is inner,
+        else the flat indices of the inner ones among the result."""
         base = np.asarray(columns, dtype=np.uint64) * np.uint64(_BLOCK)
-        xs = self._x.draw(seeds, base)
-        np.minimum(xs, self._x.hi, out=xs)
-        t = uniform_draws(seeds, base + np.uint64(1))
-        t *= self._ring.take(levels)
-        # the piece below 0 holds the first stretch of the ring's length
-        below = self._length[0].take(levels)
-        piece = t > below
-        t -= below * piece
-        # the chosen piece's entry in the (piece, level) tables
-        at = levels + piece * self._ring.size
-        lo = self._lo.take(at)
-        ys = lo + t
-        np.maximum(ys, lo, out=ys)
-        np.minimum(ys, self._hi.take(at), out=ys)
+        xs = self.x(uniform_draws(seeds, base))
+        u = uniform_draws(seeds, base + np.uint64(1))
+        if inner is True:
+            return xs, _linear(*self._inner, u)
+        inner_u = u.flat[inner]
+        ys = self.outer_y(u)
+        ys.flat[inner] = _linear(*self._inner, inner_u)
         return xs, ys
 
+    def sample(self, seeds: np.ndarray, start: int, stop: int, inner: np.ndarray,
+               screen: Optional[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+        """The candidates among sensors start .. stop - 1 of each seed's
+        deployment: their x, their y and their (seed, column) indices, in
+        row-major order. inner is the (seeds x columns) mask of the inner
+        sensors among them.
 
-class LadderScan:
-    """The picks of a Ladder's processes up to one level, for a set of
-    deployments, scanned by index windows in order."""
+        screen = (offset, a, width): a sensor is a candidate when the raw draw
+        at counter 256 j + offset lies in [a, a + width], taken mod 2^64, and,
+        where offset is 1 (y), when it is inner. Only that raw draw is read
+        for every sensor. With screen None every sensor is one, x and y are
+        (seeds x columns) grids and the indices None.
+        """
+        columns = np.arange(start, stop, dtype=np.uint64)
+        if screen is None:
+            return (*self.place(seeds[:, None], columns, np.flatnonzero(inner)), None)
+        offset, a, span = screen
+        candidate = _screened(seeds, columns * np.uint64(_BLOCK) + np.uint64(offset), a, span)
+        if offset == 1:
+            candidate |= inner
+        cell = _cells(candidate)
+        t, j = np.divmod(cell, stop - start)
+        xs, ys = self.place(seeds[t], columns[j], np.flatnonzero(inner.ravel()[cell]))
+        return xs, ys, (t, j + start)
 
-    def __init__(self, ladder: Ladder, seeds: np.ndarray, level: int):
-        self.ladder, self.level = ladder, level
-        # stream s is process s % depth of deployment s // depth
-        self.depth = min(level + 1, ladder.top)
-        processes = np.arange(self.depth, dtype=np.uint64)
-        self.seeds = derive_stream_seeds(seeds[:, None], processes).ravel()
-        # each stream's next pick; every stream starts from a pick at index -1
-        self.pos = np.full(self.seeds.size, -1, dtype=np.int64)
 
-    def advance(self, stop: int, rows: slice) -> Tuple[np.ndarray, np.ndarray]:
-        """(stream, index) of every pick below `stop` of the deployments
-        `rows`, in no set order, index -1 among them; each of their streams
-        moves on to its first pick at or past stop."""
-        first = rows.start * self.depth
-        found_streams, found = [], []
-        s = first + np.flatnonzero(self.pos[first:rows.stop * self.depth] < stop)
-        while s.size:
-            pos = self.pos[s]
-            found_streams.append(s)
-            found.append(pos)
-            # the gap after the pick at j reads u at counter j + 1
-            pos = pos + 1
-            gap = np.log(uniform_draws(self.seeds[s], pos.view(np.uint64)))
-            gap /= self.ladder._log_keep[s % self.depth]
-            # no gap this long is ever reached
-            pos += np.minimum(gap, 2.0 ** 53, out=gap).astype(np.int64)
-            self.pos[s] = pos
-            s = s[pos < stop]
-        return (np.concatenate(found_streams or [np.empty(0, np.intp)]),
-                np.concatenate(found or [np.empty(0, np.int64)]))
+class InnerPicks:
+    """The inner sensor indices of a UniformField's deployments, enumerated
+    by index windows in order."""
 
-    def members(self, start: int, stop: int,
-                rows: slice) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(deployment, index, level) of the members of the scan's level among
-        indices start .. stop - 1 of the deployments `rows`, in (deployment,
-        index) order, with deployments counted from rows.start; their streams
-        stand at start."""
-        streams, index = self.advance(stop, rows)
-        picked = index >= start
-        streams, index = streams[picked], index[picked]
-        width = stop - start
-        key = streams // self.depth - rows.start
-        key *= width
-        key += index - start
-        key *= self.depth
-        key += streams % self.depth
-        key.sort()
-        cell, level = np.divmod(key, self.depth)
-        # the deepest process that picks a sensor owns it
-        first = np.ones(cell.size, dtype=bool)
-        np.not_equal(cell[1:], cell[:-1], out=first[1:])
-        cell, level = cell[first], level[first]
-        if self.level == self.ladder.top:
-            # every sensor; those no process picks are at the top level
-            every = np.full((rows.stop - rows.start) * width, self.level, dtype=np.int64)
-            every[cell] = level
-            cell, level = np.arange(every.size), every
-        deployments, columns = np.divmod(cell, width)
-        columns += start
-        return deployments, columns, level
+    def __init__(self, field: UniformField, seeds: np.ndarray):
+        self.field, self.seeds = field, seeds
+        # each deployment's next inner index, not yet returned, as a float
+        # (exact below 2^53; larger ones are past any sensor), and the number
+        # of gaps read: the first index is gap 0
+        self.gaps = np.zeros(seeds.size, dtype=np.uint64)
+        self.pos = self._gaps(seeds, self.gaps, 1)[0]
+        if field.share == 0.0:
+            self.pos[:] = math.inf
+        self.gaps += np.uint64(1)
+
+    def _gaps(self, seeds: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
+        """Gaps first .. first + count - 1 of each deployment, one column each."""
+        counters = np.arange(_GAP_COUNTER, _GAP_COUNTER + count, dtype=np.uint64)[:, None] + first
+        gaps = np.log(uniform_draws(seeds, counters))
+        gaps *= self.field._gap_scale
+        return np.floor(gaps, out=gaps)
+
+    def advance(self, start: int, stop: int, rows: slice) -> Tuple[np.ndarray, np.ndarray]:
+        """(deployment, index) of the inner indices in start .. stop - 1 of the
+        deployments `rows`, in no set order, with deployments counted from
+        rows.start; their walks move on to their first index at or past stop."""
+        found = []
+        live = rows.start + np.flatnonzero(self.pos[rows] < stop)
+        # about the gaps that the walks need to pass stop, then twice as many
+        # at each step for those that have not
+        count = int((stop - start) * self.field.share) + 1
+        while live.size:
+            pos = self.pos[live]
+            returned = pos >= start
+            found.append((live[returned] - rows.start, pos[returned]))
+            # floor(gap) + 1 from each index to the next
+            walk = self._gaps(self.seeds[live], self.gaps[live], count)
+            walk += 1.0
+            walk[0] += pos
+            np.cumsum(walk, axis=0, out=walk)
+            # the walk's next index is its first at or past stop, or its last
+            taken = np.minimum(np.count_nonzero(walk < stop, axis=0), count - 1)
+            c, t = np.nonzero((walk >= start) & (np.arange(count)[:, None] < taken))
+            found.append((live[t] - rows.start, walk[c, t]))
+            self.pos[live] = walk[taken, np.arange(live.size)]
+            self.gaps[live] += (taken + 1).astype(np.uint64)
+            live = live[self.pos[live] < stop]
+            count *= 2
+        if not found:
+            return np.empty(0, np.intp), np.empty(0, np.int64)
+        return (np.concatenate([t for t, _ in found]),
+                np.concatenate([j for _, j in found]).astype(np.int64))
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop the deployments not selected by the boolean mask `rows`."""
-        keep = np.repeat(rows, self.depth)
-        self.seeds, self.pos = self.seeds[keep], self.pos[keep]
+        self.seeds, self.pos, self.gaps = self.seeds[rows], self.pos[rows], self.gaps[rows]
+
+
+def _screened(seeds: np.ndarray, counters: np.ndarray, a: int, width: int) -> np.ndarray:
+    """The (seeds x counters) mask of raw draws in [a, a + width], taken mod
+    2^64, computed about _SCREEN_BLOCK at a time."""
+    candidate = np.empty((seeds.size, counters.size), dtype=bool)
+    rows = max(1, _SCREEN_BLOCK // max(counters.size, 1))
+    for lo in range(0, seeds.size, rows):
+        raw = raw_draws(seeds[lo:lo + rows, None], counters)
+        raw -= np.uint64(a)
+        np.less_equal(raw, np.uint64(width), out=candidate[lo:lo + rows])
+    return candidate
+
+
+def _cells(mask: np.ndarray) -> np.ndarray:
+    """The flat indices of mask's true cells, in the narrowest index type
+    that holds the grid."""
+    index = np.int32 if mask.size <= np.iinfo(np.int32).max else np.intp
+    return np.flatnonzero(mask).astype(index)
 
 
 def sample_screened(model: DeploymentModel, n: int, seeds: np.ndarray, first: int,
@@ -475,23 +514,17 @@ def sample_screened(model: DeploymentModel, n: int, seeds: np.ndarray, first: in
     2^64 (raw - a <= width in uint64 arithmetic). Only that one raw
     draw is read for every sensor; the candidates are placed in full, with
     rejection, so their positions are bit-identical to sample_positions'.
-    Both steps run in blocks.
+    Both steps run in blocks. A uniform model is refused: its field is
+    placed through UniformField, not attempt by attempt.
     """
+    if model.kind == DeploymentKind.UNIFORM:
+        raise ValueError("a uniform field is placed through UniformField, not screened")
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    a, width = screen
     columns = np.arange(first, n, dtype=np.uint64)
-    counters = _counter_base(columns, 0)
-    candidate = np.empty((seeds.size, n - first), dtype=bool)
-    rows = max(1, _SCREEN_BLOCK // max(n - first, 1))
-    for lo in range(0, seeds.size, rows):
-        raw = raw_draws(seeds[lo:lo + rows, None], counters)
-        raw -= np.uint64(a)
-        np.less_equal(raw, np.uint64(width), out=candidate[lo:lo + rows])
-    # (seed, column) pairs in the narrowest index type that holds the grid
-    index = np.int32 if candidate.size <= np.iinfo(np.int32).max else np.intp
-    t, j = np.divmod(np.flatnonzero(candidate).astype(index), max(n - first, 1))
+    t, j = np.divmod(_cells(_screened(seeds, _counter_base(columns, 0), *screen)),
+                     max(n - first, 1))
     xs, ys = np.empty(t.size), np.empty(t.size)
     for lo in range(0, t.size, _PLACE_BLOCK):
         block = slice(lo, lo + _PLACE_BLOCK)

@@ -12,12 +12,13 @@ index, so SamplingError can come only from a sensor that is drawn. Where
 most sensors can be decided from one raw draw (_screen), a chunk reads that
 draw for every sensor and places only the candidates in full
 (sample_screened), at the counters the full field reads them from. A
-uniform field is defined through its Ladder of nested |y| levels, which
-depend on the model alone: a pass takes the deepest level that holds every
-case's y band, enumerates that level's members by Geometric gaps on the
-levels' own substreams of the trial seed (exact up to the rounding of log,
-not bit-identical to a per-sensor Bernoulli draw) and places and tests only
-them, since no other sensor can detect. Trial i
+uniform field (UniformField) splits its sensors by |y| into an inner band,
+a fixed share of them that depends on the model alone, and the rest; the
+inner indices come from Geometric gaps (exact up to the rounding of log,
+not bit-identical to a per-sensor Bernoulli draw). A pass whose cases all
+detect within the inner band enumerates those indices and places and tests
+only the inner sensors, since no other can detect; any other uniform pass
+screens x, or the y of the rest, by one raw draw (_uniform_screen). Trial i
 always uses the substream derive_stream_seed(master, i), and
 sensor j always reads counter block j of it, so estimates are independent
 of batch size, chunk widths, evaluation order and worker count, and each
@@ -37,8 +38,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analytic import capsule_probability, detection_probability
-from .distributions import (DeploymentKind, DeploymentModel, Ladder, LadderScan, SamplingError,
-                            sample_positions, sample_screened)
+from .distributions import (DeploymentKind, DeploymentModel, InnerPicks, SamplingError,
+                            UniformField, sample_positions, sample_screened)
 from .geometry import IntruderScenario, segment_dist2
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import (RandomSeed, check_integer, check_real, derive_stream_seed, derive_stream_seeds,
@@ -50,12 +51,15 @@ _BATCH = 1 << 15
 # half-normal trials stop early, and few chunks keep small N in few calls
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 16
-# a uniform chunk places and tests its Ladder members about this many at a time
-_MEMBER_BLOCK = 1 << 14
+# a narrow uniform chunk places about this many sensors at a time; any other
+# uniform chunk finds the inner sensors of the next _LOOKAHEAD chunks' width
+_MEMBER_BLOCK = 1 << 15
+_LOOKAHEAD = 8
 # the screen costs one raw draw per sensor and the full draw per candidate.
 # Against the full scan, one thread, 2^15 trials: half-normal 0.35-0.38 of the
 # time at 16.5% candidates (the README sigma = 10 group), 0.48 at 31%, 0.73 at
-# 51% (the sigma = 5 half-plane), 0.90 at 62%, 1.04 at 71%
+# 51% (the sigma = 5 half-plane), 0.90 at 62%, 1.04 at 71%; a uniform screen
+# (_uniform_screen) 0.84 at 25%, 1.24 at 56%
 _MAX_CANDIDATES = 0.6
 # the polar screen widens reach, and narrows inner, by this share plus 2^-500
 _MARGIN = 1e-9
@@ -93,19 +97,23 @@ class SweepRow:
     status: str = "ok"
 
 
-def _y_band(cases: Sequence[Case]) -> float:
-    """A half-width h: a sensor with |y| > h detects in no case.
+def _bands(cases: Sequence[Case]) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """An x and a y interval; a sensor outside either detects in no case.
 
-    A case (S, d, r) detects within y in [-r, r]. r * r rounds, so the
-    largest r is widened by 16 ulps, which bounds its relative error, and by
-    2^-500 for an r whose square is subnormal or 0; segment_dist2 is
-    fl(fl(c^2) + fl(y^2)) >= fl(y^2), so the band is exact. Where r * r
+    A case (S, d, r) detects within x in [S - d - r, S + r] and y in [-r, r].
+    segment_dist2 and r * r round, so the hulls of those ranges are widened
+    by 16 ulps of their largest end, which bounds their relative error, and
+    by 2^-500 for ranges whose square is subnormal or 0. The y band is exact
+    as well: segment_dist2 is fl(fl(c^2) + fl(y^2)) >= fl(y^2). Where r * r
     overflows, every sensor detects.
     """
     if any(math.isinf(r * r) for _, r in cases):
-        return math.inf
-    r = max(r for _, r in cases)
-    return r + 16.0 * math.ulp(r) + 2.0 ** -500
+        return (-math.inf, math.inf), (-math.inf, math.inf)
+    x_hi = max(scenario.start_s + r for scenario, r in cases)
+    x_lo = min(scenario.start_s - scenario.distance_d - r for scenario, r in cases)
+    y_hi = max(r for _, r in cases)
+    x_slack, y_slack = (16.0 * math.ulp(hi) + 2.0 ** -500 for hi in (x_hi, y_hi))
+    return (x_lo - x_slack, x_hi + x_slack), (-y_hi - y_slack, y_hi + y_slack)
 
 
 def _first_index(predicate) -> int:
@@ -137,8 +145,8 @@ def _screen(model: DeploymentModel, cases: Sequence[Case]) -> Optional[Tuple[int
     by _MARGIN of themselves plus 2^-500, so neither the rounding of log,
     sqrt, sin and cos (in any library) nor a square that underflows can flip
     a decision. No screen where some r * r overflows (every sensor detects),
-    for strip and uniform (whose Ladder draws only the candidates), or where
-    more than _MAX_CANDIDATES of the sensors are candidates.
+    for strip and uniform (_uniform_screen), or where more than
+    _MAX_CANDIDATES of the sensors are candidates.
     """
     if any(math.isinf(r * r) for _, r in cases) or not model.polar:
         return None
@@ -160,46 +168,58 @@ def _screen(model: DeploymentModel, cases: Sequence[Case]) -> Optional[Tuple[int
     return start << 11, (count << 11) - 1
 
 
-def _scan_members(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, columns: np.ndarray,
-                  paths: dict, k: np.ndarray, j0: int, j1: int) -> None:
+def _uniform_screen(field: UniformField, bands) -> Optional[Tuple[int, int, int]]:
+    """(offset, a, width) for UniformField.sample: a sensor whose raw draw at
+    counter 256 j + offset satisfies (raw - a) mod 2^64 > width detects in no
+    case, unless offset is 1 and it is inner. None for no screen.
+
+    The screen is an interval of m = raw >> 11, which fixes the uniform
+    u = (m + 1) 2^-53 of the draw: u places x (offset 0) or the y of a sensor
+    that is not inner (offset 1), whichever band (_bands) holds fewer draws,
+    counting every inner sensor as a y candidate. Both maps are
+    nondecreasing in m and are evaluated as the draw evaluates them, so the
+    interval is exact. No screen where more than _MAX_CANDIDATES of the
+    sensors are candidates.
+    """
+    intervals = []
+    for offset, (value, (lo, hi)) in enumerate(zip((field.x, field.outer_y), bands)):
+        def at(m):
+            return value((m + 1) * 2.0 ** -53)
+        start = _first_index(lambda m: at(m) >= lo)
+        count = _first_index(lambda m: at(m) > hi) - start
+        inner = field.share if offset else 0.0
+        intervals.append((inner + (1.0 - inner) * count / (1 << 53), offset, start, count))
+    candidates, offset, start, count = min(intervals)
+    if candidates > _MAX_CANDIDATES:
+        return None
+    if count <= 0:
+        # no candidate; m = 0 stands in for one, since a candidate costs only its draw
+        start, count = 0, 1
+    return offset, start << 11, (count << 11) - 1
+
+
+def _scan(xs: np.ndarray, ys: np.ndarray, at: Optional[tuple], paths: dict, k: np.ndarray,
+          j0: int, j1: int) -> None:
     """Advance the first-hit indices k (live trials x cases) over sensors
-    j0 .. j1 - 1, of which only the members (rows, columns), in row-major
-    order, can detect; xs, ys are their positions. A case with no detection
-    so far has k = j0; it gets the index of its first detecting member, or
-    j1 if none detects.
+    j0 .. j1 - 1.
+
+    xs, ys are the positions of the sensors (rows, columns) = at, in any
+    order; the others cannot detect. For at None they are the whole (live
+    trials x (j1 - j0)) grid. A case with no detection so far has k = j0; it
+    gets the index of its first detecting sensor, or j1 if none detects.
     """
     for scenario, cases in paths.items():
         dist2 = segment_dist2(xs, ys, scenario)
         for r2, c in cases:
-            hit = np.flatnonzero(dist2 <= r2)
-            # a row's first hit comes first
-            first = hit[np.diff(rows[hit], prepend=-1) != 0]
-            found = np.full(k.shape[0], j1, dtype=k.dtype)
-            found[rows[first]] = columns[first]
-            np.copyto(k[:, c], found, where=k[:, c] == j0)
-
-
-def _scan(xs: np.ndarray, ys: np.ndarray, at: tuple, width: int, paths: dict, k: np.ndarray,
-          j0: int) -> np.ndarray:
-    """Advance the first-hit indices k (live trials x cases) over a chunk of
-    `width` sensors whose first column is sensor j0.
-
-    xs, ys are the positions of the chunk's sensors at index `at` of its
-    (live trials x width) grid; the others cannot detect. A case with no
-    detection so far has k = j0; it gets the index of the chunk's first
-    detecting sensor, or the chunk's end if none detects.
-    """
-    # a last column that always hits: argmax gives the chunk's width where no
-    # sensor detects
-    hit = np.zeros((k.shape[0], width + 1), dtype=bool)
-    hit[:, width] = True
-    for scenario, cases in paths.items():
-        dist2 = segment_dist2(xs, ys, scenario)
-        for r2, c in cases:
-            hit[at] = dist2 <= r2
-            # a case that has detected keeps its index
-            np.add(k[:, c], hit.argmax(axis=1), out=k[:, c], where=k[:, c] == j0, casting="unsafe")
-    return k
+            hit = dist2 <= r2
+            if at is None:
+                # a row's first hit, or j1 where it has none
+                found = np.where(hit.any(axis=1), hit.argmax(axis=1) + j0, j1)
+            else:
+                hit = np.flatnonzero(hit)
+                found = np.full(k.shape[0], j1, dtype=k.dtype)
+                np.minimum.at(found, at[0][hit], at[1][hit].astype(k.dtype))
+            np.copyto(k[:, c], found, where=k[:, c] == j0, casting="unsafe")
 
 
 def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
@@ -211,49 +231,71 @@ def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
     One chunked pass; a trial draws the next chunk only while some case has
     no detection. Each chunk's squared distances to a path are computed once
     and compared with the r^2 of every case on that path. Where one raw
-    draw rules most sensors out (_screen), the chunk reads it for every
-    sensor and places and tests the candidates alone (sample_screened), from
-    the same counters. A uniform field places only the members of the
-    deepest level of its Ladder that holds every case's y band, since no
-    other sensor can detect; its chunks are index windows that hold about
-    4, 8, then 16 members.
+    draw rules most sensors out (_screen, _uniform_screen), the chunk reads
+    it for every sensor and places and tests the candidates alone, from the
+    same counters. A uniform pass whose y band lies within the inner band
+    places only the inner sensors, since no other can detect; its chunks are
+    index windows that hold about 4, 8, then 16 of them.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
         paths.setdefault(scenario, []).append((r * r, c))
     uniform = model.kind == DeploymentKind.UNIFORM
+    share, narrow = 1.0, False
     if uniform:
-        ladder = Ladder(model)
-        level = ladder.level(_y_band(cases))
-        scan, share = LadderScan(ladder, seeds, level), ladder.share[level]
+        field, bands = UniformField(model), _bands(cases)
+        picks = InnerPicks(field, seeds)
+        # every sensor that is not inner has |y| >= field.outer_min
+        narrow = bands[1][1] < field.outer_min
+        if narrow:
+            share = field.share
+        else:
+            screen = _uniform_screen(field, bands)
+            # the inner sensors from index h0 to horizon, as a (trial x index) mask
+            ahead, h0, horizon = np.zeros((seeds.size, 0), dtype=bool), 0, 0
     else:
-        screen, share = _screen(model, cases), 1.0
+        screen = _screen(model, cases)
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
     live = np.arange(seeds.size)
     j0, chunk = 0, _FIRST_CHUNK
     while live.size and j0 < n_max:
         j1 = min(j0 + math.ceil(chunk / share), n_max)
-        if uniform:
-            k_live = k[live]
+        k_live = k[live]
+        if narrow:
+            # about _MEMBER_BLOCK inner sensors at a time
             step = max(1, _MEMBER_BLOCK // chunk)
             for lo in range(0, live.size, step):
                 block = slice(lo, min(lo + step, live.size))
-                rows, columns, levels = scan.members(j0, j1, block)
-                xs, ys = ladder.place(seeds[live[block]][rows], columns, levels)
-                _scan_members(xs, ys, rows, columns, paths, k_live[block], j0, j1)
+                t, j = picks.advance(j0, j1, block)
+                xs, ys = field.place(seeds[live[block]][t], j, True)
+                _scan(xs, ys, (t, j), paths, k_live[block], j0, j1)
+        elif uniform:
+            if j1 > horizon:
+                # the inner sensors from j0 on: the rest of those found, and
+                # those of this chunk and, past the first, of the next few
+                end = j1 if j0 == 0 else min(j0 + _LOOKAHEAD * (j1 - j0), n_max)
+                found = np.zeros((seeds.size, end - j0), dtype=bool)
+                found[:, :horizon - j0] = ahead[:, j0 - h0:]
+                t, j = picks.advance(horizon, end, slice(0, live.size))
+                found[live[t], j - j0] = True
+                ahead, h0, horizon = found, j0, end
+            inner = ahead[live, j0 - h0:j1 - h0]
+            xs, ys, at = field.sample(seeds[live], j0, j1, inner, screen)
+            _scan(xs, ys, at, paths, k_live, j0, j1)
         else:
             if screen is None:
                 xs, ys = sample_positions(model, j1, seeds[live], j0)
-                at = np.s_[:, :j1 - j0]
+                at = None
             else:
-                xs, ys, at = sample_screened(model, j1, seeds[live], j0, screen)
-            k_live = _scan(xs, ys, at, j1 - j0, paths, k[live], j0)
+                xs, ys, (rows, columns) = sample_screened(model, j1, seeds[live], j0, screen)
+                at = rows, columns + j0
+            _scan(xs, ys, at, paths, k_live, j0, j1)
         k[live] = k_live
         going = (k_live == j1).any(axis=1)
         live = live[going]
         if uniform:
-            scan.keep(going)
+            picks.keep(going)
         j0, chunk = j1, min(2 * chunk, _MAX_CHUNK)
     return k
 

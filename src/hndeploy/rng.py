@@ -157,11 +157,9 @@ def raw_draws(seeds, counters) -> np.ndarray:
         return _mix64_inplace(np.asarray(seeds + (counters + np.uint64(1)) * _GOLDEN_U64))
 
 
-def derive_stream_seeds(master, indices) -> np.ndarray:
-    """Vectorized derive_stream_seed: the seeds of substreams `indices` of
-    `master`; master (one seed or an array of them) and indices broadcast
-    together."""
-    return raw_draws(_mix64_array(master), indices)
+def derive_stream_seeds(master: int, indices) -> np.ndarray:
+    """Vectorized derive_stream_seed: the seeds of substreams `indices` of `master`."""
+    return raw_draws(mix64(master), indices)
 
 
 def uniform_draws(seeds, counters) -> np.ndarray:

@@ -11,9 +11,9 @@ from hndeploy.distributions import (
     DeploymentKind,
     DeploymentModel,
     HalfNormalParams,
-    Ladder,
-    LadderScan,
+    InnerPicks,
     SamplingError,
+    UniformField,
     correlated_half_normal_pdf,
     half_normal_cdf,
     half_normal_mean,
@@ -26,8 +26,8 @@ from hndeploy.distributions import (
 )
 from hndeploy.geometry import HalfPlane, Rectangle
 from hndeploy.numerics import QuadratureSpec, integrate_1d, integrate_2d
-from hndeploy.rng import (derive_stream_seed, derive_stream_seeds, normal_draw, normal_pair,
-                          raw_draws, uniform_draw, uniform_draws)
+from hndeploy.rng import (derive_stream_seeds, normal_draw, normal_pair, raw_draws, uniform_draw,
+                          uniform_draws)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -390,34 +390,28 @@ class TestDeploymentSampling:
         assert first[1].tobytes() == second[1].tobytes()
 
 
-def _reference_levels(ladder, n, seed):
-    """Each of sensors 0 .. n - 1's Ladder level, by a scalar walk of every
-    process's Geometric gaps: on substream k of the seed, process k's gap
-    after a pick at j reads u at counter j + 1 (from j = -1 for its first
-    pick), and the deepest process that picks a sensor owns it."""
-    levels = [ladder.top] * n
-    for k in reversed(range(ladder.top)):
-        stream, log_keep = derive_stream_seed(seed, k), math.log1p(-float(ladder.rate[k]))
-        j = -1
-        while True:
-            j += 1 + math.floor(math.log(uniform_draw(stream, j + 1)) / log_keep)
-            if j >= n:
-                break
-            levels[j] = k
-    return levels
+def _reference_inner(field, n, seed):
+    """The inner indices below n, by a scalar walk of the Geometric gaps: gap
+    m reads u at counter 2^63 + m of the seed, and each inner index is the
+    last plus 1 plus the next gap, from -1."""
+    inner, j, m = [], -1, 0
+    while True:
+        j += 1 + math.floor(math.log(uniform_draw(seed, 2**63 + m)) * field._gap_scale)
+        m += 1
+        if j >= n:
+            return inner
+        inner.append(j)
 
 
-def _reference_ring_y(ladder, region, level, u):
-    """y uniform on the ring of `level` from u: the ring's piece below 0
-    first, then the one above, each clamped to its own ends."""
-    outer = float(ladder.bound[level])
-    inner = float(ladder.bound[level - 1]) if level else -outer
-    below = (max(region.y_min, -outer), min(region.y_max, -inner if level else -math.inf))
-    above = (max(region.y_min, inner), min(region.y_max, outer))
-    lengths = [max(hi - lo, 0.0) for lo, hi in (below, above)]
-    t = u * (lengths[0] + lengths[1])
-    (lo, hi), t = (below, t) if t <= lengths[0] else (above, t - lengths[0])
-    return min(max(lo + t, lo), hi)
+def _reference_y(field, region, inner, u):
+    """y from u: uniform on the band [max(y_min, -bound), min(y_max, bound)]
+    for an inner sensor; for any other, t = u times the rest's length, from
+    y_min, stepping over the band's length past the piece below it."""
+    lo, hi = max(region.y_min, -field.bound), min(region.y_max, field.bound)
+    if inner:
+        return min(lo + (hi - lo) * u, hi)
+    t = u * ((lo - region.y_min) + (region.y_max - hi))
+    return min(t + region.y_min + ((hi - lo) if t > lo - region.y_min else 0.0), region.y_max)
 
 
 def _reference_positions(model, n, seed):
@@ -427,16 +421,16 @@ def _reference_positions(model, n, seed):
     quadrant one Box-Muller pair (normal_pair) at c and c + 1; strip the
     pair's cosine branch (normal_draw) for x and a uniform y at c + 2. A
     uniform sensor takes one attempt: x uniform at c and y at c + 1, on the
-    ring of its Ladder level. Returns x, y and the attempt index each sensor
-    was accepted on.
+    inner band or the rest of the region's y. Returns x, y and the attempt
+    index each sensor was accepted on.
     """
     region, kind, sigma = model.region, model.kind, model.sigma
     if kind == DeploymentKind.UNIFORM:
-        ladder = Ladder(model)
-        levels = _reference_levels(ladder, n, seed)
+        field = UniformField(model)
+        inner = set(_reference_inner(field, n, seed))
         xs = [min(region.x_min + region.width * uniform_draw(seed, 256 * j), region.x_max)
               for j in range(n)]
-        ys = [_reference_ring_y(ladder, region, levels[j], uniform_draw(seed, 256 * j + 1))
+        ys = [_reference_y(field, region, j in inner, uniform_draw(seed, 256 * j + 1))
               for j in range(n)]
         return np.array(xs), np.array(ys), [0] * n
     xs, ys, attempts = [], [], []
@@ -597,7 +591,7 @@ _SCREENS = [(0, 2**63 - 1), (2**63 + 5, 2**62), (2**64 - 2**62, 2**63), (0, 2**6
 
 
 class TestScreenedSampling:
-    # a uniform field is never screened: its Ladder draws only the candidates
+    # a uniform field is placed through UniformField, not screened here
     @pytest.mark.parametrize("kind,region", [(k, r) for k, r, _ in _REJECTS_CASES
                                              if k != DeploymentKind.UNIFORM])
     @pytest.mark.parametrize("screen", _SCREENS)
@@ -628,6 +622,11 @@ class TestScreenedSampling:
         xs, ys, (t, j) = sample_screened(model, 4, seeds, 0, (raw + 1, 2**64 - 2))
         assert j.tolist() == [0, 2, 3]
 
+    def test_uniform_model_is_refused(self):
+        model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1))
+        with pytest.raises(ValueError, match="UniformField"):
+            sample_screened(model, 4, np.array([1], dtype=np.uint64), 0, (0, 2**63))
+
     @pytest.mark.parametrize("rows,block", [(1, 1), (3, 2), (40, 5)])
     def test_blocks_do_not_change_the_draw(self, monkeypatch, rows, block):
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
@@ -641,8 +640,8 @@ class TestScreenedSampling:
 
 
 # the README box, a box whose y never comes near 0, and one that holds 0 off-centre
-_LADDER_REGIONS = [Rectangle(-50.0, 50.0, -50.0, 50.0), Rectangle(-5.0, 5.0, 10.0, 20.0),
-                   Rectangle(0.0, 20.0, -1.0, 9.0)]
+_UNIFORM_REGIONS = [Rectangle(-50.0, 50.0, -50.0, 50.0), Rectangle(-5.0, 5.0, 10.0, 20.0),
+                    Rectangle(0.0, 20.0, -1.0, 9.0)]
 
 
 def _chi_square_critical(dof, z=3.09):
@@ -651,51 +650,43 @@ def _chi_square_critical(dof, z=3.09):
     return dof * (1.0 - c + z * math.sqrt(c)) ** 3
 
 
-class TestLadder:
-    @pytest.mark.parametrize("region", _LADDER_REGIONS)
-    def test_levels_are_nested_and_model_only(self, region):
-        ladder = Ladder(DeploymentModel(DeploymentKind.UNIFORM, region))
-        assert np.all(np.diff(ladder.bound) > 0) and np.all(np.diff(ladder.share) > 0)
-        assert ladder.bound[-1] == max(-region.y_min, region.y_max) and ladder.share[-1] == 1.0
-        # 2^-8 of the y mass at the deepest level, 2^(1/2) times as much at each next one
-        assert ladder.top == 16
-        np.testing.assert_allclose(ladder.share, 2.0 ** (np.arange(17) / 2.0 - 8.0), rtol=1e-12)
-        # level k's share is the region's y mass within |y| <= bound[k]
-        mass = [(min(w, region.y_max) - max(-w, region.y_min)) / region.height
-                for w in ladder.bound.tolist()]
-        np.testing.assert_allclose(ladder.share, mass, rtol=1e-12)
+class TestUniformField:
+    @pytest.mark.parametrize("region", _UNIFORM_REGIONS)
+    def test_inner_band_is_model_only(self, region):
+        field = UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+        # 2^-5 of the y mass: the region's y within |y| <= bound
+        assert field.share == pytest.approx(2.0 ** -5, rel=1e-12)
+        mass = (min(field.bound, region.y_max) - max(-field.bound, region.y_min)) / region.height
+        assert field.share == pytest.approx(mass, rel=1e-12)
+        assert 0.0 < field.bound - field.outer_min <= 2.0 ** -40 * field.bound
 
-    @pytest.mark.parametrize("region", _LADDER_REGIONS)
-    def test_process_picks_are_binomial(self, region):
-        # each process picks each of n indices with probability rate[k], so its
-        # pick count per deployment is Binomial(n, rate[k]): chi-square over
-        # 2000 deployments, tail bins merged to an expected count of 5 or more
-        ladder = Ladder(DeploymentModel(DeploymentKind.UNIFORM, region))
-        trials, n = 2000, 200
-        scan = LadderScan(ladder, derive_stream_seeds(5, np.arange(trials, dtype=np.uint64)),
-                          ladder.top)
-        streams, index = scan.advance(n, slice(0, trials))
-        # every stream starts from a pick at index -1
-        streams = streams[index >= 0]
-        counts = np.bincount(streams, minlength=trials * scan.depth).reshape(trials, scan.depth)
-        for k, rate in enumerate(ladder.rate.tolist()):
-            pmf = np.array([math.comb(n, i) * rate ** i * (1.0 - rate) ** (n - i)
-                            for i in range(n + 1)]) * trials
-            observed = np.bincount(counts[:, k], minlength=n + 1)
-            # merge bins from both tails inward until each holds an expected 5
-            edges = [0]
-            total = 0.0
-            for i, e in enumerate(pmf):
-                total += e
-                if total >= 5.0 and pmf[i + 1:].sum() >= 5.0:
-                    edges.append(i + 1)
-                    total = 0.0
-            expected = np.add.reduceat(pmf, edges)
-            got = np.add.reduceat(observed, edges)
-            stat = float(np.sum((got - expected) ** 2 / expected))
-            assert stat <= _chi_square_critical(len(edges) - 1), (k, stat)
+    @pytest.mark.parametrize("region", _UNIFORM_REGIONS)
+    def test_inner_counts_are_binomial(self, region):
+        # each of n indices is inner with probability share, so the inner
+        # count per deployment is Binomial(n, share): chi-square over 2000
+        # deployments, tail bins merged to an expected count of 5 or more
+        field = UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+        trials, n, rate = 2000, 200, field.share
+        t, _ = InnerPicks(field, derive_stream_seeds(5, np.arange(trials, dtype=np.uint64))
+                          ).advance(0, n, slice(0, trials))
+        counts = np.bincount(t, minlength=trials)
+        pmf = np.array([math.comb(n, i) * rate ** i * (1.0 - rate) ** (n - i)
+                        for i in range(n + 1)]) * trials
+        observed = np.bincount(counts, minlength=n + 1)
+        # merge bins from both tails inward until each holds an expected 5
+        edges = [0]
+        total = 0.0
+        for i, e in enumerate(pmf):
+            total += e
+            if total >= 5.0 and pmf[i + 1:].sum() >= 5.0:
+                edges.append(i + 1)
+                total = 0.0
+        expected = np.add.reduceat(pmf, edges)
+        got = np.add.reduceat(observed, edges)
+        stat = float(np.sum((got - expected) ** 2 / expected))
+        assert stat <= _chi_square_critical(len(edges) - 1), stat
 
-    @pytest.mark.parametrize("region", _LADDER_REGIONS)
+    @pytest.mark.parametrize("region", _UNIFORM_REGIONS)
     def test_field_is_uniform(self, region):
         # x and y of one field against the uniform law on the region:
         # Kolmogorov-Smirnov at the 1% level
@@ -709,51 +700,55 @@ class TestLadder:
             stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
             assert stat <= 1.628 / math.sqrt(n)
 
-    @pytest.mark.parametrize("region", _LADDER_REGIONS + [Rectangle(-1.1, 0.3, -0.3, 0.1)])
-    def test_ring_draws_stay_in_their_ring(self, region, monkeypatch):
-        # u at the ends of the ring and next to the step between its two
-        # pieces: every y lies in the region with bound[k - 1] <= |y| <= bound[k]
-        ladder = Ladder(DeploymentModel(DeploymentKind.UNIFORM, region))
-        ms = [0, 1, 2, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1]
-        for k in range(ladder.top + 1):
-            below = max(min(region.y_max, -ladder.bound[k - 1] if k else -math.inf)
-                        - max(region.y_min, -ladder.bound[k]), 0.0)
-            step = below / ladder._ring[k] * 2**53
-            ms += [int(step) + d for d in range(-3, 4) if 0 <= int(step) + d < 2**53]
+    @pytest.mark.parametrize("region", _UNIFORM_REGIONS + [Rectangle(-1.1, 0.3, -0.3, 0.1)])
+    def test_draws_stay_in_their_part(self, region, monkeypatch):
+        # u at its ends and next to the step over the band: an inner y lies
+        # in the band, any other has |y| >= outer_min, and both lie in the
+        # region; the scalar map the screen bisects rounds as the array one
+        field = UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+        lo = max(region.y_min, -field.bound)
+        step = (lo - region.y_min) / ((lo - region.y_min) + (region.y_max - min(region.y_max,
+                                                                               field.bound)))
+        ms = [m for m in [0, 1, 2, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1]
+              + list(range(int(step * 2**53) - 3, int(step * 2**53) + 4)) if 0 <= m < 2**53]
         raws = np.array(sorted(set(ms)), dtype=np.uint64) << np.uint64(11)
         monkeypatch.setattr(distributions, "uniform_draws",
                             lambda seeds, counters: _uniform_draws_at(raws, counters))
-        for k in range(ladder.top + 1):
-            xs, ys = ladder.place(np.uint64(0), np.arange(raws.size),
-                                  np.full(raws.size, k))
-            inner = ladder.bound[k - 1] if k else 0.0
-            assert np.all((np.abs(ys) >= inner) & (np.abs(ys) <= ladder.bound[k]))
-            assert np.all(region.contains(xs, ys))
+        columns = np.arange(raws.size)
+        xs, inner_ys = field.place(np.uint64(0), columns, True)
+        _, outer_ys = field.place(np.uint64(0), columns, np.empty(0, dtype=np.intp))
+        assert np.all(np.abs(inner_ys) <= field.bound)
+        assert np.all(np.abs(outer_ys) >= field.outer_min)
+        assert np.all(region.contains(xs, inner_ys)) and np.all(region.contains(xs, outer_ys))
+        u = ((raws >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+        assert [field.outer_y(float(v)) for v in u] == outer_ys.tolist()
+        assert [field.x(float(v)) for v in u] == xs.tolist()
 
-    @pytest.mark.parametrize("region", _LADDER_REGIONS)
-    @pytest.mark.parametrize("level", [0, 4, 9, 15, 16])
-    def test_scan_members_are_the_scalar_walks(self, region, level):
-        # windows scanned in order, by blocks of deployments and after some
-        # are dropped, hold the sensors the scalar walk puts at `level` or
-        # deeper, each at its own level, in (deployment, index) order
-        ladder = Ladder(DeploymentModel(DeploymentKind.UNIFORM, region))
+    @pytest.mark.parametrize("region", _UNIFORM_REGIONS)
+    @pytest.mark.parametrize("windows", [
+        [(0, 300)], [(0, 4), (4, 12), (12, 28), (28, 300)], [(0, 1), (1, 2), (2, 300)],
+        [(0, 128), (128, 130), (130, 300)], [(40, 41), (41, 300)],
+    ])
+    def test_picks_are_the_scalar_walk(self, region, windows):
+        # windows taken in order, by blocks of deployments and after some are
+        # dropped, hold the indices the scalar walk makes inner; a first
+        # window that starts past 0 skips those below it
+        field = UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
         seeds = derive_stream_seeds(11, np.arange(7, dtype=np.uint64))
-        n = 300
-        reference = [_reference_levels(ladder, n, int(seed)) for seed in seeds]
-        scan = LadderScan(ladder, seeds, level)
+        reference = [_reference_inner(field, 300, int(seed)) for seed in seeds]
+        picks = InnerPicks(field, seeds)
         live = np.arange(seeds.size)
-        for start, stop, drop in ((0, 7, 1), (7, 8, None), (8, 120, 0), (120, n, None)):
+        for w, (start, stop) in enumerate(windows):
             got = []
             for lo in range(0, live.size, 3):
                 block = slice(lo, min(lo + 3, live.size))
-                rows, columns, levels = scan.members(start, stop, block)
-                got += zip(live[block][rows].tolist(), columns.tolist(), levels.tolist())
-            want = [(t, j, reference[t][j]) for t in live.tolist() for j in range(start, stop)
-                    if reference[t][j] <= level]
-            assert got == want
-            if drop is not None:
-                keep = np.arange(live.size) != drop
-                scan.keep(keep)
+                t, j = picks.advance(start, stop, block)
+                got += zip(live[block][t].tolist(), j.tolist())
+            want = [(t, j) for t in live.tolist() for j in reference[t] if start <= j < stop]
+            assert sorted(got) == want
+            if w == 1:
+                keep = np.arange(live.size) != 2
+                picks.keep(keep)
                 live = live[keep]
 
 

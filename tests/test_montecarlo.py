@@ -229,12 +229,11 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    # the screened scan wherever it pays, and the full scan; a uniform field
-    # has one scan, over its Ladder's members
+    # the screened scan wherever it pays, and the full scan
     first_hits = [montecarlo._first_hits(model, cases, ns[-1], seeds)]
-    if kind != DeploymentKind.UNIFORM:
-        with mock.patch.object(montecarlo, "_screen", lambda model, cases: None):
-            first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
+    screen = "_uniform_screen" if kind == DeploymentKind.UNIFORM else "_screen"
+    with mock.patch.object(montecarlo, screen, lambda *args: None):
+        first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
         # one column per sensor: whether it alone detects
@@ -247,11 +246,40 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
         assert est.detected_count == expected[ns.index(drawn[0])]
 
 
+@pytest.mark.parametrize("s,d,r", [
+    (5.0, 3.0, 1.0), (5.0, 5.0, 1.0), (0.0, 0.0, 0.1), (1e6, 0.5, 1e-6), (0.3, 0.1, 0.7),
+    (1e300, 1e299, 1e299), (1e300, 1e299, 1e150), (1e-300, 0.0, 1e-300),
+    (0.0, 0.0, math.ulp(0.0)), (1.0, 1.0, 1e-170),
+])
+def test_x_band_holds_every_detecting_x(s, d, r):
+    scenario = IntruderScenario(s, d)
+    (lo, hi), _ = montecarlo._bands([(scenario, r)])
+    xs = []
+    for edge in (s - d - r, s + r, s - d, s, lo, hi):
+        # 300 ulps either side of the edge
+        for direction in (-math.inf, math.inf):
+            x = edge
+            for _ in range(300):
+                x = math.nextafter(x, direction)
+                xs.append(x)
+        # and offsets whose square is subnormal or 0
+        xs += [edge + sign * 2.0 ** -e for sign in (-1.0, 1.0) for e in range(480, 600, 5)]
+    xs = np.array(xs)
+    with np.errstate(over="ignore"):
+        detected = xs[segment_dist2(xs, np.zeros_like(xs), scenario) <= r * r]
+    assert detected.size
+    assert np.all((detected >= lo) & (detected <= hi))
+    if math.isinf(r * r):
+        assert detected.size == xs.size and (lo, hi) == (-math.inf, math.inf)
+    else:
+        # a few ulps wide, unless the squares underflow
+        assert s + r <= hi <= max(s + r + 32 * math.ulp(s + r), 2.0 ** -499)
+
+
 @pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0), 1e200])
 def test_y_band_holds_every_detecting_y(r):
     scenario = IntruderScenario(5.0, 3.0)
-    hi = montecarlo._y_band([(scenario, r)])
-    lo = -hi
+    _, (lo, hi) = montecarlo._bands([(scenario, r)])
     ys = []
     for edge in (-r, r, lo, hi):
         # 300 ulps either side of the edge
@@ -271,10 +299,10 @@ def test_y_band_holds_every_detecting_y(r):
         assert detected.size
         assert np.all((detected >= lo) & (detected <= hi))
     if math.isinf(r * r):
-        assert detected.size == ys.size and hi == math.inf
+        assert detected.size == ys.size and (lo, hi) == (-math.inf, math.inf)
     else:
         # a few ulps wide, unless the squares underflow
-        assert r <= hi <= max(r + 32 * math.ulp(r), 2.0 ** -499)
+        assert lo == -hi and r <= hi <= max(r + 32 * math.ulp(r), 2.0 ** -499)
 
 
 def _draw_at(model, raws):
@@ -329,8 +357,8 @@ def test_polar_screen_rules_out_only_placed_sensors_that_miss(model, r, s, d):
     (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf),
                      10.0), 1.0),
     (DeploymentModel(DeploymentKind.QUADRANT, Rectangle(0.0, math.inf, 1.0, math.inf), 10.0), 1.0),
-    # a uniform field is never screened (its Ladder draws only the
-    # candidates), and a strip's half-normal x may leave any box
+    # a uniform field screens through _uniform_screen, and a strip's
+    # half-normal x may leave any box
     (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1)), 1e-3),
     (DeploymentModel(DeploymentKind.STRIP, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0), 1.0),
     # every sensor detects where r * r overflows
@@ -344,41 +372,59 @@ def test_no_screen_where_it_cannot_rule_sensors_out(model, r):
 
 @pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0)])
 @pytest.mark.parametrize("s,d", [(5.0, 5.0), (0.0, 0.0), (50.0, 3.0)])
-def test_uniform_ladder_rules_out_only_sensors_that_miss(monkeypatch, r, s, d):
-    # a uniform field places only the members of the level that holds the
-    # y band: a sensor past that level's bound, or anywhere on a ring above
-    # it, detects in no case, at any x
+def test_uniform_narrow_pass_rules_out_only_sensors_that_miss(monkeypatch, r, s, d):
+    # a pass whose y band lies within the inner band places only the inner
+    # sensors: any other, from u at its ends and next to the step over the
+    # band, detects in no case, at any x
     model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
     scenario = IntruderScenario(s, d)
-    ladder = distributions.Ladder(model)
-    band = montecarlo._y_band([(scenario, r)])
-    level = ladder.level(band)
-    bound = float(ladder.bound[level])
-    assert level < ladder.top and bound > band
-    # 300 ulps past the bound on either side
-    ys, y = [], bound
-    for _ in range(300):
-        y = math.nextafter(y, math.inf)
-        ys += [y, -y]
-    # each ring above at its ends and next to the step between its two pieces
-    for k in range(level + 1, ladder.top + 1):
-        below = max(min(50.0, -float(ladder.bound[k - 1])) - max(-50.0, -float(ladder.bound[k])),
-                    0.0)
-        step = int(below / ladder._ring[k] * 2**53)
-        ms = [m for m in [0, 1, 2**53 - 2, 2**53 - 1] + list(range(step - 3, step + 4))
-              if 0 <= m < 2**53]
-        u = (np.array(ms, dtype=np.float64) + 1.0) * 2.0 ** -53
-        # sensor j draws u[j] at each of its counters
-        monkeypatch.setattr(distributions, "uniform_draws",
-                            lambda seeds, counters, u=u: u[(counters // np.uint64(256))
-                                                           .astype(np.intp)])
-        ys += ladder.place(np.uint64(0), np.arange(u.size), np.full(u.size, k))[1].tolist()
-    ys = np.array(ys)
-    assert np.all(np.abs(ys) >= bound)
+    field = distributions.UniformField(model)
+    _, (_, band) = montecarlo._bands([(scenario, r)])
+    assert band < field.outer_min
+    step = int(0.5 * 2**53)
+    ms = [0, 1, 2**53 - 2, 2**53 - 1] + list(range(step - 300, step + 301))
+    u = (np.array(ms, dtype=np.float64) + 1.0) * 2.0 ** -53
+    ys = field.outer_y(u)
+    assert np.all(np.abs(ys) >= field.outer_min)
     # x at the ends of the path, of its capsule and of the region, a few ulps either side
     xs = [x for edge in (s - d - r, s - d, s, s + r, -50.0, 0.0, 50.0)
           for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))]
     xs, ys = np.broadcast_arrays(np.array(xs)[:, None], ys)
+    assert np.all(segment_dist2(xs, ys, scenario) > r * r)
+
+
+@pytest.mark.parametrize("region,s,d,r,offset", [
+    (Rectangle(-50.0, 50.0, -50.0, 50.0), 5.0, 3.0, 3.0, 1),
+    (Rectangle(-50.0, 50.0, -50.0, 50.0), 40.0, 3.0, 2.0, 1),
+    (Rectangle(0.0, 20.0, -5.0, 5.0), 5.0, 3.0, 5.0, 0),
+    (Rectangle(0.0, 20.0, -5.0, 5.0), 5.0, 3.0, 0.3, 1),
+    (Rectangle(-1.1, 0.3, -0.3, 0.1), 0.1, 0.05, 0.05, 0),
+    (Rectangle(-5.0, 5.0, 10.0, 20.0), 5.0, 3.0, 10.5, 1),
+])
+def test_uniform_screen_rules_out_only_sensors_that_miss(region, s, d, r, offset):
+    # a wider pass screens x, or the y of the sensors that are not inner:
+    # raw values within 300 of either end of the interval that the screen
+    # rules out place that coordinate where no case detects, whatever the other
+    field = distributions.UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+    scenario = IntruderScenario(s, d)
+    bands = montecarlo._bands([(scenario, r)])
+    assert bands[1][1] >= field.outer_min
+    screen = montecarlo._uniform_screen(field, bands)
+    assert screen[0] == offset
+    _, a, width = screen
+    ends = (a >> 11, ((a + width + 1) % 2**64) >> 11)
+    ms = sorted({m for end in ends for m in range(end - 300, end + 301)
+                 if 0 <= m < 2**53 and ((m << 11) - a) % 2**64 > width})
+    u = (np.array(ms, dtype=np.float64) + 1.0) * 2.0 ** -53
+    screened = field.outer_y(u) if offset else field.x(u)
+    # the other coordinate at the region's ends, the path's and 0
+    others = ([region.y_min, region.y_max, 0.0] if offset == 0 else
+              [region.x_min, region.x_max, s - d, s, 0.0])
+    others = np.clip(others, *((region.y_min, region.y_max) if offset == 0 else
+                               (region.x_min, region.x_max)))
+    xs, ys = np.broadcast_arrays(others[:, None], screened) if offset else \
+        np.broadcast_arrays(screened, others[:, None])
+    assert np.all(region.contains(xs, ys))
     assert np.all(segment_dist2(xs, ys, scenario) > r * r)
 
 
@@ -414,26 +460,27 @@ def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
     assert 0 < drawn[1] <= 0.2 * examined
 
 
-def test_ladder_places_only_the_members(monkeypatch):
+def test_narrow_pass_places_only_inner_sensors(monkeypatch):
     # the README uniform row: |y| <= 1 holds 2% of the sensors, within the
-    # level that holds 2^-5.5 of them; only its members are placed, and the
-    # first hits are those of the whole fields
+    # inner band's 2^-5; only the inner sensors are placed, and the first
+    # hits are those of the whole fields
     model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
     cases = [(IntruderScenario(5.0, 5.0), 1.0)]
     trials, n = 2000, 500
     seeds = derive_stream_seeds(3, np.arange(trials, dtype=np.uint64))
-    ladder = distributions.Ladder(model)
-    assert ladder.share[ladder.level(montecarlo._y_band(cases))] == pytest.approx(2.0 ** -5.5)
+    field = distributions.UniformField(model)
+    assert montecarlo._bands(cases)[1][1] < field.outer_min
     placed = []
-    place = distributions.Ladder.place
+    place = distributions.UniformField.place
 
-    def counted(self, seeds, columns, levels):
+    def counted(self, seeds, columns, inner):
         placed.append(np.size(columns))
-        return place(self, seeds, columns, levels)
+        return place(self, seeds, columns, inner)
 
-    monkeypatch.setattr(distributions.Ladder, "place", counted)
+    monkeypatch.setattr(distributions.UniformField, "place", counted)
     k = montecarlo._first_hits(model, cases, n, seeds)
-    assert 0 < sum(placed) <= 0.03 * trials * n
+    assert 0 < sum(placed) <= 0.035 * trials * n
+    monkeypatch.setattr(distributions.UniformField, "place", place)
     xs, ys = sample_positions(model, n, seeds)
     hit = detects_any(xs[:, :, None], ys[:, :, None], *cases[0])
     assert k[:, 0].tolist() == np.where(hit.any(axis=1), hit.argmax(axis=1), n).tolist()
@@ -613,10 +660,10 @@ _GROUP_CONFIGS = {
                       n_values=[3, 6, 20, 60, 200], s_values=[0.5], d_values=[0.5],
                       r_values=[0.1], region=Rectangle(0.0, 1.0, -1.0, 1.0), trials=200,
                       master_seed=0),
-    # a uniform group whose pass draws the members of the Ladder level that
-    # holds |y| <= 6, while its r = 0.3 rows alone draw those of a deeper one
-    "ladder": dict(models=[DeploymentKind.UNIFORM], n_values=[10, 300], s_values=[5.0],
-                   d_values=[2.0, 5.0], r_values=[0.3, 1.0, 6.0], trials=3000),
+    # a uniform group whose pass screens every sensor for |y| <= 6, while
+    # its r = 0.3 and r = 1 rows alone place only the inner ones
+    "inner": dict(models=[DeploymentKind.UNIFORM], n_values=[10, 300], s_values=[5.0],
+                  d_values=[2.0, 5.0], r_values=[0.3, 1.0, 6.0], trials=3000),
 }
 
 
@@ -642,13 +689,13 @@ class TestSweepGroups:
             # only a path longer than its start fails, and its group still runs
             assert all((row.status == "ok") == (row.d <= row.S) for row in rows)
 
-    def test_a_row_alone_may_use_a_deeper_ladder_level(self):
-        config = _config(**_GROUP_CONFIGS["ladder"])
-        ladder = distributions.Ladder(DeploymentModel(DeploymentKind.UNIFORM, config.region))
+    def test_a_row_alone_may_place_only_inner_sensors(self):
+        config = _config(**_GROUP_CONFIGS["inner"])
+        field = distributions.UniformField(DeploymentModel(DeploymentKind.UNIFORM, config.region))
         cases = [(IntruderScenario(5.0, 5.0), r) for r in config.r_values]
-        levels = [ladder.level(montecarlo._y_band([case])) for case in cases]
-        assert levels == sorted(set(levels))
-        assert ladder.level(montecarlo._y_band(cases)) == levels[-1]
+        narrow = [montecarlo._bands([case])[1][1] < field.outer_min for case in cases]
+        assert narrow == [True, True, False]
+        assert montecarlo._bands(cases)[1][1] >= field.outer_min
 
     @pytest.mark.parametrize("name", sorted(_GROUP_CONFIGS))
     def test_rows_of_a_model_sigma_group_share_its_first_rows_seed(self, name):

@@ -32,7 +32,7 @@ DETECTED = {
     ("half_normal", "box"): (753, True),
     ("quadrant", "halfplane"): (604, True),
     ("quadrant", "box"): (753, True),
-    ("uniform", "box"): (401, False),
+    ("uniform", "box"): (370, False),
     ("strip", "box"): (713, True),
 }
 
@@ -42,7 +42,7 @@ SWEEP_CONFIG = {
     "d_values": [3.0, 8.0], "r_values": [1.0], "region": [0.0, 20.0, -5.0, 5.0],
     "trials": 500, "master_seed": 7, "workers": 2,
 }
-SWEEP_SHA256 = "a099d2f15272660d8a211b5f590872897cc8ca0d416f5c49f95c21333516966f"
+SWEEP_SHA256 = "562d5c2a19e36c491edb6aa72968d277a6218492b7d3623a5c9fdd01ece78b70"
 
 # full_report(scenario, r, sigma, N = 10, region, tolerance 1e-8) as float.hex:
 # p_rect, p_left, p_right, p_total and p_d = detection_probability(p_total, N)
