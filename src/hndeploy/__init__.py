@@ -14,7 +14,6 @@ from .distributions import (
     DeploymentKind,
     DeploymentModel,
     HalfNormalParams,
-    SamplingError,
     correlated_half_normal_pdf,
     half_normal_cdf,
     half_normal_mean,

@@ -2,8 +2,10 @@
 
 Each deployment kind places a sensor by a product density f_x(x) f_y(y)
 truncated to its rectangle region and renormalized, which is exactly what
-the sampler draws by rejection. Both read the same DeploymentModel.marginals:
-the sampler their draws, this module their supports, masses and x density.
+the sampler draws, by inverting each truncated marginal CDF. Both read the
+same DeploymentModel.marginals: the sampler their inverse CDFs, this module
+their supports, masses and x density; and both refuse a region that carries
+no mass by the same rule (DeploymentModel.region_mass).
 
 The single-sensor hit probability is that density integrated over the
 intrusion capsule, split into its three parts:
@@ -83,10 +85,7 @@ def _capsule_parts(model: DeploymentModel, scenario: IntruderScenario, r: float,
     """
     r = check_real("sensing range", r, math.ulp(0.0))
     x, y = model.marginals()
-    region_mass = x.mass(x.lo, x.hi) * y.mass(y.lo, y.hi)
-    if region_mass == 0.0:
-        raise ValueError(f"region {model.region} carries no {model.kind.value} deployment mass "
-                         f"at sigma={model.sigma}")
+    region_mass = model.region_mass()
     end, start = scenario.start_s - scenario.distance_d, scenario.start_s
     rect = x.mass(max(x.lo, end), min(x.hi, start)) * y.mass(max(y.lo, -r), min(y.hi, r))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytic import full_report
 from .config import load_config
-from .distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
+from .distributions import DeploymentKind, DeploymentModel, sample_positions
 from .geometry import HalfPlane, IntruderScenario, Rectangle
 from .montecarlo import SweepRow, estimate_detection, sweep
 from .numerics import QuadratureError, QuadratureSpec
@@ -213,7 +213,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, TypeError, SamplingError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

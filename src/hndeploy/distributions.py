@@ -13,24 +13,22 @@ engine. An axis with a uniform marginal needs a bounded region:
   * quadrant       -- x and y both half-normal (the literal positive-quadrant
                       product density)
 
-Sampling is counter-based: sensor j of a deployment keyed by seed s uses
-the counter block [j * 256, (j + 1) * 256) of stream s, four counters per
-rejection attempt starting at base = j * 256 + 4 * attempt. half_normal
-and quadrant read one Box-Muller pair: u1 at base gives the radius
-rho = sigma sqrt(-2 ln u1) and u2 at base + 1 the angle phi = 2 pi u2, and
-the sensor is (|rho cos phi|, rho sin phi), or (|rho cos phi|, |rho sin phi|)
-for quadrant. strip's x is the same |rho cos phi| and its uniform y reads
-base + 2. Draws falling outside a bounded region are rejected and redrawn
-from the next attempt slot, up to MAX_ATTEMPTS per sensor. A uniform field
-(UniformField) splits its sensors by |y| into an inner band, which holds a
-fixed share of them and depends on the model alone, and the rest: which
-indices are inner comes from Geometric gaps read past every sensor's
-counter block (exact up to the rounding of log, not bit-identical to a
-per-sensor Bernoulli draw); a sensor's uniform x reads counter base and its
-y, uniform on its part of the region, base + 1, both clamped into the
-region. The addressing makes batched, sequential, column-chunked
-(sample_positions with first > 0), screened (sample_screened) and
-window-by-window (InnerPicks) sampling bit-identical.
+Each marginal is truncated to the region's bounds, and each coordinate is
+drawn by inverting its truncated CDF, x = F^-1(F(lo) + u (F(hi) - F(lo))),
+from one raw draw (Devroye, Non-Uniform Random Variate Generation, 1986), so
+every sensor is placed on its first draw. Sampling is counter-based: sensor
+j of a deployment keyed by seed s reads its x at counter 256 j of stream s
+and its y at 256 j + 1. A uniform axis takes u = (m + 1) 2^-53 of the raw
+draw's top 53 bits m, a (half-)normal one u = (m + 1/2) 2^-52 of its top 52.
+A field whose axes are both uniform (Field) splits its sensors by |y| into
+an inner band, which holds a fixed share of them and depends on the model
+alone, and the rest: which indices are inner comes from Geometric gaps read
+past every sensor's counter block (exact up to the rounding of log, not
+bit-identical to a per-sensor Bernoulli draw), and the y of an inner
+sensor is uniform on the band, that of any other on the rest. The
+addressing makes batched, sequential, column-chunked (sample_positions with
+first > 0), screened (Field.sample) and window-by-window (InnerPicks)
+sampling bit-identical.
 """
 
 from __future__ import annotations
@@ -44,19 +42,18 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Rectangle
-from .rng import check_integer, check_real, normal_draws, normal_pairs, raw_draws, uniform_draws
+from .rng import (check_integer, check_real, normal_quantile, normal_quantiles, raw_draws,
+                  uniform_draws, uniforms)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-MAX_ATTEMPTS = 64
-_DRAWS_PER_ATTEMPT = 4
-_BLOCK = MAX_ATTEMPTS * _DRAWS_PER_ATTEMPT
-# sample_screened screens about _SCREEN_BLOCK sensors and places _PLACE_BLOCK
-# candidates at a time, so its temporaries stay small whatever the grid; the
-# screen's steps are cheap per sensor, so its blocks are larger, which keeps
-# two worker threads from queuing on the interpreter lock between them
+# sensor j reads the counters from 256 j on: x at the first, y at the next
+_BLOCK = 256
+# the screen reads about _SCREEN_BLOCK raw draws at a time, so its
+# temporaries stay small whatever the grid
 _SCREEN_BLOCK = 1 << 17
-_PLACE_BLOCK = 1 << 14
+# a (half-)normal draw's p stays below 1, where the inverse CDF is infinite
+_P_MAX = 1.0 - 2.0 ** -53
 # a uniform field's inner band holds this share of its y mass; the gaps
 # between inner sensors read counters from _GAP_COUNTER on, past the counter
 # block of any sensor j < 2^55
@@ -114,10 +111,11 @@ class Marginal:
     hi: float
     mass: Callable[[float, float], float]
     pdf: Callable[[float], float]
-    draw: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    counters: int
-    # every draw lies within the bounds marginal() was given
-    within: bool
+    # the coordinate at the uniform u of a raw draw, nondecreasing in u (up
+    # to the rounding of the inverse CDF), with u from the draw's top `bits`
+    # bits (rng.uniforms)
+    at: Callable
+    bits: int
 
 
 def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Marginal:
@@ -125,20 +123,20 @@ def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Margin
 
     lo and hi are the law's support clipped to the bounds (a uniform law is
     [lo, hi] itself); mass(a, b) is 0 when a >= b; pdf is the density on the
-    support; draw(seeds, base) reads `counters` counters from base (a
-    (half-)normal draw is the cosine branch of a Box-Muller pair). within
-    says exactly whether every draw lies within the bounds given: a uniform
-    draw lo + width * u, with u in (0, 1], lies in [lo, lo + width], and
-    lo + width may round above hi; a (half-)normal draw is finite but
-    unbounded, so only bounds of -inf (or one <= 0 when folded) and +inf
-    hold it.
+    support. at(u) inverts the CDF of the law truncated to [lo, hi] at u, for
+    u an array (which it overwrites) or a float: the float form is the scalar
+    twin, by rng.normal_quantile, that the screen bisects. A (half-)normal
+    draw is F^-1(F(lo) + u (F(hi) - F(lo))) with F the normal CDF, built
+    from math.erfc; where lo > 0 it is
+    -F^-1(F(-lo) + u (F(-hi) - F(-lo))), so that a region far in the upper
+    tail keeps F's values small, where they are exact. Every draw is clamped
+    into [lo, hi].
     """
     if shape == "uniform":
         width = hi - lo
         inverse = 1.0 / width
         return Marginal(lo, hi, lambda a, b: (b - a) / width if a < b else 0.0, lambda x: inverse,
-                        lambda seeds, base: lo + width * uniform_draws(seeds, base), 1,
-                        lo + width <= hi)
+                        lambda u: _linear(lo, hi, u), 53)
     folded = shape == "half_normal"
     k = 1.0 / (sigma * math.sqrt(2.0))
     # folding Normal(0, sigma^2) onto x >= 0 doubles its mass there
@@ -152,12 +150,22 @@ def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Margin
         t = x * k
         return peak * math.exp(-t * t)
 
-    def draw(seeds, base) -> np.ndarray:
-        z = normal_draws(seeds, base) * sigma
-        return np.abs(z) if folded else z
+    # on x >= 0 the folded law is the normal one, so both invert the normal CDF
+    lo = max(0.0, lo) if folded else lo
+    sign = -1.0 if lo > 0.0 else 1.0
+    p_lo, p_hi = (0.5 * math.erfc(-sign * k * v) for v in (lo, hi))
+    span, z_scale = p_hi - p_lo, sign * sigma
 
-    return Marginal(max(0.0, lo) if folded else lo, hi, mass, pdf, draw, 2,
-                    (lo <= 0.0 if folded else lo == -math.inf) and hi == math.inf)
+    def at(u):
+        if isinstance(u, float):
+            return min(max(normal_quantile(min(u * span + p_lo, _P_MAX)) * z_scale, lo), hi)
+        u *= span
+        u += p_lo
+        z = normal_quantiles(np.minimum(u, _P_MAX, out=u))
+        z *= z_scale
+        return np.clip(z, lo, hi, out=z)
+
+    return Marginal(lo, hi, mass, pdf, at, 52)
 
 
 @dataclass(frozen=True)
@@ -180,33 +188,17 @@ class DeploymentModel:
         return (marginal(x_shape, self.sigma, region.x_min, region.x_max),
                 marginal(y_shape, self.sigma, region.y_min, region.y_max))
 
-    @property
-    def rejects(self) -> bool:
-        """Whether a draw can fall outside the region, so sampling must test it
-        (never for uniform, whose UniformField clamps its draws into the region)."""
-        return self.kind != DeploymentKind.UNIFORM and not all(m.within for m in self.marginals())
-
-    @property
-    def polar(self) -> bool:
-        """Whether x and y are the two branches of one Box-Muller pair (half_normal, quadrant)."""
-        return "uniform" not in MARGINALS[self.kind]
-
-    def draw(self, seeds, base) -> Tuple[np.ndarray, np.ndarray]:
-        """x and y of the attempt whose first counter is base, before the region test."""
-        if self.polar:
-            x, y = normal_pairs(seeds, base)
-            np.abs(x, out=x)
-            x *= self.sigma
-            y *= self.sigma
-            if MARGINALS[self.kind][1] == "half_normal":
-                np.abs(y, out=y)
-            return x, y
-        mx, my = self.marginals()
-        return mx.draw(seeds, base), my.draw(seeds, base + np.uint64(mx.counters))
-
-
-class SamplingError(Exception):
-    """Rejection sampling exceeded the retry bound (sigma mismatched to region)."""
+    def region_mass(self) -> float:
+        """The mass the untruncated law puts on the region (1 on the
+        half-plane and for uniform marginals): the analytic engine divides
+        by it and the sampler truncates to it. A region where it is 0 can be
+        neither, and raises ValueError."""
+        x, y = self.marginals()
+        mass = x.mass(x.lo, x.hi) * y.mass(y.lo, y.hi)
+        if mass == 0.0:
+            raise ValueError(f"region {self.region} carries no {self.kind.value} deployment mass "
+                             f"at sigma={self.sigma}")
+        return mass
 
 
 def half_normal_pdf(y: float, params: HalfNormalParams) -> float:
@@ -256,99 +248,72 @@ def halfplane_pdf(x: float, y: float, params: HalfNormalParams) -> float:
     return math.exp(-(x * x + y * y) / (2.0 * s2)) / (math.pi * s2)
 
 
-def _counter_base(j: np.ndarray, attempt: int) -> np.ndarray:
-    """First counter of attempt `attempt` of sensors j (uint64)."""
-    return j * np.uint64(_BLOCK) + np.uint64(attempt * _DRAWS_PER_ATTEMPT)
-
-
-def _place(model: DeploymentModel, seeds: np.ndarray,
-           columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """x and y of sensors `columns` (uint64) of the deployments keyed by
-    `seeds`, which broadcast together.
-
-    The first attempt draws every sensor at once; only the draws a bounded
-    region rejects are redrawn, from further attempt slots of the same counter
-    block. A model that never rejects (DeploymentModel.rejects) skips the
-    test.
-    """
-    xs, ys = model.draw(seeds, _counter_base(columns, 0))
-    if not model.rejects:
-        return xs, ys
-    seeds, columns = np.broadcast_arrays(seeds, columns)
-    region = model.region
-    pending = np.nonzero(~region.contains(xs, ys))
-    for attempt in range(1, MAX_ATTEMPTS):
-        if pending[0].size == 0:
-            break
-        x, y = model.draw(seeds[pending], _counter_base(columns[pending], attempt))
-        accepted = region.contains(x, y)
-        placed = tuple(index[accepted] for index in pending)
-        xs[placed], ys[placed] = x[accepted], y[accepted]
-        pending = tuple(index[~accepted] for index in pending)
-    if pending[0].size:
-        raise SamplingError(
-            f"{pending[0].size} draw(s) still rejected after {MAX_ATTEMPTS} attempts; "
-            "sigma is grossly mismatched to the bounded region"
-        )
-    return xs, ys
-
-
 def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
                      first: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Sensors first .. n - 1 of each seed's deployment; x and y of shape (len(seeds), n - first).
 
     Each seed keys one independent deployment, and sensor j reads counter
     block j whatever the call, so first = 0 gives the whole field and any
-    other first gives its last n - first columns, bit-identical. A uniform
-    field is placed through its UniformField.
+    other first gives its last n - first columns, bit-identical. The field
+    is placed through its Field.
     """
     n = check_integer("n", n)
     first = check_integer("first", first, 0, n)
     seeds = np.asarray(seeds, dtype=np.uint64)
     columns = np.arange(first, n, dtype=np.uint64)
-    if model.kind != DeploymentKind.UNIFORM:
-        return _place(model, seeds[:, None], columns)
-    field = UniformField(model)
-    t, j = InnerPicks(field, seeds).advance(first, n, slice(0, seeds.size))
-    return field.place(seeds[:, None], columns, t * (n - first) + (j - first))
+    field = Field(model)
+    inner = None
+    if field.banded:
+        t, j = InnerPicks(field, seeds).advance(first, n, slice(0, seeds.size))
+        inner = t * (n - first) + (j - first)
+    return field.place(seeds[:, None], columns, inner)
 
 
-def _linear(lo: float, hi: float, within: bool, u):
-    """lo + (hi - lo) u for the uniform u (an array, which it overwrites, or
-    a float, rounded alike), at most hi unless `within` says that it always
-    is; nondecreasing in u."""
+def _linear(lo: float, hi: float, u):
+    """lo + (hi - lo) u, at most hi, for the uniform u (an array, which it
+    overwrites, or a float, rounded alike); nondecreasing in u."""
     if isinstance(u, float):
-        v = lo + (hi - lo) * u
-        return v if within else min(v, hi)
+        return min(lo + (hi - lo) * u, hi)
     u *= hi - lo
     u += lo
-    return u if within else np.minimum(u, hi, out=u)
+    return np.minimum(u, hi, out=u)
 
 
-class UniformField:
-    """A uniform deployment's field, split by |y| into an inner band and the
-    rest so that the inner sensors can be enumerated without reading the
-    others.
+class Field:
+    """A deployment's sensor field: sensor j's x from the raw draw at counter
+    256 j and its y from 256 j + 1, each placed by its marginal's inverse
+    CDF, so the field never rejects a draw.
 
-    The inner band is the region's y within |y| <= bound, which holds
-    _INNER_SHARE of the y mass (share, after rounding); bound depends on the
-    model alone. Each sensor index is inner with probability share, by a
-    Bernoulli process enumerated through Geometric(share) gaps,
-    floor(ln u / ln(1 - share)): gap m reads u at counter _GAP_COUNTER + m of
-    the deployment's own stream, past every sensor's counter block, and the
-    first inner index is gap 0, each next one the last plus 1 plus the next
-    gap. That is exact up to the rounding of log, not bit-identical to a
-    per-sensor Bernoulli draw. Sensor j's x is uniform on the region's x
-    from u at counter 256 j, and its y, from u at 256 j + 1, uniform on the
-    band if it is inner and on the rest of the region's y (up to two
-    intervals, with |y| >= bound up to rounding: >= outer_min) if not, so y
-    is uniform on the region. Every draw is clamped into the region, so the
-    field never rejects.
+    A field whose x and y are both uniform is banded: it is split by |y|
+    into an inner band and the rest, so that the inner sensors can be
+    enumerated without reading the others. The inner band is the region's y
+    within |y| <= bound, which holds _INNER_SHARE of the y mass (share, after
+    rounding); bound depends on the model alone. Each sensor index is inner
+    with probability share, by a Bernoulli process enumerated through
+    Geometric(share) gaps, floor(ln u / ln(1 - share)): gap m reads u at
+    counter _GAP_COUNTER + m of the deployment's own stream, past every
+    sensor's counter block, and the first inner index is gap 0, each next
+    one the last plus 1 plus the next gap. That is exact up to the rounding
+    of log, not bit-identical to a per-sensor Bernoulli draw. An inner
+    sensor's y is uniform on the band, any other's on the rest of the
+    region's y (up to two intervals, with |y| >= bound up to rounding:
+    >= outer_min), so y is uniform on the region.
+
+    axes holds what the screen reads of each axis: (map, bits, share). map
+    places the coordinate at the uniform of a raw draw's top `bits` bits
+    (for y, that of a sensor that is not inner), and share is the fraction
+    of sensors that the map does not place (the inner ones, for y).
     """
 
     def __init__(self, model: DeploymentModel):
+        model.region_mass()
         (x, y), region = model.marginals(), model.region
-        self._x, self._y = (x.lo, x.hi, x.within), (y.lo, y.hi)
+        self.banded = MARGINALS[model.kind] == ("uniform", "uniform")
+        self.share = 0.0
+        self.axes = ((x.at, x.bits, 0.0), (y.at, y.bits, 0.0))
+        if not self.banded:
+            return
+        self._y = (y.lo, y.hi)
         # the region's y within |y| <= w starts at the least |y| it holds,
         # `near`, and grows on both sides of 0 until w reaches `both`, then
         # on one side
@@ -357,7 +322,7 @@ class UniformField:
         length = _INNER_SHARE * region.height
         self.bound = near + (0.5 * length if length <= 2.0 * both else length - both)
         lo, hi = max(y.lo, -self.bound), min(y.hi, self.bound)
-        self._inner = (lo, hi, lo + (hi - lo) <= hi)
+        self._inner = (lo, hi)
         self.share = (hi - lo) / region.height
         # a gap is floor(ln u * _gap_scale); no gap is drawn where share is 0
         self._gap_scale = 1.0 / math.log1p(-self.share) if self.share > 0.0 else 0.0
@@ -369,10 +334,7 @@ class UniformField:
         self._rest = self._below + (y.hi - hi)
         self._length = hi - lo
         self.outer_min = self.bound - 2.0 ** -48 * (abs(y.lo) + abs(y.hi) + region.height)
-
-    def x(self, u):
-        """x at the uniform u (an array or a float, rounded alike)."""
-        return _linear(*self._x, u)
+        self.axes = (self.axes[0], (self.outer_y, 53, self.share))
 
     def outer_y(self, u):
         """The y of a sensor that is not inner at the uniform u (an array,
@@ -387,26 +349,30 @@ class UniformField:
         u += self._length * above
         return np.minimum(u, self._y[1], out=u)
 
-    def place(self, seeds, columns, inner) -> Tuple[np.ndarray, np.ndarray]:
+    def place(self, seeds, columns, inner=None) -> Tuple[np.ndarray, np.ndarray]:
         """x and y of sensors `columns` of the deployments keyed by `seeds`,
-        which broadcast together; inner is True where every sensor is inner,
-        else the flat indices of the inner ones among the result."""
+        which broadcast together. For a banded field inner is True where
+        every sensor is inner, else the flat indices of the inner ones among
+        the result; for any other it is None."""
         base = np.asarray(columns, dtype=np.uint64) * np.uint64(_BLOCK)
-        xs = self.x(uniform_draws(seeds, base))
-        u = uniform_draws(seeds, base + np.uint64(1))
+        (x_at, x_bits, _), (y_at, y_bits, _) = self.axes
+        xs = x_at(uniforms(raw_draws(seeds, base), x_bits))
+        u = uniforms(raw_draws(seeds, base + np.uint64(1)), y_bits)
+        if inner is None:
+            return xs, y_at(u)
         if inner is True:
             return xs, _linear(*self._inner, u)
         inner_u = u.flat[inner]
-        ys = self.outer_y(u)
+        ys = y_at(u)
         ys.flat[inner] = _linear(*self._inner, inner_u)
         return xs, ys
 
-    def sample(self, seeds: np.ndarray, start: int, stop: int, inner: np.ndarray,
+    def sample(self, seeds: np.ndarray, start: int, stop: int, inner: Optional[np.ndarray],
                screen: Optional[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
         """The candidates among sensors start .. stop - 1 of each seed's
         deployment: their x, their y and their (seed, column) indices, in
         row-major order. inner is the (seeds x columns) mask of the inner
-        sensors among them.
+        sensors among them, or None for a field that is not banded.
 
         screen = (offset, a, width): a sensor is a candidate when the raw draw
         at counter 256 j + offset lies in [a, a + width], taken mod 2^64, and,
@@ -416,22 +382,24 @@ class UniformField:
         """
         columns = np.arange(start, stop, dtype=np.uint64)
         if screen is None:
-            return (*self.place(seeds[:, None], columns, np.flatnonzero(inner)), None)
+            flat = None if inner is None else np.flatnonzero(inner)
+            return (*self.place(seeds[:, None], columns, flat), None)
         offset, a, span = screen
         candidate = _screened(seeds, columns * np.uint64(_BLOCK) + np.uint64(offset), a, span)
-        if offset == 1:
+        if offset == 1 and inner is not None:
             candidate |= inner
         cell = _cells(candidate)
         t, j = np.divmod(cell, stop - start)
-        xs, ys = self.place(seeds[t], columns[j], np.flatnonzero(inner.ravel()[cell]))
+        flat = None if inner is None else np.flatnonzero(inner.ravel()[cell])
+        xs, ys = self.place(seeds[t], columns[j], flat)
         return xs, ys, (t, j + start)
 
 
 class InnerPicks:
-    """The inner sensor indices of a UniformField's deployments, enumerated
+    """The inner sensor indices of a Field's deployments, enumerated
     by index windows in order."""
 
-    def __init__(self, field: UniformField, seeds: np.ndarray):
+    def __init__(self, field: Field, seeds: np.ndarray):
         self.field, self.seeds = field, seeds
         # each deployment's next inner index, not yet returned, as a float
         # (exact below 2^53; larger ones are past any sensor), and the number
@@ -502,34 +470,6 @@ def _cells(mask: np.ndarray) -> np.ndarray:
     that holds the grid."""
     index = np.int32 if mask.size <= np.iinfo(np.int32).max else np.intp
     return np.flatnonzero(mask).astype(index)
-
-
-def sample_screened(model: DeploymentModel, n: int, seeds: np.ndarray, first: int,
-                    screen: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
-    """The candidates among sensors first .. n - 1 of each seed's deployment:
-    their x, their y and their (seed, column) indices, in row-major order.
-
-    screen = (a, width): a sensor is a candidate when the raw draw at the
-    first counter of its first attempt lies in [a, a + width], taken mod
-    2^64 (raw - a <= width in uint64 arithmetic). Only that one raw
-    draw is read for every sensor; the candidates are placed in full, with
-    rejection, so their positions are bit-identical to sample_positions'.
-    Both steps run in blocks. A uniform model is refused: its field is
-    placed through UniformField, not attempt by attempt.
-    """
-    if model.kind == DeploymentKind.UNIFORM:
-        raise ValueError("a uniform field is placed through UniformField, not screened")
-    n = check_integer("n", n)
-    first = check_integer("first", first, 0, n)
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    columns = np.arange(first, n, dtype=np.uint64)
-    t, j = np.divmod(_cells(_screened(seeds, _counter_base(columns, 0), *screen)),
-                     max(n - first, 1))
-    xs, ys = np.empty(t.size), np.empty(t.size)
-    for lo in range(0, t.size, _PLACE_BLOCK):
-        block = slice(lo, lo + _PLACE_BLOCK)
-        xs[block], ys[block] = _place(model, seeds[t[block]], columns[j[block]])
-    return xs, ys, (t, j)
 
 
 # Stein characterization test-function family: name -> (f, f', f(0))

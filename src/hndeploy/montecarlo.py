@@ -6,26 +6,26 @@ deployment-averaged at-least-one detection probability. The primitive is the
 first-hit index: for each trial and case (scenario, r), the index of the
 first detecting sensor, or the largest N if none detects; the count at any N
 is the number of trials whose index is below N. Sensors are drawn in column
-chunks through sample_positions(model, n, seeds, first), and a trial stops
-drawing once every case has detected: the sensors it skips cannot change an
-index, so SamplingError can come only from a sensor that is drawn. Where
-most sensors can be decided from one raw draw (_screen), a chunk reads that
-draw for every sensor and places only the candidates in full
-(sample_screened), at the counters the full field reads them from. A
-uniform field (UniformField) splits its sensors by |y| into an inner band,
-a fixed share of them that depends on the model alone, and the rest; the
-inner indices come from Geometric gaps (exact up to the rounding of log,
-not bit-identical to a per-sensor Bernoulli draw). A pass whose cases all
-detect within the inner band enumerates those indices and places and tests
-only the inner sensors, since no other can detect; any other uniform pass
-screens x, or the y of the rest, by one raw draw (_uniform_screen). Trial i
-always uses the substream derive_stream_seed(master, i), and
-sensor j always reads counter block j of it, so estimates are independent
-of batch size, chunk widths, evaluation order and worker count, and each
-trial's indices equal those of its whole field. A sensor field depends on
-the model and the seed only, so one pass serves every (S, d, r) and N of a
-sweep's (model, sigma) group: common random numbers across the scenario
-grid and N.
+chunks from the model's Field, and a trial stops drawing once every case
+has detected: the sensors it skips cannot change an index. Every coordinate
+is placed by a map that is nondecreasing in one raw draw, so the sensors
+that cannot detect in any case are those whose x draw, or whose y draw,
+lies outside an interval of raw values (_screen): a chunk reads the draw of
+whichever axis holds fewer candidates for every sensor and places only the
+candidates in full, from the counters the full field reads them from. A
+field whose axes are both uniform splits its sensors by |y| into an inner
+band, a fixed share of them that depends on the model alone, and the rest;
+the inner indices come from Geometric gaps (exact up to the rounding of
+log, not bit-identical to a per-sensor Bernoulli draw). A pass whose cases
+all detect within the inner band enumerates those indices and places and
+tests only the inner sensors, since no other can detect; on any other pass
+of such a field every inner sensor is a y candidate. Trial i always uses
+the substream derive_stream_seed(master, i), and sensor j always reads
+counter block j of it, so estimates are independent of batch size, chunk
+widths, evaluation order and worker count, and each trial's indices equal
+those of its whole field. A sensor field depends on the model and the seed
+only, so one pass serves every (S, d, r) and N of a sweep's (model, sigma)
+group: common random numbers across the scenario grid and N.
 estimate_detection is the same pass with one case and one N.
 """
 
@@ -38,12 +38,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analytic import capsule_probability, detection_probability
-from .distributions import (DeploymentKind, DeploymentModel, InnerPicks, SamplingError,
-                            UniformField, sample_positions, sample_screened)
+from .distributions import DeploymentKind, DeploymentModel, Field, InnerPicks
 from .geometry import IntruderScenario, segment_dist2
 from .numerics import QuadratureError, QuadratureSpec
 from .rng import (RandomSeed, check_integer, check_real, derive_stream_seed, derive_stream_seeds,
-                  polar_radius)
+                  uniform_of)
 
 _Z95 = 1.96
 _BATCH = 1 << 15
@@ -56,12 +55,12 @@ _MAX_CHUNK = 16
 _MEMBER_BLOCK = 1 << 15
 _LOOKAHEAD = 8
 # the screen costs one raw draw per sensor and the full draw per candidate.
-# Against the full scan, one thread, 2^15 trials: half-normal 0.35-0.38 of the
-# time at 16.5% candidates (the README sigma = 10 group), 0.48 at 31%, 0.73 at
-# 51% (the sigma = 5 half-plane), 0.90 at 62%, 1.04 at 71%; a uniform screen
-# (_uniform_screen) 0.84 at 25%, 1.24 at 56%
+# Against the full scan, one thread, 2^15 trials, N = 100: the half-normal y
+# on the sigma = 5 half-plane 0.35-0.39 of the time at 16% candidates,
+# 0.44-0.50 at 31%, 0.72-0.81 at 51%, 0.80-0.83 at 62%, 0.94-0.98 at 71%;
+# uniform on [0, 20] x [-5, 5] 0.58-0.63 at r = 1, 0.83-0.85 at r = 2.5
 _MAX_CANDIDATES = 0.6
-# the polar screen widens reach, and narrows inner, by this share plus 2^-500
+# the screen widens each band by this share of its ends plus 2^-500
 _MARGIN = 1e-9
 
 # a detection case: the intruder's path and the sensing range
@@ -116,10 +115,10 @@ def _bands(cases: Sequence[Case]) -> Tuple[Tuple[float, float], Tuple[float, flo
     return (x_lo - x_slack, x_hi + x_slack), (-y_hi - y_slack, y_hi + y_slack)
 
 
-def _first_index(predicate) -> int:
-    """The least m in [0, 2^53] with predicate(m), for a predicate that is
-    false up to some m and true from there on (2^53 where it never holds)."""
-    lo, hi = 0, 1 << 53
+def _first_index(predicate, bits: int) -> int:
+    """The least m in [0, 2^bits] with predicate(m), for a predicate that is
+    false up to some m and true from there on (2^bits where it never holds)."""
+    lo, hi = 0, 1 << bits
     while lo < hi:
         mid = (lo + hi) // 2
         if predicate(mid):
@@ -129,73 +128,41 @@ def _first_index(predicate) -> int:
     return lo
 
 
-def _screen(model: DeploymentModel, cases: Sequence[Case]) -> Optional[Tuple[int, int]]:
-    """(a, width) for sample_screened: a sensor whose first raw draw (at the
-    first counter of its first attempt) satisfies (raw - a) mod 2^64 > width
-    is placed on that attempt and detects in no case. None for no screen.
-
-    The screen is an interval of m = raw >> 11, which fixes the uniform
-    u1 = (m + 1) 2^-53 of the draw, for half_normal and quadrant: the radius
-    rho = sigma sqrt(-2 ln u1) falls as m grows. Every case's capsule lies
-    within reach = max(S + r) of the origin (0 <= d <= S), and a draw with
-    rho < inner lies in the region: inner = min(x_max, -y_min, y_max) for
-    half_normal and min(x_max, y_max) for quadrant, where x_min <= 0 (and
-    y_min <= 0 for quadrant). So reach < rho < inner screens a sensor out.
-    Both ends are found by bisection, after widening reach and narrowing inner
-    by _MARGIN of themselves plus 2^-500, so neither the rounding of log,
-    sqrt, sin and cos (in any library) nor a square that underflows can flip
-    a decision. No screen where some r * r overflows (every sensor detects),
-    for strip and uniform (_uniform_screen), or where more than
-    _MAX_CANDIDATES of the sensors are candidates.
-    """
-    if any(math.isinf(r * r) for _, r in cases) or not model.polar:
-        return None
-    region, sigma = model.region, model.sigma
-    folded_y = model.kind == DeploymentKind.QUADRANT
-    if region.x_min > 0.0 or (folded_y and region.y_min > 0.0):
-        return None
-    inner = min(region.x_max, region.y_max, math.inf if folded_y else -region.y_min)
-    inner = inner * (1.0 - _MARGIN) - 2.0 ** -500
-    reach = max(scenario.start_s + r for scenario, r in cases)
-    reach = reach * (1.0 + _MARGIN) + 2.0 ** -500
-    # below m_inner rho may leave the region; from m_reach on it may detect
-    m_inner = _first_index(lambda m: sigma * polar_radius(m << 11) < inner)
-    m_reach = _first_index(lambda m: sigma * polar_radius(m << 11) <= reach)
-    # candidates m >= m_reach or m < m_inner, an interval that wraps
-    start, count = m_reach, (1 << 53) - max(m_reach - m_inner, 0)
-    if count > _MAX_CANDIDATES * (1 << 53):
-        return None
-    return start << 11, (count << 11) - 1
-
-
-def _uniform_screen(field: UniformField, bands) -> Optional[Tuple[int, int, int]]:
-    """(offset, a, width) for UniformField.sample: a sensor whose raw draw at
+def _screen(field: Field, bands) -> Optional[Tuple[int, int, int]]:
+    """(offset, a, width) for Field.sample: a sensor whose raw draw at
     counter 256 j + offset satisfies (raw - a) mod 2^64 > width detects in no
     case, unless offset is 1 and it is inner. None for no screen.
 
-    The screen is an interval of m = raw >> 11, which fixes the uniform
-    u = (m + 1) 2^-53 of the draw: u places x (offset 0) or the y of a sensor
-    that is not inner (offset 1), whichever band (_bands) holds fewer draws,
-    counting every inner sensor as a y candidate. Both maps are
-    nondecreasing in m and are evaluated as the draw evaluates them, so the
-    interval is exact. No screen where more than _MAX_CANDIDATES of the
-    sensors are candidates.
+    The screen is an interval of the top bits m of the raw draw, which fix
+    the uniform u of the draw: u places x (offset 0) or y (offset 1; of a
+    sensor that is not inner), whichever band (_bands) holds fewer draws,
+    counting every inner sensor as a y candidate. Each map is nondecreasing
+    in m, and the interval's ends are found by bisection of its scalar twin
+    against the band widened by _MARGIN of its ends plus 2^-500, so that
+    neither the rounding of the inverse normal CDF (the twin's and the
+    array's may differ by a few ulps, and the rational pieces need not be
+    monotone to the ulp at their seams) nor a square that underflows can
+    flip a decision. No screen where more than _MAX_CANDIDATES of the
+    sensors are candidates, as where some r * r overflows (every sensor
+    detects).
     """
     intervals = []
-    for offset, (value, (lo, hi)) in enumerate(zip((field.x, field.outer_y), bands)):
+    for offset, ((value, bits, inner), (lo, hi)) in enumerate(zip(field.axes, bands)):
+        lo -= _MARGIN * abs(lo) + 2.0 ** -500
+        hi += _MARGIN * abs(hi) + 2.0 ** -500
+
         def at(m):
-            return value((m + 1) * 2.0 ** -53)
-        start = _first_index(lambda m: at(m) >= lo)
-        count = _first_index(lambda m: at(m) > hi) - start
-        inner = field.share if offset else 0.0
-        intervals.append((inner + (1.0 - inner) * count / (1 << 53), offset, start, count))
-    candidates, offset, start, count = min(intervals)
+            return value(uniform_of(m, bits))
+        start = _first_index(lambda m: at(m) >= lo, bits)
+        count = _first_index(lambda m: at(m) > hi, bits) - start
+        intervals.append((inner + (1.0 - inner) * count / (1 << bits), offset, start, count, bits))
+    candidates, offset, start, count, bits = min(intervals)
     if candidates > _MAX_CANDIDATES:
         return None
     if count <= 0:
         # no candidate; m = 0 stands in for one, since a candidate costs only its draw
         start, count = 0, 1
-    return offset, start << 11, (count << 11) - 1
+    return offset, start << (64 - bits), (count << (64 - bits)) - 1
 
 
 def _scan(xs: np.ndarray, ys: np.ndarray, at: Optional[tuple], paths: dict, k: np.ndarray,
@@ -231,30 +198,24 @@ def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
     One chunked pass; a trial draws the next chunk only while some case has
     no detection. Each chunk's squared distances to a path are computed once
     and compared with the r^2 of every case on that path. Where one raw
-    draw rules most sensors out (_screen, _uniform_screen), the chunk reads
-    it for every sensor and places and tests the candidates alone, from the
-    same counters. A uniform pass whose y band lies within the inner band
-    places only the inner sensors, since no other can detect; its chunks are
-    index windows that hold about 4, 8, then 16 of them.
+    draw rules most sensors out (_screen), the chunk reads it for every
+    sensor and places and tests the candidates alone, from the same
+    counters. A pass of a banded field whose y band lies within the inner
+    band places only the inner sensors, since no other can detect; its
+    chunks are index windows that hold about 4, 8, then 16 of them.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
         paths.setdefault(scenario, []).append((r * r, c))
-    uniform = model.kind == DeploymentKind.UNIFORM
-    share, narrow = 1.0, False
-    if uniform:
-        field, bands = UniformField(model), _bands(cases)
+    field, bands = Field(model), _bands(cases)
+    # every sensor that is not inner has |y| >= field.outer_min
+    narrow = field.banded and bands[1][1] < field.outer_min
+    share = field.share if narrow else 1.0
+    if field.banded:
         picks = InnerPicks(field, seeds)
-        # every sensor that is not inner has |y| >= field.outer_min
-        narrow = bands[1][1] < field.outer_min
-        if narrow:
-            share = field.share
-        else:
-            screen = _uniform_screen(field, bands)
-            # the inner sensors from index h0 to horizon, as a (trial x index) mask
-            ahead, h0, horizon = np.zeros((seeds.size, 0), dtype=bool), 0, 0
-    else:
-        screen = _screen(model, cases)
+        # the inner sensors from index h0 to horizon, as a (trial x index) mask
+        ahead, h0, horizon = np.zeros((seeds.size, 0), dtype=bool), 0, 0
+    screen = None if narrow else _screen(field, bands)
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
     live = np.arange(seeds.size)
@@ -270,31 +231,25 @@ def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
                 t, j = picks.advance(j0, j1, block)
                 xs, ys = field.place(seeds[live[block]][t], j, True)
                 _scan(xs, ys, (t, j), paths, k_live[block], j0, j1)
-        elif uniform:
-            if j1 > horizon:
-                # the inner sensors from j0 on: the rest of those found, and
-                # those of this chunk and, past the first, of the next few
-                end = j1 if j0 == 0 else min(j0 + _LOOKAHEAD * (j1 - j0), n_max)
-                found = np.zeros((seeds.size, end - j0), dtype=bool)
-                found[:, :horizon - j0] = ahead[:, j0 - h0:]
-                t, j = picks.advance(horizon, end, slice(0, live.size))
-                found[live[t], j - j0] = True
-                ahead, h0, horizon = found, j0, end
-            inner = ahead[live, j0 - h0:j1 - h0]
-            xs, ys, at = field.sample(seeds[live], j0, j1, inner, screen)
-            _scan(xs, ys, at, paths, k_live, j0, j1)
         else:
-            if screen is None:
-                xs, ys = sample_positions(model, j1, seeds[live], j0)
-                at = None
-            else:
-                xs, ys, (rows, columns) = sample_screened(model, j1, seeds[live], j0, screen)
-                at = rows, columns + j0
+            inner = None
+            if field.banded:
+                if j1 > horizon:
+                    # the inner sensors from j0 on: the rest of those found, and
+                    # those of this chunk and, past the first, of the next few
+                    end = j1 if j0 == 0 else min(j0 + _LOOKAHEAD * (j1 - j0), n_max)
+                    found = np.zeros((seeds.size, end - j0), dtype=bool)
+                    found[:, :horizon - j0] = ahead[:, j0 - h0:]
+                    t, j = picks.advance(horizon, end, slice(0, live.size))
+                    found[live[t], j - j0] = True
+                    ahead, h0, horizon = found, j0, end
+                inner = ahead[live, j0 - h0:j1 - h0]
+            xs, ys, at = field.sample(seeds[live], j0, j1, inner, screen)
             _scan(xs, ys, at, paths, k_live, j0, j1)
         k[live] = k_live
         going = (k_live == j1).any(axis=1)
         live = live[going]
-        if uniform:
+        if field.banded:
             picks.keep(going)
         j0, chunk = j1, min(2 * chunk, _MAX_CHUNK)
     return k
@@ -348,7 +303,8 @@ def estimate_detection(model: DeploymentModel, n: int, scenario: IntruderScenari
 def _sweep_group(config, spec: QuadratureSpec, model: DeploymentModel, combos: List[tuple],
                  seed: int) -> List[tuple]:
     """(p_analytic, estimate or None, status) for each (kind, n, sigma, s, d, r)
-    of `combos`, which all sample `model`."""
+    of `combos`, which all sample `model`. A case whose capsule probability
+    fails (d > S, a region that carries no mass) is not sampled."""
     # each case (s, d, r): its capsule probability, or the status of its failure
     p_single = {}
     for *_, s, d, r in combos:
@@ -360,32 +316,17 @@ def _sweep_group(config, spec: QuadratureSpec, model: DeploymentModel, combos: L
                 p_single[s, d, r] = f"invalid: {exc}"
     cases = [case for case, p in p_single.items() if not isinstance(p, str)]
     ns = sorted({combo[1] for combo in combos})
-    detected = None
-    try:
-        if cases:
-            detected = _detections(model, [(IntruderScenario(s, d), r) for s, d, r in cases], ns,
-                                   config.trials, seed, config.workers)
-    except SamplingError:
-        # a lone row draws a subset of the group's sensors, so one that fails
-        # there may succeed alone: replay each row alone for its own status
-        pass
+    if cases:
+        detected = _detections(model, [(IntruderScenario(s, d), r) for s, d, r in cases], ns,
+                               config.trials, seed, config.workers)
     results = []
     for _, n, _, s, d, r in combos:
         p = p_single[s, d, r]
         if isinstance(p, str):
             results.append((None, None, p))
             continue
-        estimate, status = None, "ok"
-        if detected is not None:
-            count = int(detected[cases.index((s, d, r)), ns.index(n)])
-            estimate = _estimate(count, config.trials, seed)
-        else:
-            try:
-                estimate = estimate_detection(model, n, IntruderScenario(s, d), r, config.trials,
-                                              RandomSeed(seed), config.workers)
-            except SamplingError as exc:
-                status = f"invalid: {exc}"
-        results.append((detection_probability(p, n), estimate, status))
+        count = int(detected[cases.index((s, d, r)), ns.index(n)])
+        results.append((detection_probability(p, n), _estimate(count, config.trials, seed), "ok"))
     return results
 
 
@@ -402,10 +343,9 @@ def sweep(config) -> List[SweepRow]:
     seed still replays it alone through estimate_detection, which counts the
     same first N sensors of the same trials. Every row's p_analytic is
     detection_probability(capsule_probability(model, ...), N) for the
-    deployment model the row samples. A row that fails (d > S, a region the
-    deployment cannot be sampled in) reports the failure as its status and
-    keeps whatever it computed; the rest of its group and of the sweep still
-    runs.
+    deployment model the row samples. A row that fails (d > S, a region that
+    carries no deployment mass) reports the failure as its status; the rest
+    of its group and of the sweep still runs.
     """
     combos = sorted(
         (kind, n, sigma, s, d, r)

@@ -7,21 +7,24 @@ Every draw is addressed by a (seed, counter) pair:
 where mix64 is the splitmix64 finalizer and GOLDEN = 0x9E3779B97F4A7C15.
 A stream is the sequence counter = 0, 1, 2, ...; batch code can evaluate
 any set of counters at once and still reproduce exactly the raw and uniform
-values of the scalar functions (normals within 2 ulps), and a vectorized
-result never depends on batch size or thread count.
+values of the scalar functions, and a vectorized result never depends on
+batch size or thread count.
 
-Normal variates use the Box-Muller transform on two consecutive counters:
-u1 at the first gives the radius sqrt(-2 ln u1), u2 at the second the angle
-2 pi u2. normal_draw is the cosine branch; normal_pair gives both branches,
-two independent normals from the same two counters.
+A raw draw gives a uniform u in one of two ways (uniforms): (m + 1) 2^-53 of
+its top 53 bits m, in (0, 1], or (m + 1/2) 2^-52 of its top 52, in the open
+interval (0, 1), which any inverse CDF accepts. normal_quantiles is the
+inverse standard normal CDF by Wichura's AS241 (Applied Statistics 37,
+1988), the rational approximations of the standard library's
+statistics.NormalDist.inv_cdf, which is its scalar twin normal_quantile.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +35,6 @@ _MUL2 = 0x94D049BB133111EB
 
 # (x >> 11) yields 53 bits; +1 maps to (0, 1], so log(u) is always finite.
 _INV53 = 2.0 ** -53
-_TWO_PI = 2.0 * math.pi
 
 
 def check_integer(name: str, value, lo: int = 0, hi: Optional[int] = None) -> int:
@@ -90,28 +92,6 @@ def uniform_draw(seed: int, counter: int) -> float:
     return ((raw_draw(seed, counter) >> 11) + 1) * _INV53
 
 
-def polar_radius(raw: int) -> float:
-    """Box-Muller radius sqrt(-2 ln u) of the uniform u of a raw draw.
-
-    u = ((raw >> 11) + 1) 2^-53, so the radius falls as raw >> 11 grows.
-    """
-    return math.sqrt(-2.0 * math.log(((raw >> 11) + 1) * _INV53))
-
-
-def normal_pair(seed: int, counter: int) -> Tuple[float, float]:
-    """Two independent standard normals (rho cos phi, rho sin phi) from
-    counters (counter, counter + 1): rho = sqrt(-2 ln u1), phi = 2 pi u2."""
-    rho = polar_radius(raw_draw(seed, counter))
-    phi = _TWO_PI * uniform_draw(seed, counter + 1)
-    return rho * math.cos(phi), rho * math.sin(phi)
-
-
-def normal_draw(seed: int, counter: int) -> float:
-    """Standard normal draw consuming counters (counter, counter + 1): the
-    cosine branch of normal_pair."""
-    return normal_pair(seed, counter)[0]
-
-
 def derive_stream_seed(master: int, index: int) -> int:
     """Seed of substream `index`: raw_draw(mix64(master), index).
 
@@ -123,10 +103,8 @@ def derive_stream_seed(master: int, index: int) -> int:
 
 
 # -- vectorized counterparts ------------------------------------------------
-# raw and uniform draws are bit-identical to the scalar functions; normal
-# draws agree within 2 ulps, since numpy's log, cos and sin may round
-# differently from libm's. Every determinism guarantee uses the vectorized
-# path only.
+# raw and uniform draws are bit-identical to the scalar functions. Every
+# determinism guarantee uses the vectorized path only.
 
 _GOLDEN_U64 = np.uint64(GOLDEN)
 _MUL1_U64 = np.uint64(_MUL1)
@@ -162,44 +140,106 @@ def derive_stream_seeds(master: int, indices) -> np.ndarray:
     return raw_draws(mix64(master), indices)
 
 
-def uniform_draws(seeds, counters) -> np.ndarray:
-    """Vectorized uniform_draw, values in (0, 1]."""
-    raw = raw_draws(seeds, counters)
-    raw >>= np.uint64(11)
-    # below 2^53, so the conversion, the + 1 and the power-of-two scale are exact
+def uniforms(raw: np.ndarray, bits: int = 53) -> np.ndarray:
+    """The uniforms of the raw draws `raw` (a uint64 array, which it
+    overwrites): (m + 1) 2^-53 of m = raw >> 11, in (0, 1], or for bits = 52
+    (m + 1/2) 2^-52 of m = raw >> 12, in the open interval (0, 1). Both are
+    nondecreasing in raw."""
+    raw >>= np.uint64(64 - bits)
+    # below 2^53, so the conversion, the offset and the power-of-two scale are exact
     u = raw.astype(np.float64)
-    u += 1.0
-    u *= _INV53
+    u += 1.0 if bits == 53 else 0.5
+    u *= 2.0 ** -bits
     return u
 
 
-def _polar(seeds, counters) -> Tuple[np.ndarray, np.ndarray]:
-    """The Box-Muller radius sqrt(-2 ln u1) and angle 2 pi u2 of counters (c, c + 1)."""
-    rho = uniform_draws(seeds, counters)
-    counters = np.asarray(counters, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        phi = uniform_draws(seeds, counters + np.uint64(1))
-    # in the two fresh arrays
-    np.log(rho, out=rho)
-    rho *= -2.0
-    np.sqrt(rho, out=rho)
-    phi *= _TWO_PI
-    return rho, phi
+def uniform_of(m: int, bits: int = 53) -> float:
+    """The uniform that uniforms gives a raw draw whose top `bits` bits are m."""
+    return (m + (1.0 if bits == 53 else 0.5)) * 2.0 ** -bits
 
 
-def normal_draws(seeds, counters) -> np.ndarray:
-    """Vectorized normal_draw; each entry consumes counters (c, c + 1)."""
-    rho, phi = _polar(seeds, counters)
-    np.cos(phi, out=phi)
-    rho *= phi
-    return rho
+def uniform_draws(seeds, counters) -> np.ndarray:
+    """Vectorized uniform_draw, values in (0, 1]."""
+    return uniforms(raw_draws(seeds, counters))
 
 
-def normal_pairs(seeds, counters) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized normal_pair; each entry consumes counters (c, c + 1)."""
-    rho, phi = _polar(seeds, counters)
-    sine = np.sin(phi)
-    sine *= rho
-    np.cos(phi, out=phi)
-    phi *= rho
-    return phi, sine
+# AS241's numerator and denominator coefficients, highest power first: for
+# |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2 (the numerator times
+# p - 1/2), else in r = sqrt(-ln min(p, 1 - p)) less 1.6 where that is at
+# most 5, or less 5 beyond
+_CENTRAL = ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+             4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+             1.3314166789178437745e+2, 3.3871328727963666080e+0),
+            (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+             2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+             4.2313330701600911252e+1, 1.0))
+_NEAR = ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+          1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+          4.63033784615654529590e+0, 1.42343711074968357734e+0),
+         (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+          1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+          2.05319162663775882187e+0, 1.0))
+_FAR = ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+         2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+         5.46378491116411436990e+0, 6.65790464350110377720e+0),
+        (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+         7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+         5.99832206555887937690e-1, 1.0))
+
+
+def _ratio(coefficients, r: np.ndarray, times=1.0) -> np.ndarray:
+    """times * numerator(r) / denominator(r), each polynomial by Horner's
+    rule, all in AS241's order of operations."""
+    (a0, *a), (b0, *b) = coefficients
+    num, den = r * a0, r * b0
+    for ak, bk in zip(a[:-1], b[:-1]):
+        num += ak
+        num *= r
+        den += bk
+        den *= r
+    num += a[-1]
+    num *= times
+    den += b[-1]
+    num /= den
+    return num
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_normal():
+    # imported on first use: only the screen's bisection needs it
+    from statistics import NormalDist
+
+    return NormalDist()
+
+
+def normal_quantile(p: float) -> float:
+    """The standard normal quantile of one p in (0, 1): the standard
+    library's AS241, the scalar twin of normal_quantiles."""
+    return _standard_normal().inv_cdf(p)
+
+
+def normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of every p in (0, 1), by AS241 in the
+    standard library's order of operations: normal_quantile's value bit for
+    bit wherever numpy's log rounds as the C library's (always for
+    |p - 1/2| <= 0.425, which takes no log), and within a few ulps
+    elsewhere, as a one-ulp change of ln p moves the tail pieces by up to 8
+    ulps."""
+    shape, p = p.shape, p.reshape(-1)
+    q = p - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _ratio(_CENTRAL, r, q)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        qt = q[tail]
+        r = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+        far = r > 5.0
+        xt = _ratio(_NEAR, r - 1.6)
+        xt[far] = _ratio(_FAR, r[far] - 5.0)
+        np.negative(xt, out=xt, where=qt < 0.0)
+        x[tail] = xt
+    return x.reshape(shape)

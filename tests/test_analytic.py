@@ -8,7 +8,7 @@ from hndeploy.distributions import DeploymentKind, DeploymentModel
 from hndeploy.geometry import HalfPlane, IntruderScenario, Rectangle, capsule_area
 from hndeploy.montecarlo import estimate_detection
 from hndeploy.numerics import QuadratureSpec
-from hndeploy.rng import RandomSeed, normal_draws
+from hndeploy.rng import RandomSeed
 from hndeploy.validate import reference_capsule_parts
 
 
@@ -64,11 +64,12 @@ class TestHalfDisks:
         # d = 0: left and right half-disks reassemble the disk at (S, 0)
         sigma, r = 5.0, 1.0
         report = _report(5.0, 0.0, r, sigma)
-        # independent full-disk value by polar-like sampling oracle
+        # independent full-disk value by a sampling oracle on numpy's own
+        # generator, independent of the product's sampler
         n = 2_000_000
-        seeds = np.uint64(2718)
-        x = np.abs(normal_draws(seeds, np.arange(0, 2 * n, 2, dtype=np.uint64))) * sigma
-        y = normal_draws(seeds, np.arange(2 * n, 4 * n, 2, dtype=np.uint64)) * sigma
+        normal = np.random.default_rng(2718).normal
+        x = np.abs(normal(0.0, sigma, n))
+        y = normal(0.0, sigma, n)
         hit = (x - 5.0) ** 2 + y ** 2 <= r * r
         p = hit.mean()
         se = math.sqrt(p * (1 - p) / n)
@@ -100,9 +101,9 @@ class TestPTotal:
             d = float(rng.uniform(0.2, 0.9) * s)
             r = float(rng.uniform(0.5, 2.0))
             analytic = _report(s, d, r, sigma).p_total
-            seed = np.uint64(1000 + case)
-            x = np.abs(normal_draws(seed, np.arange(0, 2 * n, 2, dtype=np.uint64))) * sigma
-            y = normal_draws(seed, np.arange(2 * n, 4 * n, 2, dtype=np.uint64)) * sigma
+            normal = np.random.default_rng(1000 + case).normal
+            x = np.abs(normal(0.0, sigma, n))
+            y = normal(0.0, sigma, n)
             dx = np.clip(x, s - d, s) - x
             hits = dx * dx + y * y <= r * r
             p = hits.mean()
@@ -333,9 +334,9 @@ class TestFullReport:
         region = Rectangle(0.5, 3.0, -0.7, 3.0)
         analytic = _report(s, d, r, sigma, region=region).p_total
         n = 400_000
-        seed = np.uint64(4242)
-        x = np.abs(normal_draws(seed, np.arange(0, 2 * n, 2, dtype=np.uint64))) * sigma
-        y = normal_draws(seed, np.arange(2 * n, 4 * n, 2, dtype=np.uint64)) * sigma
+        normal = np.random.default_rng(4242).normal
+        x = np.abs(normal(0.0, sigma, n))
+        y = normal(0.0, sigma, n)
         inside = (x >= 0.5) & (x <= 3.0) & (y >= -0.7) & (y <= 3.0)
         x, y = x[inside], y[inside]
         dx = np.clip(x, s - d, s) - x

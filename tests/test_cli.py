@@ -149,7 +149,74 @@ class TestAnalyticCommand:
         assert "absolute_tolerance" in capsys.readouterr().err
 
 
+def _binomial_tail(k, n, p, upper):
+    """P(X >= k) if upper else P(X <= k), X ~ Binomial(n, p), summed from k
+    outward, for the tail away from the mean."""
+    q = 1.0 - p
+    term = math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log(q))
+    total, i = 0.0, k
+    while term > total * 1e-16:
+        total += term
+        if (i == n) if upper else (i == 0):
+            break
+        term *= (n - i) / (i + 1) * p / q if upper else i / (n - i + 1) * q / p
+        i += 1 if upper else -1
+    return total
+
+
+def _binomial_agrees(k, n, p, z=5.0):
+    """Whether k successes in n trials pass the exact two-sided binomial test
+    of success probability p at z standard normal deviations."""
+    level = math.erfc(z / math.sqrt(2.0)) / 2.0
+    if k > n * p:
+        return _binomial_tail(k, n, p, upper=True) >= level
+    return k == n * p or _binomial_tail(k, n, p, upper=False) >= level
+
+
+def test_binomial_test_has_power():
+    # 4.7 standard errors pass, 5.7 fail; a rare event seen once in 2,000
+    # trials passes (Wilson at z = 5 would refuse it), four times fails
+    assert _binomial_agrees(500, 1000, 0.5) and _binomial_agrees(575, 1000, 0.5)
+    assert not _binomial_agrees(590, 1000, 0.5) and not _binomial_agrees(410, 1000, 0.5)
+    assert _binomial_agrees(1, 2000, 5.9e-6) and not _binomial_agrees(4, 2000, 5.9e-6)
+
+
+# a box far in the x tail at sigma = 5, where the law keeps about 1e-9 of its mass
+_FAR_TAIL = ["--sigma", "5", "--region", "30", "35", "-1", "1"]
+_FAR_TAIL_CASE = ["-N", "1", "-r", "1", "-S", "33", "-d", "2"]
+# no half-normal mass lies in this box at sigma = 1
+_MASSLESS = ["--sigma", "1", "--region", "20", "30", "-5", "5"]
+_MASSLESS_ERROR = ("invalid input: region Rectangle(x_min=20.0, x_max=30.0, y_min=-5.0, "
+                   "y_max=5.0) carries no half_normal deployment mass at sigma=1.0\n")
+
+
 class TestSimulateCommand:
+    def test_far_tail_box_agrees_with_analytic(self, capsys):
+        assert main(["analytic", *_FAR_TAIL, *_FAR_TAIL_CASE]) == EXIT_OK
+        p_total = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["p_total"]
+        trials = 200_000
+        assert main(["simulate", "--model", "half_normal", *_FAR_TAIL, *_FAR_TAIL_CASE,
+                     "--trials", str(trials), "--seed", "2022"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert 0.78 < p_total < 0.79
+        assert _binomial_agrees(payload["detected_count"], trials, p_total)
+
+    @pytest.mark.parametrize("command", [
+        ["analytic", *_MASSLESS, "-N", "10", "-r", "1", "-S", "25", "-d", "3"],
+        ["simulate", "--model", "half_normal", *_MASSLESS, "-N", "10", "-r", "1", "-S", "25",
+         "-d", "3", "--trials", "10", "--seed", "1"],
+        ["simulate", "--model", "half_normal", *_MASSLESS, "-N", "0", "-r", "1", "-S", "25",
+         "-d", "3", "--trials", "10", "--seed", "1"],
+        ["sample", "--model", "half_normal", *_MASSLESS, "--n", "10", "--seed", "1"],
+    ])
+    def test_region_without_mass_is_refused_alike(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "field.csv")] if command[0] == "sample" else []
+        assert main(command + out) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == _MASSLESS_ERROR
+        assert not (tmp_path / "field.csv").exists()
+
     def test_single_trial_binary(self, capsys):
         rc = main(["simulate", "--model", "half_normal", "--sigma", "5", "-N", "10",
                    "-r", "1", "-S", "5", "-d", "3", "--trials", "1", "--seed", "4"])
@@ -193,6 +260,21 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
+    def test_far_tail_box_is_sampled(self, tmp_path):
+        # every row is ok, and p_hat passes the exact binomial test against
+        # p_analytic; N = 0 detects nothing
+        path = _write_config(tmp_path, models=["half_normal", "quadrant", "strip"],
+                             sigma_values=[5.0], n_values=[0, 1, 3], s_values=[33.0],
+                             d_values=[2.0], r_values=[0.2, 1.0],
+                             region=[30.0, 35.0, -1.0, 1.0], trials=20_000)
+        assert main(["sweep", "--config", str(path)]) == EXIT_OK
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 18 and all(row["status"] == "ok" for row in rows)
+        for row in rows:
+            detected, p = round(float(row["p_hat"]) * 20_000), float(row["p_analytic"])
+            assert _binomial_agrees(detected, 20_000, p) if p > 0.0 else detected == 0
+
     def test_sweep_out_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", str(_write_config(tmp_path)),

@@ -1,4 +1,5 @@
 import math
+import statistics
 import sys
 import tracemalloc
 
@@ -7,13 +8,13 @@ import pytest
 
 from hndeploy import distributions
 from hndeploy.distributions import (
+    MARGINALS,
     Correlated2DParams,
     DeploymentKind,
     DeploymentModel,
     HalfNormalParams,
+    Field,
     InnerPicks,
-    SamplingError,
-    UniformField,
     correlated_half_normal_pdf,
     half_normal_cdf,
     half_normal_mean,
@@ -21,13 +22,12 @@ from hndeploy.distributions import (
     halfplane_pdf,
     marginal,
     sample_positions,
-    sample_screened,
     stein_residual,
 )
 from hndeploy.geometry import HalfPlane, Rectangle
 from hndeploy.numerics import QuadratureSpec, integrate_1d, integrate_2d
-from hndeploy.rng import (derive_stream_seeds, normal_draw, normal_pair, raw_draws, uniform_draw,
-                          uniform_draws)
+from hndeploy.rng import (derive_stream_seeds, raw_draw, raw_draws, uniform_draw, uniform_draws,
+                          uniforms)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -132,10 +132,11 @@ class TestSampling:
 
     def test_vector_matches_stream(self):
         params = HalfNormalParams(2.5)
-        # sensor i's x is |normal_draw| on counters (256i, 256i + 1), scaled by sigma
-        sequential = [abs(normal_draw(88, 256 * i)) * params.sigma for i in range(200)]
+        # sensor i's x inverts the half-normal CDF at the raw draw of counter 256 i
+        sequential = [_reference_axis("half_normal", params.sigma, 0.0, math.inf,
+                                      raw_draw(88, 256 * i)) for i in range(200)]
         np.testing.assert_array_max_ulp(_half_normal_x(params, 200, 88),
-                                        np.array(sequential), maxulp=2)
+                                        np.array(sequential), maxulp=_NORMAL_MAXULP)
 
     def test_kolmogorov_smirnov(self):
         params = HalfNormalParams(1.0)
@@ -152,11 +153,11 @@ class TestSampling:
 
 
     @pytest.mark.parametrize("kind", [DeploymentKind.HALF_NORMAL, DeploymentKind.QUADRANT])
-    def test_polar_pair_is_two_independent_marginals(self, kind):
-        # x and y are the two branches of one Box-Muller pair: each follows its
-        # marginal (Kolmogorov-Smirnov at the 1% level) and the pair is
-        # independent (chi-square on the table of the quartiles of x and |y|,
-        # 9 degrees of freedom, at the 1% level)
+    def test_x_and_y_are_two_independent_marginals(self, kind):
+        # x and y come from two raw draws of the sensor's counter block: each
+        # follows its marginal (Kolmogorov-Smirnov at the 1% level) and the
+        # pair is independent (chi-square on the table of the quartiles of x
+        # and |y|, 9 degrees of freedom, at the 1% level)
         n = 40_000
         model = DeploymentModel(kind, HalfPlane(), 2.0)
         xs, ys = sample_positions(model, n, np.array([17], dtype=np.uint64))
@@ -211,14 +212,25 @@ class TestMarginal:
                 m.mass(a, b), abs=1e-9)
 
     def test_draws_follow_mass(self, shape, sigma, bounds):
-        # the draw is the untruncated law; a bounded region truncates by rejection
+        # the draw is the law truncated to the bounds
         m = marginal(shape, sigma, *bounds)
         n = 100_000
-        z = np.sort(m.draw(np.uint64(2718), np.arange(n, dtype=np.uint64) * np.uint64(m.counters)))
-        law_lo = _law_support(shape, bounds)[0]
-        cdf = np.array([m.mass(law_lo, v) for v in z.tolist()])
+        z = np.sort(m.at(uniforms(raw_draws(np.uint64(2718), np.arange(n, dtype=np.uint64)),
+                                  m.bits)))
+        assert m.lo <= z[0] and z[-1] <= m.hi
+        cdf = np.array([m.mass(m.lo, v) for v in z.tolist()]) / m.mass(m.lo, m.hi)
         stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
         assert stat <= 1.628 / math.sqrt(n)  # asymptotic KS critical value at the 1% level
+
+    def test_scalar_twin_rounds_as_the_array(self, shape, sigma, bounds):
+        # the float map the screen bisects and the array map differ only by
+        # the inverse normal CDF's log (test_rng), and are nondecreasing in u
+        m = marginal(shape, sigma, *bounds)
+        u = uniforms(raw_draws(np.uint64(31), np.arange(2000, dtype=np.uint64)), m.bits)
+        u = np.sort(np.concatenate([u, [u.min() / 7, 1.0 - 2.0 ** -53]]))
+        twin = np.array([m.at(float(v)) for v in u])
+        np.testing.assert_array_max_ulp(m.at(u.copy()), twin, maxulp=_NORMAL_MAXULP)
+        assert np.all(np.diff(twin) >= 0.0)
 
 
 class TestCorrelatedPdf:
@@ -329,12 +341,27 @@ class TestDeploymentSampling:
         assert np.all((ys >= 0.0) & (ys <= 10.0))
         assert abs(ys.mean() - 5.0) < 5 * 10.0 / math.sqrt(12 * ys.size)
 
-    def test_rejection_bound_error(self):
-        # sigma vastly larger than the region: almost every draw is rejected
+    def test_tiny_region_is_sampled_within_it(self):
+        # sigma vastly larger than the region: the truncated law is nearly flat
         region = Rectangle(0.0, 1e-4, -1e-4, 1e-4)
         model = DeploymentModel(kind=DeploymentKind.HALF_NORMAL, region=region, sigma=100.0)
-        with pytest.raises(SamplingError):
-            sample_positions(model, 50, np.array([5], dtype=np.uint64))
+        xs, ys = sample_positions(model, 5000, np.array([5], dtype=np.uint64))
+        assert np.all(region.contains(xs, ys))
+        assert abs(xs.mean() - 5e-5) < 5 * 1e-4 / math.sqrt(12 * xs.size)
+
+    @pytest.mark.parametrize("kind,region", [
+        (DeploymentKind.HALF_NORMAL, Rectangle(20.0, 30.0, -5.0, 5.0)),
+        (DeploymentKind.QUADRANT, Rectangle(0.0, 5.0, -30.0, -20.0)),
+        (DeploymentKind.STRIP, Rectangle(-30.0, -20.0, -5.0, 5.0)),
+    ])
+    def test_region_without_mass_is_refused(self, kind, region):
+        # the one rule the analytic engine uses: the law puts no mass there
+        model = DeploymentModel(kind, region, 1.0)
+        message = f"^region .* carries no {kind.value} deployment mass at sigma=1.0$"
+        for call in (model.region_mass, lambda: Field(model),
+                     lambda: sample_positions(model, 3, np.array([1], dtype=np.uint64))):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -414,88 +441,78 @@ def _reference_y(field, region, inner, u):
     return min(t + region.y_min + ((hi - lo) if t > lo - region.y_min else 0.0), region.y_max)
 
 
+def _reference_axis(shape, sigma, lo, hi, raw):
+    """One coordinate from one raw draw, by the documented inversion: a
+    uniform axis lo + (hi - lo) u, at most hi, with u = (m + 1) 2^-53 of
+    m = raw >> 11; a (half-)normal one F^-1(F(lo) + u (F(hi) - F(lo))), with
+    u = (m + 1/2) 2^-52 of m = raw >> 12, p at most 1 - 2^-53, the support
+    clipped to x >= 0 when folded and reflected through 0 where lo > 0,
+    clamped into [lo, hi]."""
+    if shape == "uniform":
+        return min(lo + (hi - lo) * (((raw >> 11) + 1) * 2.0 ** -53), hi)
+    if shape == "half_normal":
+        lo = max(0.0, lo)
+    sign = -1.0 if lo > 0.0 else 1.0
+    cdf = statistics.NormalDist(0.0, sigma).cdf
+    p_lo, p_hi = (0.5 * math.erfc(-sign * v / (sigma * math.sqrt(2.0))) for v in (lo, hi))
+    u = ((raw >> 12) + 0.5) * 2.0 ** -52
+    assert abs(p_lo - cdf(sign * lo)) <= 1e-15 and abs(p_hi - cdf(sign * hi)) <= 1e-15
+    z = statistics.NormalDist().inv_cdf(min(u * (p_hi - p_lo) + p_lo, 1.0 - 2.0 ** -53))
+    return min(max(sign * sigma * z, lo), hi)
+
+
 def _reference_positions(model, n, seed):
     """Per-sensor scalar loop over the documented counter layout.
 
-    Sensor j, attempt a reads from counter c = j*256 + 4a: half_normal and
-    quadrant one Box-Muller pair (normal_pair) at c and c + 1; strip the
-    pair's cosine branch (normal_draw) for x and a uniform y at c + 2. A
-    uniform sensor takes one attempt: x uniform at c and y at c + 1, on the
-    inner band or the rest of the region's y. Returns x, y and the attempt
-    index each sensor was accepted on.
+    Sensor j reads x at counter 256 j and y at 256 j + 1, each from one raw
+    draw by its marginal's inverse CDF (_reference_axis). A uniform y is on
+    the inner band or the rest of the region's y.
     """
     region, kind, sigma = model.region, model.kind, model.sigma
+    x_shape, y_shape = MARGINALS[kind]
+    xs = [_reference_axis(x_shape, sigma, region.x_min, region.x_max, raw_draw(seed, 256 * j))
+          for j in range(n)]
     if kind == DeploymentKind.UNIFORM:
-        field = UniformField(model)
+        field = Field(model)
         inner = set(_reference_inner(field, n, seed))
-        xs = [min(region.x_min + region.width * uniform_draw(seed, 256 * j), region.x_max)
-              for j in range(n)]
         ys = [_reference_y(field, region, j in inner, uniform_draw(seed, 256 * j + 1))
               for j in range(n)]
-        return np.array(xs), np.array(ys), [0] * n
-    xs, ys, attempts = [], [], []
-    for j in range(n):
-        for a in range(64):
-            c = j * 256 + 4 * a
-            if kind == DeploymentKind.STRIP:
-                x = abs(normal_draw(seed, c)) * sigma
-                y = region.y_min + region.height * uniform_draw(seed, c + 2)
-            else:
-                cosine, sine = normal_pair(seed, c)
-                x = abs(cosine) * sigma
-                y = abs(sine) * sigma if kind == DeploymentKind.QUADRANT else sine * sigma
-            if region.contains(x, y):
-                break
-        else:
-            raise SamplingError(f"sensor {j} rejected on every attempt")
-        xs.append(x)
-        ys.append(y)
-        attempts.append(a)
-    return np.array(xs), np.array(ys), attempts
+    else:
+        ys = [_reference_axis(y_shape, sigma, region.y_min, region.y_max,
+                              raw_draw(seed, 256 * j + 1)) for j in range(n)]
+    return np.array(xs), np.array(ys)
 
 
-# normal-derived coordinates agree with the scalar path within 2 ulps of the
-# normal draw; scaling by sigma may add one rounding on top
-_NORMAL_MAXULP = 4
+# a (half-)normal coordinate may differ from the standard library's inverse
+# CDF by up to 8 ulps (test_rng), and scaling by sigma adds one rounding
+_NORMAL_MAXULP = 9
 _LAYOUT_SEEDS = [0, 7, 123456789, 2**63 + 5, 2**64 - 1]
-# with sigma = 5 on the box [0, 1] x [-1, 1], every sensor of these 12-sensor
-# fields is placed, and seeds 950, 1958 and 1743 place sensors 1, 7 and 11 on
-# the last of the 64 attempts when y is (half-)normal
 _CHUNK_SEEDS = [3, 950, 12, 1958, 1743]
+# regions where a coordinate is clipped, on one side or both, and (the first
+# box) one where lo + width rounds above hi on both axes
+_CLIPPING_REGIONS = [Rectangle(-1.1, 0.3, -0.3, 0.1), Rectangle(0.0, 6.0, -2.0, 2.0),
+                     Rectangle(1.0, math.inf, -math.inf, math.inf),
+                     Rectangle(0.0, math.inf, 1.0, math.inf),
+                     Rectangle(30.0, 35.0, -1.0, 1.0), Rectangle(-50.0, 50.0, -50.0, 50.0)]
 
 
 class TestSamplerCounterLayout:
     @pytest.mark.parametrize("kind,region", [
         (kind, Rectangle(0.0, 6.0, -2.0, 2.0)) for kind in DeploymentKind
-    ] + [(DeploymentKind.HALF_NORMAL, HalfPlane()), (DeploymentKind.QUADRANT, HalfPlane())])
+    ] + [(kind, Rectangle(30.0, 35.0, -1.0, 1.0)) for kind in DeploymentKind
+         ] + [(DeploymentKind.HALF_NORMAL, HalfPlane()), (DeploymentKind.QUADRANT, HalfPlane())])
     def test_matches_scalar_reference(self, kind, region):
         model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 5.0)
         n = 30
         xs, ys = sample_positions(model, n, np.array(_LAYOUT_SEEDS, dtype=np.uint64))
-        retried = 0
+        x_shape, y_shape = MARGINALS[kind]
         for row, seed in enumerate(_LAYOUT_SEEDS):
-            x_ref, y_ref, attempts = _reference_positions(model, n, seed)
-            retried += sum(a > 0 for a in attempts)
-            if kind == DeploymentKind.UNIFORM:
-                assert xs[row].tolist() == x_ref.tolist()
-            else:
-                np.testing.assert_array_max_ulp(xs[row], x_ref, maxulp=_NORMAL_MAXULP)
-            if kind in (DeploymentKind.UNIFORM, DeploymentKind.STRIP):
-                assert ys[row].tolist() == y_ref.tolist()
-            else:
-                np.testing.assert_array_max_ulp(ys[row], y_ref, maxulp=_NORMAL_MAXULP)
-        # at sigma = 5 the box rejects about three normal-derived draws in four;
-        # uniform draws and the half-plane never retry
-        assert (retried > 0) == (region.bounded and kind != DeploymentKind.UNIFORM)
-
-    def test_sensor_accepted_on_last_attempt(self):
-        # seed 38 puts its only sensor inside this box on attempt 64 of 64
-        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
-        x_ref, y_ref, attempts = _reference_positions(model, 1, 38)
-        assert attempts == [63]
-        xs, ys = sample_positions(model, 1, np.array([38], dtype=np.uint64))
-        np.testing.assert_array_max_ulp(xs[0], x_ref, maxulp=_NORMAL_MAXULP)
-        np.testing.assert_array_max_ulp(ys[0], y_ref, maxulp=_NORMAL_MAXULP)
+            x_ref, y_ref = _reference_positions(model, n, seed)
+            for got, want, shape in ((xs[row], x_ref, x_shape), (ys[row], y_ref, y_shape)):
+                if shape == "uniform":
+                    assert got.tolist() == want.tolist()
+                else:
+                    np.testing.assert_array_max_ulp(got, want, maxulp=_NORMAL_MAXULP)
 
     @pytest.mark.parametrize("kind,region", [
         (kind, Rectangle(0.0, 1.0, -1.0, 1.0)) for kind in DeploymentKind
@@ -528,60 +545,67 @@ class TestSamplerCounterLayout:
         full_x, full_y = sample_positions(model, 6, seeds)
         assert np.array_equal(xs, full_x[:, 2:]) and np.array_equal(ys, full_y[:, 2:])
 
-    @pytest.mark.parametrize("seed,j", [(950, 1), (1958, 7), (1743, 11)])
-    def test_chunk_sensor_accepted_on_last_attempt(self, seed, j, monkeypatch):
-        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
-        seeds = np.array([seed], dtype=np.uint64)
-        sample_positions(model, j + 1, seeds, j)
-        monkeypatch.setattr(distributions, "MAX_ATTEMPTS", 63)
-        with pytest.raises(SamplingError):
-            sample_positions(model, j + 1, seeds, j)
+
+def _models(regions, sigmas):
+    """Every model of each kind on the regions at the sigmas (one uniform
+    model per region) that can be sampled: a uniform axis needs a bounded
+    region, and the region must carry mass."""
+    models = []
+    for kind in DeploymentKind:
+        for region in regions:
+            for sigma in [None] if kind == DeploymentKind.UNIFORM else sigmas:
+                if region.bounded or "uniform" not in MARGINALS[kind]:
+                    model = DeploymentModel(kind, region, sigma)
+                    if _has_mass(model):
+                        models.append(model)
+    return models
 
 
-# (kind, region, whether a draw can leave the region); on the first box
-# lo + width rounds above hi on both axes, but a uniform field clamps its
-# draws into the region
-_REJECTS_CASES = [
-    (DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1), False),
-    (DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0), False),
-    (DeploymentKind.UNIFORM, Rectangle(30.0, 40.0, -3.0, 3.0), False),
-    (DeploymentKind.HALF_NORMAL, HalfPlane(), False),
-    (DeploymentKind.HALF_NORMAL, Rectangle(-5.0, math.inf, -math.inf, math.inf), False),
-    (DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf), True),
-    (DeploymentKind.HALF_NORMAL, Rectangle(0.0, math.inf, 0.0, math.inf), True),
-    (DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -50.0, 50.0), True),
-    (DeploymentKind.QUADRANT, HalfPlane(), False),
-    (DeploymentKind.QUADRANT, Rectangle(0.0, math.inf, 1.0, math.inf), True),
-    (DeploymentKind.STRIP, Rectangle(-1.0, 3.0, -3.0, 3.0), True),
-]
+def _model_id(model):
+    region = model.region
+    return (f"{model.kind.value}-[{region.x_min:g},{region.x_max:g}]x"
+            f"[{region.y_min:g},{region.y_max:g}]-{model.sigma}")
 
 
-class TestNeverRejectingModels:
-    @pytest.mark.parametrize("kind,region,rejects", _REJECTS_CASES)
-    def test_rejects_is_exact(self, kind, region, rejects):
-        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 1.0)
-        assert model.rejects == rejects
+def _has_mass(model):
+    try:
+        return model.region_mass() > 0.0
+    except ValueError:
+        return False
 
+
+class TestDrawsStayInTheRegion:
     def test_box_edges_round_above(self):
         assert -1.1 + (0.3 - -1.1) > 0.3 and -0.3 + (0.1 - -0.3) > 0.1
 
-    @pytest.mark.parametrize("kind,region,rejects", _REJECTS_CASES)
-    def test_region_test_runs_only_where_a_draw_can_leave(self, kind, region, rejects,
-                                                          monkeypatch):
-        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 30.0)
-        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
-        tested = []
-        contains = Rectangle.contains
-        monkeypatch.setattr(Rectangle, "contains",
-                            lambda self, x, y: tested.append(1) or contains(self, x, y))
-        try:
-            xs, ys = sample_positions(model, 50, seeds)
-        except SamplingError:
-            assert rejects
-        else:
-            assert contains(region, xs, ys).all()
-        assert bool(tested) == rejects
+    @pytest.mark.parametrize("model", _models(_CLIPPING_REGIONS, [1.0, 30.0]), ids=_model_id)
+    def test_every_draw_lies_in_the_region(self, model):
+        # every sensor is placed on its first draw, clamped into the region
+        xs, ys = sample_positions(model, 200, np.array(_CHUNK_SEEDS, dtype=np.uint64))
+        assert np.all(model.region.contains(xs, ys))
 
+
+# the half-plane, +-50 at sigma = 30 (a sixth of the untruncated mass lies
+# outside), a box far in the x tail at sigma = 5 (about 1e-9 of the mass), and
+# a thin strip
+_TRUNCATION_REGIONS = [(HalfPlane(), 5.0), (Rectangle(-50.0, 50.0, -50.0, 50.0), 30.0),
+                       (Rectangle(30.0, 35.0, -1.0, 1.0), 5.0),
+                       (Rectangle(0.0, 40.0, -0.01, 0.01), 5.0)]
+
+
+@pytest.mark.parametrize("model", [model for region, sigma in _TRUNCATION_REGIONS
+                                   for model in _models([region], [sigma])], ids=_model_id)
+def test_each_axis_follows_its_truncated_marginal(model):
+    # Kolmogorov-Smirnov of x and of y against the marginal truncated to the
+    # region, at the 1% level
+    n = 20_000
+    xs, ys = sample_positions(model, n, np.array([29], dtype=np.uint64))
+    for z, m in zip((xs[0], ys[0]), model.marginals()):
+        z = np.sort(z)
+        assert m.lo <= z[0] and z[-1] <= m.hi
+        cdf = np.array([m.mass(m.lo, v) for v in z.tolist()]) / m.mass(m.lo, m.hi)
+        stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert stat <= 1.628 / math.sqrt(n)
 
 
 # (a, width) screens: the lower half of the raw draws, a quarter of them
@@ -590,51 +614,51 @@ _SCREENS = [(0, 2**63 - 1), (2**63 + 5, 2**62), (2**64 - 2**62, 2**63), (0, 2**6
             (12345, 0)]
 
 
+def _inner_mask(field, seeds, start, stop):
+    """The (seeds x columns) mask of the inner sensors start .. stop - 1, or
+    None for a field that is not banded."""
+    if not field.banded:
+        return None
+    t, j = InnerPicks(field, seeds).advance(0, stop, slice(0, seeds.size))
+    mask = np.zeros((seeds.size, stop), dtype=bool)
+    mask[t, j] = True
+    return mask[:, start:]
+
+
 class TestScreenedSampling:
-    # a uniform field is placed through UniformField, not screened here
-    @pytest.mark.parametrize("kind,region", [(k, r) for k, r, _ in _REJECTS_CASES
-                                             if k != DeploymentKind.UNIFORM])
+    @pytest.mark.parametrize("model", _models(_CLIPPING_REGIONS, [1.0]), ids=_model_id)
     @pytest.mark.parametrize("screen", _SCREENS)
-    def test_screened_draw_is_the_full_draw_at_the_candidates(self, kind, region, screen):
-        model = DeploymentModel(kind, region, 1.0)
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_screened_draw_is_the_full_draw_at_the_candidates(self, model, screen, offset):
+        field = Field(model)
         seeds = np.array(_LAYOUT_SEEDS + _CHUNK_SEEDS, dtype=np.uint64)
         full_x, full_y = sample_positions(model, 40, seeds)
+        inner = _inner_mask(field, seeds, 3, 40)
         a, width = screen
-        # sensor j's first attempt starts at counter 256 j
-        raw = raw_draws(seeds[:, None], np.arange(3, 40, dtype=np.uint64) * np.uint64(256))
-        expected = np.nonzero([[(int(v) - a) % 2**64 <= width for v in row] for row in raw])
-        xs, ys, at = sample_screened(model, 40, seeds, 3, screen)
-        assert all(np.array_equal(got, want) for got, want in zip(at, expected))
-        assert np.array_equal(xs, full_x[:, 3:][at]) and np.array_equal(ys, full_y[:, 3:][at])
-        empty_x, empty_y, (empty_t, empty_j) = sample_screened(model, 3, seeds, 3, screen)
-        assert empty_x.size == empty_y.size == empty_t.size == empty_j.size == 0
+        # sensor j's x reads counter 256 j and its y 256 j + 1
+        raw = raw_draws(seeds[:, None], np.arange(3, 40, dtype=np.uint64) * np.uint64(256)
+                        + np.uint64(offset))
+        expected = np.array([[(int(v) - a) % 2**64 <= width for v in row] for row in raw])
+        if offset == 1 and inner is not None:
+            expected |= inner
+        xs, ys, at = field.sample(seeds, 3, 40, inner, (offset, a, width))
+        rows, columns = np.nonzero(expected)
+        assert np.array_equal(at[0], rows) and np.array_equal(at[1], columns + 3)
+        assert np.array_equal(xs, full_x[at]) and np.array_equal(ys, full_y[at])
+        empty = field.sample(seeds, 3, 3, None if inner is None else inner[:, :0],
+                             (offset, a, width))
+        assert empty[0].size == empty[1].size == empty[2][0].size == empty[2][1].size == 0
 
-    def test_only_a_candidate_can_fail(self, monkeypatch):
-        # seed 950 places sensor 1 on its last attempt: with one attempt fewer
-        # it fails, and a screen that leaves it out draws the rest in full
-        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
-        seeds = np.array([950], dtype=np.uint64)
-        raw = int(raw_draws(seeds, np.uint64(256))[0])
-        monkeypatch.setattr(distributions, "MAX_ATTEMPTS", 63)
-        with pytest.raises(SamplingError):
-            sample_screened(model, 4, seeds, 0, (raw, 0))
-        # every raw value but sensor 1's, an interval that wraps
-        xs, ys, (t, j) = sample_screened(model, 4, seeds, 0, (raw + 1, 2**64 - 2))
-        assert j.tolist() == [0, 2, 3]
-
-    def test_uniform_model_is_refused(self):
-        model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1))
-        with pytest.raises(ValueError, match="UniformField"):
-            sample_screened(model, 4, np.array([1], dtype=np.uint64), 0, (0, 2**63))
-
-    @pytest.mark.parametrize("rows,block", [(1, 1), (3, 2), (40, 5)])
-    def test_blocks_do_not_change_the_draw(self, monkeypatch, rows, block):
-        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
+    @pytest.mark.parametrize("kind", [DeploymentKind.HALF_NORMAL, DeploymentKind.UNIFORM])
+    @pytest.mark.parametrize("rows", [1, 3, 40])
+    def test_blocks_do_not_change_the_draw(self, monkeypatch, kind, rows):
+        model = DeploymentModel(kind, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
+        field = Field(model)
         seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
-        whole = sample_screened(model, 12, seeds, 2, _SCREENS[2])
+        inner = _inner_mask(field, seeds, 2, 12)
+        whole = field.sample(seeds, 2, 12, inner, (1, *_SCREENS[2]))
         monkeypatch.setattr(distributions, "_SCREEN_BLOCK", rows)
-        monkeypatch.setattr(distributions, "_PLACE_BLOCK", block)
-        blocked = sample_screened(model, 12, seeds, 2, _SCREENS[2])
+        blocked = field.sample(seeds, 2, 12, inner, (1, *_SCREENS[2]))
         assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
         assert all(np.array_equal(a, b) for a, b in zip(blocked[2], whole[2]))
 
@@ -653,7 +677,7 @@ def _chi_square_critical(dof, z=3.09):
 class TestUniformField:
     @pytest.mark.parametrize("region", _UNIFORM_REGIONS)
     def test_inner_band_is_model_only(self, region):
-        field = UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+        field = Field(DeploymentModel(DeploymentKind.UNIFORM, region))
         # 2^-5 of the y mass: the region's y within |y| <= bound
         assert field.share == pytest.approx(2.0 ** -5, rel=1e-12)
         mass = (min(field.bound, region.y_max) - max(-field.bound, region.y_min)) / region.height
@@ -665,7 +689,7 @@ class TestUniformField:
         # each of n indices is inner with probability share, so the inner
         # count per deployment is Binomial(n, share): chi-square over 2000
         # deployments, tail bins merged to an expected count of 5 or more
-        field = UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+        field = Field(DeploymentModel(DeploymentKind.UNIFORM, region))
         trials, n, rate = 2000, 200, field.share
         t, _ = InnerPicks(field, derive_stream_seeds(5, np.arange(trials, dtype=np.uint64))
                           ).advance(0, n, slice(0, trials))
@@ -705,15 +729,15 @@ class TestUniformField:
         # u at its ends and next to the step over the band: an inner y lies
         # in the band, any other has |y| >= outer_min, and both lie in the
         # region; the scalar map the screen bisects rounds as the array one
-        field = UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+        field = Field(DeploymentModel(DeploymentKind.UNIFORM, region))
         lo = max(region.y_min, -field.bound)
         step = (lo - region.y_min) / ((lo - region.y_min) + (region.y_max - min(region.y_max,
                                                                                field.bound)))
         ms = [m for m in [0, 1, 2, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1]
               + list(range(int(step * 2**53) - 3, int(step * 2**53) + 4)) if 0 <= m < 2**53]
         raws = np.array(sorted(set(ms)), dtype=np.uint64) << np.uint64(11)
-        monkeypatch.setattr(distributions, "uniform_draws",
-                            lambda seeds, counters: _uniform_draws_at(raws, counters))
+        monkeypatch.setattr(distributions, "raw_draws",
+                            lambda seeds, counters: _raw_draws_at(raws, counters))
         columns = np.arange(raws.size)
         xs, inner_ys = field.place(np.uint64(0), columns, True)
         _, outer_ys = field.place(np.uint64(0), columns, np.empty(0, dtype=np.intp))
@@ -722,7 +746,7 @@ class TestUniformField:
         assert np.all(region.contains(xs, inner_ys)) and np.all(region.contains(xs, outer_ys))
         u = ((raws >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
         assert [field.outer_y(float(v)) for v in u] == outer_ys.tolist()
-        assert [field.x(float(v)) for v in u] == xs.tolist()
+        assert [field.axes[0][0](float(v)) for v in u] == xs.tolist()
 
     @pytest.mark.parametrize("region", _UNIFORM_REGIONS)
     @pytest.mark.parametrize("windows", [
@@ -733,7 +757,7 @@ class TestUniformField:
         # windows taken in order, by blocks of deployments and after some are
         # dropped, hold the indices the scalar walk makes inner; a first
         # window that starts past 0 skips those below it
-        field = UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+        field = Field(DeploymentModel(DeploymentKind.UNIFORM, region))
         seeds = derive_stream_seeds(11, np.arange(7, dtype=np.uint64))
         reference = [_reference_inner(field, 300, int(seed)) for seed in seeds]
         picks = InnerPicks(field, seeds)
@@ -752,10 +776,10 @@ class TestUniformField:
                 live = live[keep]
 
 
-def _uniform_draws_at(raws, counters):
-    """The uniform draws of chosen raw values: raws[j] at sensor j's counters."""
+def _raw_draws_at(raws, counters):
+    """Chosen raw values: raws[j] at sensor j's counters."""
     j = (np.asarray(counters, dtype=np.uint64) // np.uint64(256)).astype(np.intp)
-    return ((raws[j] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    return raws[j]
 
 
 @pytest.mark.parametrize("region", [HalfPlane(), Rectangle(-50.0, 50.0, -50.0, 50.0)])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hndeploy.analytic import capsule_probability, full_report
 from hndeploy.cli import sweep_csv
 from hndeploy.config import ExperimentConfig
-from hndeploy.distributions import DeploymentKind, DeploymentModel, SamplingError, sample_positions
+from hndeploy.distributions import DeploymentKind, DeploymentModel, Field, sample_positions
 from hndeploy import distributions, montecarlo, rng
 from hndeploy.geometry import (HalfPlane, IntruderScenario, Rectangle, detects, detects_any,
                                segment_dist2)
@@ -39,10 +39,10 @@ class TestRunTrial:
         def no_draw(*args):
             raise AssertionError("N = 0 draws no sensor")
 
-        monkeypatch.setattr(montecarlo, "sample_positions", no_draw)
+        assert _reference_trial(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 123) is False
+        monkeypatch.setattr(Field, "place", no_draw)
         est = estimate_detection(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 1, RandomSeed(123))
         assert est.detected_count == 0
-        assert _reference_trial(HALF_NORMAL_MODEL, 0, SCENARIO, 1.0, 123) is False
 
     def test_guaranteed_coverage(self):
         region = Rectangle(0.0, 2.0, -1.0, 1.0)
@@ -128,18 +128,21 @@ class TestEstimateDetection:
         est = estimate_detection(HALF_NORMAL_MODEL, 10, SCENARIO, 1.0, 200_000, RandomSeed(61))
         assert abs(est.p_hat - report.p_d) <= max(0.01, 3 * est.ci_half_width)
 
-    def test_detected_trial_draws_no_further_sensors(self):
-        # every point of this box lies within r = 10 of the path; master 7's
-        # trial places its first 8 sensors but rejects a later one of its 20 on
-        # every attempt, so only the full field raises
+    def test_detected_trial_draws_no_further_sensors(self, monkeypatch):
+        # every point of this box lies within r = 10 of the path, so the
+        # trial detects in its first chunk of 4 sensors and draws no other
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
         scenario = IntruderScenario(start_s=1.0, distance_d=1.0)
-        seeds = np.array([derive_stream_seed(7, 0)], dtype=np.uint64)
-        sample_positions(model, 8, seeds)
-        with pytest.raises(SamplingError):
-            sample_positions(model, 20, seeds)
+        placed = []
+        place = Field.place
+
+        def counted(self, seeds, columns, inner=None):
+            placed.append(np.size(columns))
+            return place(self, seeds, columns, inner)
+
+        monkeypatch.setattr(Field, "place", counted)
         est = estimate_detection(model, 20, scenario, 10.0, 1, RandomSeed(7))
-        assert est.detected_count == 1
+        assert est.detected_count == 1 and placed == [4]
 
     @pytest.mark.parametrize("kind,sigma,n,cases", [
         (DeploymentKind.HALF_NORMAL, 10.0, 500, [(IntruderScenario(5.0, 5.0), 1.0)]),
@@ -188,14 +191,13 @@ class TestEstimateDetection:
         assert numpy == base
 
 
-# (kind, region, sigma); sigma = 5 on the small box rejects about four
-# half-normal draws in five. Then where a model's exact never-rejects check
-# flips: on [-1.1, 0.3] x [-0.3, 0.1] lo + width rounds above hi on both
-# axes; the half-normal never rejects on x >= -5 and rejects on x >= 1. No
-# case drawn here reaches x in [30, 40] or, having r <= 5, y in [10, 20]:
-# there the x band, and then the y band, is empty. Last, two boxes that
-# reject about a sixth of the draws at sigma = 30, yet are screened for every
-# case drawn here (all lie within 25 of the origin)
+# (kind, region, sigma); sigma = 5 on the small box truncates the half-normal
+# law to about a fifth of its mass. On [-1.1, 0.3] x [-0.3, 0.1] lo + width
+# rounds above hi on both axes; the half-normal x is truncated nowhere on
+# x >= -5 and from below on x >= 1. No case drawn here reaches x in
+# [30, 40] or, having r <= 5, y in [10, 20]: there the x band, and then the
+# y band, is empty. Last, two boxes that cut off about a sixth of the mass at
+# sigma = 30
 _PROPERTY_CASES = [
     (kind, region, None if kind == DeploymentKind.UNIFORM else sigma)
     for region in (Rectangle(0.0, 3.0, -3.0, 3.0), Rectangle(-50.0, 50.0, -50.0, 50.0))
@@ -231,8 +233,7 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     xs, ys = sample_positions(model, ns[-1], seeds)
     # the screened scan wherever it pays, and the full scan
     first_hits = [montecarlo._first_hits(model, cases, ns[-1], seeds)]
-    screen = "_uniform_screen" if kind == DeploymentKind.UNIFORM else "_screen"
-    with mock.patch.object(montecarlo, screen, lambda *args: None):
+    with mock.patch.object(montecarlo, "_screen", lambda *args: None):
         first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
@@ -305,71 +306,6 @@ def test_y_band_holds_every_detecting_y(r):
         assert lo == -hi and r <= hi <= max(r + 32 * math.ulp(r), 2.0 ** -499)
 
 
-def _draw_at(model, raws):
-    """model.draw on chosen raw values: raws[i][k] is read at counter offset k
-    of sensor i's first attempt."""
-    raws = np.array(raws, dtype=np.uint64)
-
-    def fixed(seeds, counters):
-        sensor, offset = np.divmod(np.asarray(counters, dtype=np.intp), 4)
-        return raws[sensor, offset]
-
-    with mock.patch.object(rng, "raw_draws", fixed):
-        return model.draw(np.uint64(0), np.arange(len(raws), dtype=np.uint64) * np.uint64(4))
-
-
-def _screened_out_sensors(model, cases, other_raws):
-    """The sensors of raws m << 11 for m within 300 of either end of the
-    screen's interval, combined with each of other_raws at the next counter,
-    that the screen rules out: their x and y."""
-    a, width = montecarlo._screen(model, cases)
-    ends = (a >> 11, ((a + width + 1) % 2**64) >> 11)
-    ms = {m for end in ends for m in range(end - 300, end + 301) if 0 <= m < 2**53}
-    raws = [(m << 11, other) for m in sorted(ms) for other in other_raws
-            if ((m << 11) - a) % 2**64 > width]
-    assert raws
-    return _draw_at(model, raws)
-
-
-# u2 raw values for the angles 0 and 2 pi (nearest the capsule and x_max),
-# pi / 2 and 3 pi / 2 (nearest y_max and y_min), pi, and one step past each
-_ANGLES = [k + step for k in (0, 2**51 - 1, 2**52 - 1, 3 * 2**51 - 1, 2**53 - 1)
-           for step in (0, 1, -1) if 0 <= k + step < 2**53]
-
-
-@pytest.mark.parametrize("model", [
-    DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0),
-    DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0),
-    DeploymentModel(DeploymentKind.QUADRANT, Rectangle(-1.0, 40.0, -2.0, 30.0), 8.0),
-])
-@pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0)])
-@pytest.mark.parametrize("s,d", [(5.0, 3.0), (0.0, 0.0)])
-def test_polar_screen_rules_out_only_placed_sensors_that_miss(model, r, s, d):
-    cases = [(IntruderScenario(s, d), r)]
-    xs, ys = _screened_out_sensors(model, cases, [k << 11 for k in _ANGLES])
-    assert np.all(model.region.contains(xs, ys))
-    assert np.all(segment_dist2(xs, ys, cases[0][0]) > r * r)
-
-
-@pytest.mark.parametrize("model,r", [
-    # a polar sensor with x below x_min > 0, or a quadrant y below y_min > 0,
-    # may lie at any radius
-    (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(1.0, math.inf, -math.inf, math.inf),
-                     10.0), 1.0),
-    (DeploymentModel(DeploymentKind.QUADRANT, Rectangle(0.0, math.inf, 1.0, math.inf), 10.0), 1.0),
-    # a uniform field screens through _uniform_screen, and a strip's
-    # half-normal x may leave any box
-    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-1.1, 0.3, -0.3, 0.1)), 1e-3),
-    (DeploymentModel(DeploymentKind.STRIP, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0), 1.0),
-    # every sensor detects where r * r overflows
-    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 1e200),
-    # 84% of the radii at sigma = 3 lie within the reach of 6
-    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 3.0), 1.0),
-])
-def test_no_screen_where_it_cannot_rule_sensors_out(model, r):
-    assert montecarlo._screen(model, [(IntruderScenario(5.0, 3.0), r)]) is None
-
-
 @pytest.mark.parametrize("r", [1.0, 1e-170, math.ulp(0.0)])
 @pytest.mark.parametrize("s,d", [(5.0, 5.0), (0.0, 0.0), (50.0, 3.0)])
 def test_uniform_narrow_pass_rules_out_only_sensors_that_miss(monkeypatch, r, s, d):
@@ -378,7 +314,7 @@ def test_uniform_narrow_pass_rules_out_only_sensors_that_miss(monkeypatch, r, s,
     # band, detects in no case, at any x
     model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
     scenario = IntruderScenario(s, d)
-    field = distributions.UniformField(model)
+    field = Field(model)
     _, (_, band) = montecarlo._bands([(scenario, r)])
     assert band < field.outer_min
     step = int(0.5 * 2**53)
@@ -393,45 +329,84 @@ def test_uniform_narrow_pass_rules_out_only_sensors_that_miss(monkeypatch, r, s,
     assert np.all(segment_dist2(xs, ys, scenario) > r * r)
 
 
-@pytest.mark.parametrize("region,s,d,r,offset", [
-    (Rectangle(-50.0, 50.0, -50.0, 50.0), 5.0, 3.0, 3.0, 1),
-    (Rectangle(-50.0, 50.0, -50.0, 50.0), 40.0, 3.0, 2.0, 1),
-    (Rectangle(0.0, 20.0, -5.0, 5.0), 5.0, 3.0, 5.0, 0),
-    (Rectangle(0.0, 20.0, -5.0, 5.0), 5.0, 3.0, 0.3, 1),
-    (Rectangle(-1.1, 0.3, -0.3, 0.1), 0.1, 0.05, 0.05, 0),
-    (Rectangle(-5.0, 5.0, 10.0, 20.0), 5.0, 3.0, 10.5, 1),
+@pytest.mark.parametrize("model,r", [
+    # every sensor detects where r * r overflows
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 1e200),
+    # x in [-1, 3] holds every x draw, and |y| <= 1 68% of the y draws
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 3.0, -3.0, 3.0), 1.0), 1.0),
+    # x in [-1, 3] holds every x draw of the box, |y| <= 1 every y draw
+    (DeploymentModel(DeploymentKind.STRIP, Rectangle(0.0, 3.0, -1.0, 1.0), 10.0), 1.0),
+    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-2.0, 3.0, -1.0, 1.0)), 1.0),
 ])
-def test_uniform_screen_rules_out_only_sensors_that_miss(region, s, d, r, offset):
-    # a wider pass screens x, or the y of the sensors that are not inner:
+def test_no_screen_where_it_cannot_rule_sensors_out(model, r):
+    bands = montecarlo._bands([(IntruderScenario(2.0, 2.0), r)])
+    assert montecarlo._screen(Field(model), bands) is None
+
+
+_BOX = Rectangle(-50.0, 50.0, -50.0, 50.0)
+# (model, S, d, r, the offset of the axis screened): a normal y and a folded
+# y, also at r whose square is subnormal or 0; a folded x, also in the
+# reflected form of a box far in the tail; then uniform x and y, where a
+# sensor that is not inner is screened by y
+_SCREEN_CASES = [
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 5.0, 3.0, 1.0, 1),
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, _BOX, 10.0), 5.0, 5.0, 1.0, 1),
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, _BOX, 10.0), 0.0, 0.0, 1e-170, 1),
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 5.0, 3.0, math.ulp(0.0), 1),
+    (DeploymentModel(DeploymentKind.QUADRANT, Rectangle(-1.0, 40.0, -2.0, 30.0), 8.0),
+     5.0, 3.0, 1.0, 1),
+    (DeploymentModel(DeploymentKind.QUADRANT, HalfPlane(), 8.0), 5.0, 3.0, math.ulp(0.0), 1),
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 30.0, 1.0, 5.0, 0),
+    (DeploymentModel(DeploymentKind.STRIP, Rectangle(0.0, 50.0, -5.0, 5.0), 5.0),
+     20.0, 1.0, 1.0, 0),
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(30.0, 35.0, -1.0, 1.0), 5.0),
+     35.0, 0.5, 0.5, 0),
+    (DeploymentModel(DeploymentKind.QUADRANT, Rectangle(30.0, 35.0, -1.0, 1.0), 5.0),
+     34.0, 0.5, 0.5, 0),
+] + [(DeploymentModel(DeploymentKind.UNIFORM, region), s, d, r, offset)
+     for region, s, d, r, offset in [
+         (_BOX, 5.0, 3.0, 3.0, 1), (_BOX, 40.0, 3.0, 2.0, 1),
+         (Rectangle(0.0, 20.0, -5.0, 5.0), 5.0, 3.0, 5.0, 0),
+         (Rectangle(0.0, 20.0, -5.0, 5.0), 5.0, 3.0, 0.3, 1),
+         (Rectangle(-1.1, 0.3, -0.3, 0.1), 0.1, 0.05, 0.05, 0),
+         (Rectangle(-5.0, 5.0, 10.0, 20.0), 5.0, 3.0, 10.5, 1)]]
+
+
+@pytest.mark.parametrize("model,s,d,r,offset", _SCREEN_CASES)
+def test_screen_rules_out_only_sensors_that_miss(model, s, d, r, offset):
     # raw values within 300 of either end of the interval that the screen
-    # rules out place that coordinate where no case detects, whatever the other
-    field = distributions.UniformField(DeploymentModel(DeploymentKind.UNIFORM, region))
+    # rules out place the screened coordinate, by the array map the field
+    # uses, where no case detects, whatever the other coordinate
+    field = Field(model)
     scenario = IntruderScenario(s, d)
     bands = montecarlo._bands([(scenario, r)])
-    assert bands[1][1] >= field.outer_min
-    screen = montecarlo._uniform_screen(field, bands)
+    if field.banded:
+        # a pass whose y band lies within the inner band is not screened
+        assert bands[1][1] >= field.outer_min
+    screen = montecarlo._screen(field, bands)
     assert screen[0] == offset
     _, a, width = screen
-    ends = (a >> 11, ((a + width + 1) % 2**64) >> 11)
+    value, bits, _ = field.axes[offset]
+    shift = 64 - bits
+    ends = (a >> shift, ((a + width + 1) % 2**64) >> shift)
     ms = sorted({m for end in ends for m in range(end - 300, end + 301)
-                 if 0 <= m < 2**53 and ((m << 11) - a) % 2**64 > width})
-    u = (np.array(ms, dtype=np.float64) + 1.0) * 2.0 ** -53
-    screened = field.outer_y(u) if offset else field.x(u)
-    # the other coordinate at the region's ends, the path's and 0
-    others = ([region.y_min, region.y_max, 0.0] if offset == 0 else
-              [region.x_min, region.x_max, s - d, s, 0.0])
-    others = np.clip(others, *((region.y_min, region.y_max) if offset == 0 else
-                               (region.x_min, region.x_max)))
+                 if 0 <= m < 2**bits and ((m << shift) - a) % 2**64 > width})
+    screened = value(rng.uniforms(np.array(ms, dtype=np.uint64) << np.uint64(shift), bits))
+    # the other coordinate at the ends of its support, of the path and at 0
+    other = model.marginals()[1 - offset]
+    values = [other.lo, other.hi, 0.0] + ([s - d, s] if offset else [-r, r])
+    others = np.clip([v for v in values if math.isfinite(v)], other.lo, other.hi)
     xs, ys = np.broadcast_arrays(others[:, None], screened) if offset else \
         np.broadcast_arrays(screened, others[:, None])
-    assert np.all(region.contains(xs, ys))
-    assert np.all(segment_dist2(xs, ys, scenario) > r * r)
+    assert np.all(model.region.contains(xs, ys))
+    with np.errstate(over="ignore"):
+        assert np.all(segment_dist2(xs, ys, scenario) > r * r)
 
 
 def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
-    # the README half-normal row: u1 decides all but 16.5% of the sensors,
-    # which also draw u2
-    model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(-50.0, 50.0, -50.0, 50.0), 10.0)
+    # the README half-normal row: y's draw decides all but 8% of the
+    # sensors, which also draw x
+    model = DeploymentModel(DeploymentKind.HALF_NORMAL, _BOX, 10.0)
     cases = [(IntruderScenario(5.0, 5.0), 1.0)]
     seeds = derive_stream_seeds(3, np.arange(2000, dtype=np.uint64))
     # the raw values drawn at each counter offset within a sensor's block
@@ -444,20 +419,18 @@ def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
         drawn[:] += np.bincount(offsets.ravel().astype(np.intp), minlength=256)
         return values
 
-    # the screen calls raw_draws directly, the full draw through rng's own functions
-    monkeypatch.setattr(rng, "raw_draws", counted)
     monkeypatch.setattr(distributions, "raw_draws", counted)
-    assert montecarlo._screen(model, cases) is not None
-    with mock.patch.object(montecarlo, "_screen", lambda model, cases: None):
+    assert montecarlo._screen(Field(model), montecarlo._bands(cases))[0] == 1
+    with mock.patch.object(montecarlo, "_screen", lambda *args: None):
         full = montecarlo._first_hits(model, cases, 500, seeds)
-    examined, other = drawn[0], drawn[1]
-    # the full draw reads both offsets of the first attempt for every sensor
+    examined, other = drawn[1], drawn[0]
+    # the full draw reads both offsets for every sensor
     assert examined == other > 0
     drawn[:] = 0
     assert np.array_equal(montecarlo._first_hits(model, cases, 500, seeds), full)
-    # the screen reads one offset for every sensor; a candidate reads both
-    assert drawn[0] == examined + drawn[1]
-    assert 0 < drawn[1] <= 0.2 * examined
+    # the screen reads y's offset for every sensor; a candidate reads both
+    assert drawn[1] == examined + drawn[0]
+    assert 0 < drawn[0] <= 0.1 * examined
 
 
 def test_narrow_pass_places_only_inner_sensors(monkeypatch):
@@ -468,19 +441,19 @@ def test_narrow_pass_places_only_inner_sensors(monkeypatch):
     cases = [(IntruderScenario(5.0, 5.0), 1.0)]
     trials, n = 2000, 500
     seeds = derive_stream_seeds(3, np.arange(trials, dtype=np.uint64))
-    field = distributions.UniformField(model)
+    field = Field(model)
     assert montecarlo._bands(cases)[1][1] < field.outer_min
     placed = []
-    place = distributions.UniformField.place
+    place = Field.place
 
     def counted(self, seeds, columns, inner):
         placed.append(np.size(columns))
         return place(self, seeds, columns, inner)
 
-    monkeypatch.setattr(distributions.UniformField, "place", counted)
+    monkeypatch.setattr(Field, "place", counted)
     k = montecarlo._first_hits(model, cases, n, seeds)
     assert 0 < sum(placed) <= 0.035 * trials * n
-    monkeypatch.setattr(distributions.UniformField, "place", place)
+    monkeypatch.setattr(Field, "place", place)
     xs, ys = sample_positions(model, n, seeds)
     hit = detects_any(xs[:, :, None], ys[:, :, None], *cases[0])
     assert k[:, 0].tolist() == np.where(hit.any(axis=1), hit.argmax(axis=1), n).tolist()
@@ -563,8 +536,9 @@ class TestSweep:
         assert sweep(_config()) == sweep(_config())
 
     def test_bounded_half_normal_row_uses_truncated_density(self):
-        # sigma = 30 in a +-50 region rejects ~18% of draws; the untruncated
-        # half-plane value lies ~20 standard errors below the estimate
+        # sigma = 30 in a +-50 region cuts off ~18% of the mass; the
+        # untruncated half-plane value lies ~20 standard errors below the
+        # estimate
         config = _config(models=[DeploymentKind.HALF_NORMAL], sigma_values=[30.0],
                          n_values=[50], trials=50_000)
         (row,) = sweep(config)
@@ -572,16 +546,27 @@ class TestSweep:
         assert row.status == "ok"
         assert abs(row.p_hat - row.p_analytic) <= 4.0 * se
 
-    @pytest.mark.parametrize("x_min", [20.0, 6.0])
-    def test_unsamplable_row_does_not_abort(self, x_min):
-        # sigma = 1 puts no mass (x_min = 20: the analytic value fails) or
-        # ~1e-9 of it (x_min = 6: rejection sampling fails) in the region
+    def test_unsamplable_row_does_not_abort(self):
+        # sigma = 1 puts no mass in the region, so neither engine can use it
         config = _config(sigma_values=[1.0], n_values=[10], s_values=[25.0], d_values=[3.0],
-                         region=Rectangle(x_min, 30.0, -5.0, 5.0))
+                         region=Rectangle(20.0, 30.0, -5.0, 5.0))
         rows = {row.model: row for row in sweep(config)}
         assert rows["uniform"].status == "ok"
-        assert rows["half_normal"].status.startswith("invalid")
+        assert rows["half_normal"].status == (
+            "invalid: region Rectangle(x_min=20.0, x_max=30.0, y_min=-5.0, y_max=5.0) carries "
+            "no half_normal deployment mass at sigma=1.0")
         assert rows["half_normal"].p_hat is None
+
+    def test_far_tail_row_is_sampled(self):
+        # sigma = 1 puts ~1e-9 of the mass in the region: the draws invert
+        # the truncated law, and p_hat agrees with p_analytic
+        config = _config(sigma_values=[1.0], n_values=[1], s_values=[7.0], d_values=[1.0],
+                         region=Rectangle(6.0, 30.0, -5.0, 5.0), trials=20_000)
+        rows = {row.model: row for row in sweep(config)}
+        row = rows["half_normal"]
+        assert row.status == "ok"
+        se = math.sqrt(row.p_analytic * (1.0 - row.p_analytic) / row.trials)
+        assert abs(row.p_hat - row.p_analytic) <= 5.0 * se
 
     def test_density_overflow_does_not_abort(self):
         # at sigma = 1e-300, (x / (sigma sqrt 2))^2 exceeds the float range: the
@@ -643,23 +628,20 @@ def _replay(config, row):
         scenario = IntruderScenario(start_s=row.S, distance_d=row.d)
         return estimate_detection(model, row.N, scenario, row.r, row.trials,
                                   RandomSeed(row.seed)), "ok"
-    except (ValueError, SamplingError) as exc:
+    except ValueError as exc:
         return None, f"invalid: {exc}"
 
 
 # the two README models; a scenario grid with a path longer than its start
-# (d = 8 > S = 4); and a box where sigma = 2 to 3 accepts 7% to 15% of
-# half-normal draws: there a group's pass up to N = 200 fails while
-# some of its smaller-N rows succeed alone, and a pass whose chunks ended at
-# each N would draw too few sensors to fail where N = 20 fails alone
+# (d = 8 > S = 4); every kind on a box far in the x tail at sigma = 5 (about
+# 1e-9 of the half-normal mass), whose uniform rows are screened by x
 _GROUP_CONFIGS = {
     "readme": dict(n_values=[0, 10, 50, 100, 200]),
     "grid": dict(sigma_values=[3.0, 10.0], n_values=[5, 20], s_values=[4.0, 15.0],
                  d_values=[1.0, 3.0, 8.0], r_values=[0.5, 2.0], trials=300),
-    "rejection": dict(models=[DeploymentKind.HALF_NORMAL], sigma_values=[2.0, 2.5, 3.0],
-                      n_values=[3, 6, 20, 60, 200], s_values=[0.5], d_values=[0.5],
-                      r_values=[0.1], region=Rectangle(0.0, 1.0, -1.0, 1.0), trials=200,
-                      master_seed=0),
+    "far_tail": dict(models=list(DeploymentKind), sigma_values=[5.0], n_values=[1, 3, 20],
+                     s_values=[33.0, 35.0], d_values=[0.5, 2.0], r_values=[0.1, 1.0],
+                     region=Rectangle(30.0, 35.0, -1.0, 1.0), trials=300),
     # a uniform group whose pass screens every sensor for |y| <= 6, while
     # its r = 0.3 and r = 1 rows alone place only the inner ones
     "inner": dict(models=[DeploymentKind.UNIFORM], n_values=[10, 300], s_values=[5.0],
@@ -680,18 +662,12 @@ class TestSweepGroups:
             else:
                 assert round(row.p_hat * row.trials) == estimate.detected_count
                 assert (row.p_hat, row.ci_half_width) == (estimate.p_hat, estimate.ci_half_width)
-        groups = {}
-        for row in rows:
-            groups.setdefault((row.model, row.sigma), []).append(row.status == "ok")
-        if name == "rejection":
-            assert any(any(ok) and not all(ok) for ok in groups.values())
-        else:
-            # only a path longer than its start fails, and its group still runs
-            assert all((row.status == "ok") == (row.d <= row.S) for row in rows)
+        # only a path longer than its start fails, and its group still runs
+        assert all((row.status == "ok") == (row.d <= row.S) for row in rows)
 
     def test_a_row_alone_may_place_only_inner_sensors(self):
         config = _config(**_GROUP_CONFIGS["inner"])
-        field = distributions.UniformField(DeploymentModel(DeploymentKind.UNIFORM, config.region))
+        field = Field(DeploymentModel(DeploymentKind.UNIFORM, config.region))
         cases = [(IntruderScenario(5.0, 5.0), r) for r in config.r_values]
         narrow = [montecarlo._bands([case])[1][1] < field.outer_min for case in cases]
         assert narrow == [True, True, False]

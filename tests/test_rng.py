@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -26,15 +27,13 @@ from hndeploy.rng import (
     derive_stream_seed,
     derive_stream_seeds,
     mix64,
-    normal_draw,
-    normal_draws,
-    normal_pair,
-    normal_pairs,
-    polar_radius,
+    normal_quantiles,
     raw_draw,
     raw_draws,
     uniform_draw,
     uniform_draws,
+    uniform_of,
+    uniforms,
 )
 from hndeploy.rng import _mix64_array
 
@@ -53,8 +52,7 @@ def test_raw_draw_matches_sequential_stream():
 
 
 def test_vectorized_matches_scalar():
-    # raw and uniform draws are bit-identical; numpy's log/cos may differ from
-    # libm's by an ulp, so normals agree within 2 ulps
+    # raw and uniform draws are bit-identical
     n = 100_000
     counters = np.arange(n, dtype=np.uint64)
     vec = raw_draws(987654321, counters)
@@ -64,16 +62,6 @@ def test_vectorized_matches_scalar():
     uv = uniform_draws(987654321, counters)
     us = [uniform_draw(987654321, c) for c in range(n)]
     assert uv.tolist() == us
-
-    nv = normal_draws(987654321, counters * np.uint64(2))
-    ns = [normal_draw(987654321, 2 * c) for c in range(n)]
-    np.testing.assert_array_max_ulp(nv, np.array(ns), maxulp=2)
-
-    # normal_draw is the cosine branch of normal_pair, in both forms
-    cosine, sine = normal_pairs(987654321, counters * np.uint64(2))
-    pairs = np.array([normal_pair(987654321, 2 * c) for c in range(n)])
-    assert cosine.tolist() == nv.tolist() and pairs[:, 0].tolist() == ns
-    np.testing.assert_array_max_ulp(sine, pairs[:, 1], maxulp=2)
 
 
 def test_mix64_array_matches_scalar():
@@ -121,17 +109,73 @@ def test_derive_stream_seeds_matches_scalar(master):
     assert seeds.tolist() == [derive_stream_seed(master, int(i)) for i in indices]
 
 
-def test_polar_radius_is_the_box_muller_radius():
-    # sqrt(-2 ln u) of the raw draw's uniform; u = 1 at the top m gives 0
-    for seed, counter in ((1, 0), (99, 12345), (2**64 - 1, 7)):
-        u = uniform_draw(seed, counter)
-        assert polar_radius(raw_draw(seed, counter)) == math.sqrt(-2.0 * math.log(u))
-    assert polar_radius(MASK64) == 0.0
-    assert polar_radius(0) == pytest.approx(math.sqrt(106.0 * math.log(2.0)), rel=1e-15)
+@pytest.mark.parametrize("bits,lo,hi", [(53, 2.0 ** -53, 1.0), (52, 2.0 ** -53, 1.0 - 2.0 ** -53)])
+def test_uniforms_of_both_widths(bits, lo, hi):
+    # (m + 1) 2^-53 of the top 53 bits, or (m + 1/2) 2^-52 of the top 52, as
+    # uniform_of gives them; the extreme raw values map to the interval's ends
+    raws = [0, 1, 2**11, 2**12, 2**63, MASK64 - 2**12, MASK64] + raw_draws(
+        3, np.arange(1000, dtype=np.uint64)).tolist()
+    u = uniforms(np.array(raws, dtype=np.uint64), bits)
+    assert u.tolist() == [uniform_of(v >> (64 - bits), bits) for v in raws]
+    assert (u[0], u[6]) == (lo, hi)
+    assert np.all(np.diff(u[:7]) >= 0.0)
+    assert uniforms(raw_draws(5, np.arange(10, dtype=np.uint64))).tolist() == \
+        uniform_draws(5, np.arange(10, dtype=np.uint64)).tolist()
+
+
+def _quantile_mismatch(p):
+    """The ulps by which normal_quantiles(p) differs from the standard
+    library's inverse CDF, and whether numpy's log agrees with the C
+    library's on min(p, 1 - p) (always where |p - 1/2| <= 0.425, which takes
+    no log)."""
+    x = normal_quantiles(np.array(p, dtype=np.float64))
+    ref = np.array([statistics.NormalDist().inv_cdf(v) for v in p])
+    ulps = np.abs(x - ref) / np.spacing(np.maximum(np.abs(ref), 2.0 ** -1022))
+    tail = np.minimum(p, 1.0 - np.array(p))
+    same_log = [abs(v - 0.5) <= 0.425 or float(np.log(t)) == math.log(t)
+                for v, t in zip(p, tail.tolist())]
+    return ulps, np.array(same_log)
+
+
+# where numpy's log rounds as the C library's, the quantile is the standard
+# library's bit for bit; elsewhere (about 2 in 10,000 tail values here) a
+# one-ulp change of ln p moves it by at most 8 ulps (measured over 10^6 tail
+# values, most near the seams)
+_QUANTILE_MAXULP = 8
+
+
+def _check_quantiles(p):
+    ulps, same_log = _quantile_mismatch(p)
+    assert np.all(ulps[same_log] == 0.0)
+    assert np.all(ulps <= _QUANTILE_MAXULP)
+
+
+def test_normal_quantiles_are_the_standard_librarys():
+    # 20,000 draws of the open uniform, and the least and greatest of them
+    p = uniforms(raw_draws(21, np.arange(20_000, dtype=np.uint64)), 52).tolist()
+    _check_quantiles(p + [2.0 ** -53, 1.0 - 2.0 ** -53])
+
+
+@pytest.mark.parametrize("seam", [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)])
+def test_normal_quantiles_across_the_seams(seam):
+    # 300 steps of p either side of where AS241 changes rational piece:
+    # |p - 1/2| = 0.425 and sqrt(-ln min(p, 1 - p)) = 5
+    p = [seam]
+    for direction in (-math.inf, math.inf):
+        v = seam
+        for _ in range(300):
+            v = math.nextafter(v, direction)
+            p.append(v)
+    _check_quantiles(p)
+
+
+def test_normal_quantiles_keep_the_shape():
+    p = uniforms(raw_draws(4, np.arange(12, dtype=np.uint64)), 52).reshape(3, 4)
+    assert np.array_equal(normal_quantiles(p), normal_quantiles(p.ravel()).reshape(3, 4))
 
 
 def test_normal_moments():
-    z = normal_draws(55, np.arange(0, 400_000, 2, dtype=np.uint64))
+    z = normal_quantiles(uniforms(raw_draws(55, np.arange(200_000, dtype=np.uint64)), 52))
     n = z.size
     assert abs(z.mean()) < 5 / math.sqrt(n)
     assert abs(z.var() - 1.0) < 5 * math.sqrt(2.0 / n)
@@ -261,10 +305,3 @@ def test_real_inputs_accept_ints_and_numpy_reals_as_float(value):
 def test_check_real_messages(value, lo, hi, message):
     with pytest.raises(ValueError, match=message):
         check_real("r", value, lo, hi)
-
-
-def test_stream_normal_consumes_two_counters():
-    # Box-Muller on counters (c, c + 1); the next normal starts at c + 2
-    for c in (0, 2, 4):
-        u1, u2 = uniform_draw(11, c), uniform_draw(11, c + 1)
-        assert normal_draw(11, c) == math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
