@@ -15,12 +15,11 @@ its top 53 bits m, in (0, 1], or (m + 1/2) 2^-52 of its top 52, in the open
 interval (0, 1), which any inverse CDF accepts. normal_quantiles is the
 inverse standard normal CDF by Wichura's AS241 (Applied Statistics 37,
 1988), the rational approximations of the standard library's
-statistics.NormalDist.inv_cdf, which is its scalar twin normal_quantile.
+statistics.NormalDist.inv_cdf, and normal_quantile is its scalar twin.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -187,12 +186,12 @@ _FAR = ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.242660947388078
          5.99832206555887937690e-1, 1.0))
 
 
-def _ratio(coefficients, r: np.ndarray, times=1.0) -> np.ndarray:
+def _ratio(coefficients, r, times=1.0):
     """times * numerator(r) / denominator(r), each polynomial by Horner's
-    rule, all in AS241's order of operations."""
-    (a0, *a), (b0, *b) = coefficients
-    num, den = r * a0, r * b0
-    for ak, bk in zip(a[:-1], b[:-1]):
+    rule, all in AS241's order of operations, for r an array or a float."""
+    a, b = coefficients
+    num, den = r * a[0], r * b[0]
+    for ak, bk in zip(a[1:-1], b[1:-1]):
         num += ak
         num *= r
         den += bk
@@ -204,27 +203,24 @@ def _ratio(coefficients, r: np.ndarray, times=1.0) -> np.ndarray:
     return num
 
 
-@functools.lru_cache(maxsize=None)
-def _standard_normal():
-    # imported on first use: only the screen's bisection needs it
-    from statistics import NormalDist
-
-    return NormalDist()
-
-
 def normal_quantile(p: float) -> float:
-    """The standard normal quantile of one p in (0, 1): the standard
-    library's AS241, the scalar twin of normal_quantiles."""
-    return _standard_normal().inv_cdf(p)
+    """The standard normal quantile of one p in (0, 1): normal_quantiles'
+    scalar twin, in the same order of operations with the C library's log,
+    which is statistics.NormalDist().inv_cdf bit for bit."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return _ratio(_CENTRAL, 0.180625 - q * q, q)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    x = _ratio(_NEAR, r - 1.6) if r <= 5.0 else _ratio(_FAR, r - 5.0)
+    return -x if q < 0.0 else x
 
 
 def normal_quantiles(p: np.ndarray) -> np.ndarray:
-    """The standard normal quantile of every p in (0, 1), by AS241 in the
-    standard library's order of operations: normal_quantile's value bit for
-    bit wherever numpy's log rounds as the C library's (always for
-    |p - 1/2| <= 0.425, which takes no log), and within a few ulps
-    elsewhere, as a one-ulp change of ln p moves the tail pieces by up to 8
-    ulps."""
+    """The standard normal quantile of every p in (0, 1), by AS241:
+    normal_quantile's value bit for bit wherever numpy's log rounds as the
+    C library's (always for |p - 1/2| <= 0.425, which takes no log), and
+    within a few ulps elsewhere, as a one-ulp change of ln p moves the tail
+    pieces by up to 8 ulps."""
     shape, p = p.shape, p.reshape(-1)
     q = p - 0.5
     r = q * q

@@ -27,6 +27,7 @@ from hndeploy.rng import (
     derive_stream_seed,
     derive_stream_seeds,
     mix64,
+    normal_quantile,
     normal_quantiles,
     raw_draw,
     raw_draws,
@@ -148,6 +149,8 @@ def _check_quantiles(p):
     ulps, same_log = _quantile_mismatch(p)
     assert np.all(ulps[same_log] == 0.0)
     assert np.all(ulps <= _QUANTILE_MAXULP)
+    # the scalar twin is the standard library's, bit for bit
+    assert [normal_quantile(v) for v in p] == [statistics.NormalDist().inv_cdf(v) for v in p]
 
 
 def test_normal_quantiles_are_the_standard_librarys():
