@@ -147,7 +147,7 @@ def _screen(field: Field, bands) -> Optional[Tuple[int, int, int]]:
     detects).
     """
     intervals = []
-    for offset, ((value, bits, inner), (lo, hi)) in enumerate(zip(field.axes, bands)):
+    for offset, ((value, bits, share), (lo, hi)) in enumerate(zip(field.axes, bands)):
         lo -= _MARGIN * abs(lo) + 2.0 ** -500
         hi += _MARGIN * abs(hi) + 2.0 ** -500
 
@@ -155,7 +155,7 @@ def _screen(field: Field, bands) -> Optional[Tuple[int, int, int]]:
             return value(uniform_of(m, bits))
         start = _first_index(lambda m: at(m) >= lo, bits)
         count = _first_index(lambda m: at(m) > hi, bits) - start
-        intervals.append((inner + (1.0 - inner) * count / (1 << bits), offset, start, count, bits))
+        intervals.append((share + (1.0 - share) * count / (1 << bits), offset, start, count, bits))
     candidates, offset, start, count, bits = min(intervals)
     if candidates > _MAX_CANDIDATES:
         return None
