@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from dataclasses import asdict, astuple, fields
@@ -206,6 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # the objects the imports made live until exit; frozen, the collections
+    # at interpreter exit skip them
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

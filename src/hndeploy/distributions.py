@@ -49,9 +49,9 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # sensor j reads the counters from 256 j on: x at the first, y at the next
 _BLOCK = 256
-# the screen reads about _SCREEN_BLOCK raw draws at a time, so its
-# temporaries stay small whatever the grid
-_SCREEN_BLOCK = 1 << 17
+# the screen mixes _SCREEN_BLOCK raw draws at a time, a tile that stays in
+# cache with its scratch, in two buffers that it allocates once per call
+_SCREEN_BLOCK = 1 << 15
 # a (half-)normal draw's p stays below 1, where the inverse CDF is infinite
 _P_MAX = 1.0 - 2.0 ** -53
 # a uniform field's inner band holds this share of its y mass; the gaps
@@ -144,7 +144,17 @@ def marginal(shape: str, sigma: Optional[float], lo: float, hi: float) -> Margin
     peak = 2.0 * scale * k / math.sqrt(math.pi)
 
     def mass(a: float, b: float) -> float:
-        return scale * (math.erf(b * k) - math.erf(a * k)) if a < b else 0.0
+        # off 0, a difference of erfc on one side, which keeps a tail's mass
+        # to its relative precision where erf rounds to 1; from 0 or across
+        # it, erf, which is odd, so the folded law on [0, b] and the normal
+        # one on [-b, b] agree to the bit
+        if a >= b:
+            return 0.0
+        if a > 0.0:
+            return scale * (math.erfc(a * k) - math.erfc(b * k))
+        if b < 0.0:
+            return scale * (math.erfc(-b * k) - math.erfc(-a * k))
+        return scale * (math.erf(b * k) - math.erf(a * k))
 
     def pdf(x: float) -> float:
         t = x * k
@@ -368,28 +378,38 @@ class Field:
         return xs, ys
 
     def sample(self, seeds: np.ndarray, start: int, stop: int, inner: Optional[np.ndarray],
-               screen: Optional[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+               screen: Optional[Sequence[Tuple[int, int, int]]]
+               ) -> Tuple[np.ndarray, np.ndarray, Tuple]:
         """The candidates among sensors start .. stop - 1 of each seed's
         deployment: their x, their y and their (seed, column) indices, in
         row-major order. inner is the (seeds x columns) mask of the inner
         sensors among them, or None for a field that is not banded.
 
-        screen = (offset, a, width): a sensor is a candidate when the raw draw
-        at counter 256 j + offset lies in [a, a + width], taken mod 2^64, and,
-        where offset is 1 (y), when it is inner. Only that raw draw is read
-        for every sensor. With screen None every sensor is one, x and y are
-        (seeds x columns) grids and the indices None.
+        screen is a sequence of stages (offset, a, width): a sensor passes a
+        stage when the raw draw at counter 256 j + offset lies in
+        [a, a + width], taken mod 2^64, or, where offset is 1 (y), when it is
+        inner; a candidate passes every stage. The first stage's draw is read
+        for every sensor, each later one's only for the sensors that passed
+        the stages before it. With screen None every sensor is one, x and y
+        are (seeds x columns) grids and the indices None.
         """
         columns = np.arange(start, stop, dtype=np.uint64)
         if screen is None:
             flat = None if inner is None else np.flatnonzero(inner)
             return (*self.place(seeds[:, None], columns, flat), None)
-        offset, a, span = screen
-        candidate = _screened(seeds, columns * np.uint64(_BLOCK) + np.uint64(offset), a, span)
+        (offset, a, width), *later = screen
+        candidate = _screened(seeds, columns * np.uint64(_BLOCK) + np.uint64(offset), a, width)
         if offset == 1 and inner is not None:
             candidate |= inner
         cell = _cells(candidate)
         t, j = np.divmod(cell, stop - start)
+        for offset, a, width in later:
+            raw = raw_draws(seeds[t], columns[j] * np.uint64(_BLOCK) + np.uint64(offset))
+            raw -= np.uint64(a)
+            passed = raw <= np.uint64(width)
+            if offset == 1 and inner is not None:
+                passed |= inner.ravel()[cell]
+            cell, t, j = cell[passed], t[passed], j[passed]
         flat = None if inner is None else np.flatnonzero(inner.ravel()[cell])
         xs, ys = self.place(seeds[t], columns[j], flat)
         return xs, ys, (t, j + start)
@@ -455,11 +475,16 @@ class InnerPicks:
 
 def _screened(seeds: np.ndarray, counters: np.ndarray, a: int, width: int) -> np.ndarray:
     """The (seeds x counters) mask of raw draws in [a, a + width], taken mod
-    2^64, computed about _SCREEN_BLOCK at a time."""
+    2^64, computed in tiles of whole rows, about _SCREEN_BLOCK draws each."""
     candidate = np.empty((seeds.size, counters.size), dtype=bool)
     rows = max(1, _SCREEN_BLOCK // max(counters.size, 1))
+    # the tile's draws and the mix's shifts
+    buffers = [np.empty(min(rows, seeds.size) * counters.size, dtype=np.uint64) for _ in range(2)]
     for lo in range(0, seeds.size, rows):
-        raw = raw_draws(seeds[lo:lo + rows, None], counters)
+        tile = seeds[lo:lo + rows, None]
+        raw, scratch = (b[:tile.size * counters.size].reshape(tile.size, counters.size)
+                        for b in buffers)
+        raw_draws(tile, counters, raw, scratch)
         raw -= np.uint64(a)
         np.less_equal(raw, np.uint64(width), out=candidate[lo:lo + rows])
     return candidate

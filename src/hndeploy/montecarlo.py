@@ -10,16 +10,17 @@ chunks from the model's Field, and a trial stops drawing once every case
 has detected: the sensors it skips cannot change an index. Every coordinate
 is placed by a map that is nondecreasing in one raw draw, so the sensors
 that cannot detect in any case are those whose x draw, or whose y draw,
-lies outside an interval of raw values (_screen): a chunk reads the draw of
-whichever axis holds fewer candidates for every sensor and places only the
-candidates in full, from the counters the full field reads them from. A
-field whose axes are both uniform splits its sensors by |y| into an inner
-band, a fixed share of them that depends on the model alone, and the rest;
-the inner indices come from Geometric gaps (exact up to the rounding of
-log, not bit-identical to a per-sensor Bernoulli draw). A pass whose cases
-all detect within the inner band enumerates those indices and places and
-tests only the inner sensors, since no other can detect; on any other pass
-of such a field every inner sensor is a y candidate. Trial i always uses
+lies outside an interval of raw values (_screen, computed once per pass): a
+chunk reads the draw of whichever axis holds fewer candidates for every
+sensor, the other axis's draw for the sensors that pass, and places only
+those that pass both in full, from the counters the full field reads them
+from. A field whose axes are both uniform splits its sensors by |y| into an
+inner band, a fixed share of them that depends on the model alone, and the
+rest; the inner indices come from Geometric gaps (exact up to the rounding
+of log, not bit-identical to a per-sensor Bernoulli draw). A pass whose
+cases all detect within the inner band enumerates those indices and places
+and tests only the inner sensors, since no other can detect; on any other
+pass of such a field every inner sensor passes the y stage. Trial i always uses
 the substream derive_stream_seed(master, i), and sensor j always reads
 counter block j of it, so estimates are independent of batch size, chunk
 widths, evaluation order and worker count, and each trial's indices equal
@@ -62,6 +63,8 @@ _LOOKAHEAD = 8
 _MAX_CANDIDATES = 0.6
 # the screen widens each band by this share of its ends plus 2^-500
 _MARGIN = 1e-9
+# the screen of a pass that places only the inner sensors of a banded field
+_INNER = "inner"
 
 # a detection case: the intruder's path and the sensing range
 Case = Tuple[IntruderScenario, float]
@@ -128,25 +131,33 @@ def _first_index(predicate, bits: int) -> int:
     return lo
 
 
-def _screen(field: Field, bands) -> Optional[Tuple[int, int, int]]:
-    """(offset, a, width) for Field.sample: a sensor whose raw draw at
-    counter 256 j + offset satisfies (raw - a) mod 2^64 > width detects in no
-    case, unless offset is 1 and it is inner. None for no screen.
+def _screen(field: Field, bands):
+    """How a pass of `field` with the bands (_bands) of its cases rules
+    sensors out: _INNER where the field is banded and its y band lies within
+    the inner band, so that only the inner sensors can detect; None for no
+    screen; else the stages (offset, a, width) of Field.sample. A sensor
+    whose raw draw at counter 256 j + offset satisfies (raw - a) mod 2^64 >
+    width, for some stage, detects in no case, unless offset is 1 and it is
+    inner.
 
-    The screen is an interval of the top bits m of the raw draw, which fix
-    the uniform u of the draw: u places x (offset 0) or y (offset 1; of a
-    sensor that is not inner), whichever band (_bands) holds fewer draws,
-    counting every inner sensor as a y candidate. Each map is nondecreasing
-    in m, and the interval's ends are found by bisection of its scalar twin
-    against the band widened by _MARGIN of its ends plus 2^-500, so that
-    neither the rounding of the inverse normal CDF (the twin's and the
-    array's may differ by a few ulps, and the rational pieces need not be
-    monotone to the ulp at their seams) nor a square that underflows can
-    flip a decision. No screen where more than _MAX_CANDIDATES of the
-    sensors are candidates, as where some r * r overflows (every sensor
-    detects).
+    A stage is an interval of the top bits m of an axis's raw draw, which
+    fix the uniform u of the draw: u places x (offset 0) or y (offset 1; of
+    a sensor that is not inner). The first stage is the axis whose band
+    holds fewer draws, counting every inner sensor as a y candidate, and the
+    second the other axis, where its band rules any draw out. Each map is
+    nondecreasing in m, and an interval's ends are found by bisection of its
+    scalar twin against the band widened by _MARGIN of its ends plus
+    2^-500, so that neither the rounding of the inverse normal CDF (the
+    twin's and the array's may differ by a few ulps, and the rational pieces
+    need not be monotone to the ulp at their seams) nor a square that
+    underflows can flip a decision. No screen where more than
+    _MAX_CANDIDATES of the sensors pass the first stage, as where some r * r
+    overflows (every sensor detects).
     """
-    intervals = []
+    if field.banded and bands[1][1] < field.outer_min:
+        # every sensor that is not inner has |y| >= field.outer_min
+        return _INNER
+    stages = []
     for offset, ((value, bits, share), (lo, hi)) in enumerate(zip(field.axes, bands)):
         lo -= _MARGIN * abs(lo) + 2.0 ** -500
         hi += _MARGIN * abs(hi) + 2.0 ** -500
@@ -155,14 +166,20 @@ def _screen(field: Field, bands) -> Optional[Tuple[int, int, int]]:
             return value(uniform_of(m, bits))
         start = _first_index(lambda m: at(m) >= lo, bits)
         count = _first_index(lambda m: at(m) > hi, bits) - start
-        intervals.append((share + (1.0 - share) * count / (1 << bits), offset, start, count, bits))
-    candidates, offset, start, count, bits = min(intervals)
-    if candidates > _MAX_CANDIDATES:
+        stages.append((share + (1.0 - share) * count / (1 << bits), offset, start, count, bits))
+    stages.sort()
+    if stages[0][0] > _MAX_CANDIDATES:
         return None
-    if count <= 0:
-        # no candidate; m = 0 stands in for one, since a candidate costs only its draw
-        start, count = 0, 1
-    return offset, start << (64 - bits), (count << (64 - bits)) - 1
+    screen = []
+    for _, offset, start, count, bits in stages:
+        if count == 1 << bits:
+            # a second stage that rules no draw out
+            continue
+        if count <= 0:
+            # no draw passes; m = 0 stands in for one, since it costs only its draw
+            start, count = 0, 1
+        screen.append((offset, start << (64 - bits), (count << (64 - bits)) - 1))
+    return tuple(screen)
 
 
 def _scan(xs: np.ndarray, ys: np.ndarray, at: Optional[tuple], paths: dict, k: np.ndarray,
@@ -189,33 +206,31 @@ def _scan(xs: np.ndarray, ys: np.ndarray, at: Optional[tuple], paths: dict, k: n
             np.copyto(k[:, c], found, where=k[:, c] == j0, casting="unsafe")
 
 
-def _first_hits(model: DeploymentModel, cases: Sequence[Case], n_max: int,
-                seeds: np.ndarray) -> np.ndarray:
+def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarray,
+                screen) -> np.ndarray:
     """K[trial, case]: the index of the first of the n_max sensors of the
-    deployment keyed by seeds[trial] that detects in the case (scenario, r),
-    or n_max if none does.
+    deployment of `field` keyed by seeds[trial] that detects in the case
+    (scenario, r), or n_max if none does.
 
     One chunked pass; a trial draws the next chunk only while some case has
     no detection. Each chunk's squared distances to a path are computed once
-    and compared with the r^2 of every case on that path. Where one raw
-    draw rules most sensors out (_screen), the chunk reads it for every
-    sensor and places and tests the candidates alone, from the same
-    counters. A pass of a banded field whose y band lies within the inner
-    band places only the inner sensors, since no other can detect; its
-    chunks are index windows that hold about 4, 8, then 16 of them.
+    and compared with the r^2 of every case on that path. screen is
+    _screen's for the field and the cases' bands: where it has stages, the
+    chunk reads the first stage's raw draw for every sensor, the second's
+    for those that pass the first, and places and tests the candidates
+    alone, from the same counters; where it is _INNER, the pass places only
+    the inner sensors, since no other can detect, in index windows that
+    hold about 4, 8, then 16 of them; where it is None, every sensor.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
         paths.setdefault(scenario, []).append((r * r, c))
-    field, bands = Field(model), _bands(cases)
-    # every sensor that is not inner has |y| >= field.outer_min
-    narrow = field.banded and bands[1][1] < field.outer_min
+    narrow = screen == _INNER
     share = field.share if narrow else 1.0
     if field.banded:
         picks = InnerPicks(field, seeds)
         # the inner sensors from index h0 to horizon, as a (trial x index) mask
         ahead, h0, horizon = np.zeros((seeds.size, 0), dtype=bool), 0, 0
-    screen = None if narrow else _screen(field, bands)
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
     live = np.arange(seeds.size)
@@ -260,14 +275,17 @@ def _detections(model: DeploymentModel, cases: Sequence[Case], ns: Sequence[int]
     """Counts of shape (len(cases), len(ns)): of the trials keyed by `master`,
     those in which one of the first n sensors detects, all from one pass.
 
-    Trials run in spans of _BATCH, each with its own first-hit indices;
-    `workers` threads share the spans, and one worker runs them inline.
+    Trials run in spans of _BATCH, each with its own first-hit indices and
+    the pass's one field and screen; `workers` threads share the spans, and
+    one worker runs them inline.
     """
     ns = np.asarray(ns)
+    field = Field(model)
+    screen = _screen(field, _bands(cases))
 
     def count(span):
         seeds = derive_stream_seeds(master, np.arange(*span, dtype=np.uint64))
-        k = _first_hits(model, cases, int(ns.max()), seeds)
+        k = _first_hits(field, cases, int(ns.max()), seeds, screen)
         return np.count_nonzero(k[:, :, None] < ns, axis=0)
 
     spans = [(lo, min(lo + _BATCH, trials)) for lo in range(0, trials, _BATCH)]

@@ -115,23 +115,28 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return _mix64_inplace(np.array(z, dtype=np.uint64))
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """mix64 of every word of the uint64 array z, computed in z itself."""
-    z ^= z >> np.uint64(30)
+def _mix64_inplace(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """mix64 of every word of the uint64 array z, computed in z itself; each
+    shift goes to scratch, an array of z's shape, where it is given."""
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= _MUL1_U64
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= _MUL2_U64
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
-def raw_draws(seeds, counters) -> np.ndarray:
-    """Vectorized raw_draw; `seeds` and `counters` broadcast together."""
+def raw_draws(seeds, counters, out: Optional[np.ndarray] = None,
+              scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorized raw_draw; `seeds` and `counters` broadcast together. out
+    and scratch, uint64 arrays of the broadcast shape, take the draws and
+    the mix's shifts where given, so a loop over tiles allocates nothing."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        # a fresh array (0-d for scalar inputs), so the mix may overwrite it
-        return _mix64_inplace(np.asarray(seeds + (counters + np.uint64(1)) * _GOLDEN_U64))
+        # out or a fresh array (0-d for scalar inputs), so the mix may overwrite it
+        z = np.asarray(np.add(seeds, (counters + np.uint64(1)) * _GOLDEN_U64, out=out))
+        return _mix64_inplace(z, scratch)
 
 
 def derive_stream_seeds(master: int, indices) -> np.ndarray:

@@ -344,9 +344,26 @@ class TestFullReport:
         se = math.sqrt(p * (1 - p) / x.size)
         assert analytic == pytest.approx(p, abs=4 * se)
 
+    def test_tail_masses_keep_their_precision(self):
+        # at sigma = 1 the box [8, 10] holds about 1e-15 of the x mass, where
+        # a difference of erf, each within a few ulps of 1, lost 0.8% of p_rect
+        report = _report(8.3, 0.3, 0.3, 1.0, region=Rectangle(8.0, 10.0, -1.0, 1.0))
+        k = 1.0 / math.sqrt(2.0)
+        x = (math.erfc(8.0 * k) - math.erfc(8.3 * k)) / (math.erfc(8.0 * k) - math.erfc(10.0 * k))
+        assert report.p_rect == pytest.approx(x * math.erf(0.3 * k) / math.erf(k), rel=1e-12)
+        assert report.p_rect == pytest.approx(0.31653, abs=1e-5)
+
+    def test_region_in_the_far_tail_keeps_its_mass(self):
+        # [9, 20] holds erfc(9 / sqrt 2), about 2.3e-19, of the x mass, which
+        # a difference of erf rounds to 0
+        model = DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(9.0, 20.0, -1.0, 1.0), 1.0)
+        k = 1.0 / math.sqrt(2.0)
+        assert model.region_mass() == pytest.approx(math.erfc(9.0 * k) * math.erf(k), rel=1e-12)
+        assert 0.0 < _report(9.3, 0.3, 0.3, 1.0, region=model.region).p_total < 1.0
+
     def test_region_without_mass_rejected(self):
         with pytest.raises(ValueError):
-            _report(25.0, 3.0, 1.0, 1.0, region=Rectangle(20.0, 30.0, -5.0, 5.0))
+            _report(45.0, 3.0, 1.0, 1.0, region=Rectangle(40.0, 50.0, -5.0, 5.0))
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_bad_range_rejected(self, r):

@@ -185,9 +185,9 @@ def test_binomial_test_has_power():
 # a box far in the x tail at sigma = 5, where the law keeps about 1e-9 of its mass
 _FAR_TAIL = ["--sigma", "5", "--region", "30", "35", "-1", "1"]
 _FAR_TAIL_CASE = ["-N", "1", "-r", "1", "-S", "33", "-d", "2"]
-# no half-normal mass lies in this box at sigma = 1
-_MASSLESS = ["--sigma", "1", "--region", "20", "30", "-5", "5"]
-_MASSLESS_ERROR = ("invalid input: region Rectangle(x_min=20.0, x_max=30.0, y_min=-5.0, "
+# no half-normal mass lies in this box at sigma = 1: erfc(40 / sqrt 2) underflows to 0
+_MASSLESS = ["--sigma", "1", "--region", "40", "50", "-5", "5"]
+_MASSLESS_ERROR = ("invalid input: region Rectangle(x_min=40.0, x_max=50.0, y_min=-5.0, "
                    "y_max=5.0) carries no half_normal deployment mass at sigma=1.0\n")
 
 
@@ -202,11 +202,32 @@ class TestSimulateCommand:
         assert 0.78 < p_total < 0.79
         assert _binomial_agrees(payload["detected_count"], trials, p_total)
 
+    def test_tail_box_agrees_with_analytic(self, capsys):
+        # at sigma = 1, [8, 10] holds about 1e-15 of the x mass: p_analytic
+        # takes its masses from erfc there, as the draws take their CDF
+        box = ["--sigma", "1", "--region", "8", "10", "-1", "1", "-N", "1", "-r", "0.3",
+               "-S", "8.3", "-d", "0.3"]
+        assert main(["analytic", *box]) == EXIT_OK
+        p_total = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["p_total"]
+        trials = 200_000
+        assert main(["simulate", "--model", "half_normal", *box, "--trials", str(trials),
+                     "--seed", "3"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert 0.340 < p_total < 0.341
+        assert _binomial_agrees(payload["detected_count"], trials, p_total)
+
+    def test_box_past_the_reach_of_erf_is_accepted(self, capsys):
+        # [9, 20] holds about 2.3e-19 of the x mass at sigma = 1
+        assert main(["analytic", "--sigma", "1", "--region", "9", "20", "-1", "1", "-N", "1",
+                     "-r", "0.3", "-S", "9.3", "-d", "0.3"]) == EXIT_OK
+        p_total = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["p_total"]
+        assert 0.0 < p_total < 1.0
+
     @pytest.mark.parametrize("command", [
-        ["analytic", *_MASSLESS, "-N", "10", "-r", "1", "-S", "25", "-d", "3"],
-        ["simulate", "--model", "half_normal", *_MASSLESS, "-N", "10", "-r", "1", "-S", "25",
+        ["analytic", *_MASSLESS, "-N", "10", "-r", "1", "-S", "45", "-d", "3"],
+        ["simulate", "--model", "half_normal", *_MASSLESS, "-N", "10", "-r", "1", "-S", "45",
          "-d", "3", "--trials", "10", "--seed", "1"],
-        ["simulate", "--model", "half_normal", *_MASSLESS, "-N", "0", "-r", "1", "-S", "25",
+        ["simulate", "--model", "half_normal", *_MASSLESS, "-N", "0", "-r", "1", "-S", "45",
          "-d", "3", "--trials", "10", "--seed", "1"],
         ["sample", "--model", "half_normal", *_MASSLESS, "--n", "10", "--seed", "1"],
     ])

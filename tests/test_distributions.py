@@ -350,7 +350,7 @@ class TestDeploymentSampling:
         assert abs(xs.mean() - 5e-5) < 5 * 1e-4 / math.sqrt(12 * xs.size)
 
     @pytest.mark.parametrize("kind,region", [
-        (DeploymentKind.HALF_NORMAL, Rectangle(20.0, 30.0, -5.0, 5.0)),
+        (DeploymentKind.HALF_NORMAL, Rectangle(40.0, 50.0, -5.0, 5.0)),
         (DeploymentKind.QUADRANT, Rectangle(0.0, 5.0, -30.0, -20.0)),
         (DeploymentKind.STRIP, Rectangle(-30.0, -20.0, -5.0, 5.0)),
     ])
@@ -625,42 +625,71 @@ def _inner_mask(field, seeds, start, stop):
     return mask[:, start:]
 
 
+def _check_screened_draw(model, screens):
+    """Field.sample under the stages `screens` places exactly the sensors
+    that pass every stage, as the whole field places them."""
+    field = Field(model)
+    seeds = np.array(_LAYOUT_SEEDS + _CHUNK_SEEDS, dtype=np.uint64)
+    full_x, full_y = sample_positions(model, 40, seeds)
+    inner = _inner_mask(field, seeds, 3, 40)
+    expected = np.ones((seeds.size, 37), dtype=bool)
+    for offset, a, width in screens:
+        # sensor j's x reads counter 256 j and its y 256 j + 1
+        raw = raw_draws(seeds[:, None], np.arange(3, 40, dtype=np.uint64) * np.uint64(256)
+                        + np.uint64(offset))
+        passed = np.array([[(int(v) - a) % 2**64 <= width for v in row] for row in raw])
+        if offset == 1 and inner is not None:
+            passed |= inner
+        expected &= passed
+    xs, ys, at = field.sample(seeds, 3, 40, inner, screens)
+    rows, columns = np.nonzero(expected)
+    assert np.array_equal(at[0], rows) and np.array_equal(at[1], columns + 3)
+    assert np.array_equal(xs, full_x[at]) and np.array_equal(ys, full_y[at])
+    empty = field.sample(seeds, 3, 3, None if inner is None else inner[:, :0], screens)
+    assert empty[0].size == empty[1].size == empty[2][0].size == empty[2][1].size == 0
+
+
 class TestScreenedSampling:
     @pytest.mark.parametrize("model", _models(_CLIPPING_REGIONS, [1.0]), ids=_model_id)
     @pytest.mark.parametrize("screen", _SCREENS)
     @pytest.mark.parametrize("offset", [0, 1])
     def test_screened_draw_is_the_full_draw_at_the_candidates(self, model, screen, offset):
-        field = Field(model)
-        seeds = np.array(_LAYOUT_SEEDS + _CHUNK_SEEDS, dtype=np.uint64)
-        full_x, full_y = sample_positions(model, 40, seeds)
-        inner = _inner_mask(field, seeds, 3, 40)
-        a, width = screen
-        # sensor j's x reads counter 256 j and its y 256 j + 1
-        raw = raw_draws(seeds[:, None], np.arange(3, 40, dtype=np.uint64) * np.uint64(256)
-                        + np.uint64(offset))
-        expected = np.array([[(int(v) - a) % 2**64 <= width for v in row] for row in raw])
-        if offset == 1 and inner is not None:
-            expected |= inner
-        xs, ys, at = field.sample(seeds, 3, 40, inner, (offset, a, width))
-        rows, columns = np.nonzero(expected)
-        assert np.array_equal(at[0], rows) and np.array_equal(at[1], columns + 3)
-        assert np.array_equal(xs, full_x[at]) and np.array_equal(ys, full_y[at])
-        empty = field.sample(seeds, 3, 3, None if inner is None else inner[:, :0],
-                             (offset, a, width))
-        assert empty[0].size == empty[1].size == empty[2][0].size == empty[2][1].size == 0
+        _check_screened_draw(model, ((offset, *screen),))
+
+    @pytest.mark.parametrize("model", _models(_CLIPPING_REGIONS, [1.0]), ids=_model_id)
+    @pytest.mark.parametrize("screen", _SCREENS)
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_second_stage_keeps_the_candidates_within_it(self, model, screen, offset):
+        # the other axis's draw in the lower half of the raw values
+        _check_screened_draw(model, ((offset, *screen), (1 - offset, *_SCREENS[0])))
 
     @pytest.mark.parametrize("kind", [DeploymentKind.HALF_NORMAL, DeploymentKind.UNIFORM])
-    @pytest.mark.parametrize("rows", [1, 3, 40])
+    @pytest.mark.parametrize("rows", [1, 3, 40, None])
     def test_blocks_do_not_change_the_draw(self, monkeypatch, kind, rows):
+        # tiles of 1, 3 and 40 raw draws, and the default tile, which 8,000
+        # deployments of 10 sensors fill more than twice
         model = DeploymentModel(kind, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
         field = Field(model)
-        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
+        if rows is None:
+            seeds = derive_stream_seeds(7, np.arange(8000, dtype=np.uint64))
+            assert seeds.size * 10 > 2 * distributions._SCREEN_BLOCK
+        else:
+            seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
+            monkeypatch.setattr(distributions, "_SCREEN_BLOCK", rows)
         inner = _inner_mask(field, seeds, 2, 12)
-        whole = field.sample(seeds, 2, 12, inner, (1, *_SCREENS[2]))
-        monkeypatch.setattr(distributions, "_SCREEN_BLOCK", rows)
-        blocked = field.sample(seeds, 2, 12, inner, (1, *_SCREENS[2]))
-        assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
-        assert all(np.array_equal(a, b) for a, b in zip(blocked[2], whole[2]))
+        a, width = _SCREENS[2]
+        # the screen's mask from the draws of every sensor at once
+        raw = raw_draws(seeds[:, None], np.arange(2, 12, dtype=np.uint64) * np.uint64(256)
+                        + np.uint64(1))
+        raw -= np.uint64(a)
+        expected = raw <= np.uint64(width)
+        if inner is not None:
+            expected |= inner
+        xs, ys, at = field.sample(seeds, 2, 12, inner, ((1, a, width),))
+        rows, columns = np.nonzero(expected)
+        assert np.array_equal(at[0], rows) and np.array_equal(at[1], columns + 2)
+        full_x, full_y = sample_positions(model, 12, seeds)
+        assert np.array_equal(xs, full_x[at]) and np.array_equal(ys, full_y[at])
 
 
 # the README box, a box whose y never comes near 0, and one that holds 0 off-centre

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,10 +230,11 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    # the screened scan wherever it pays, and the full scan
-    first_hits = [montecarlo._first_hits(model, cases, ns[-1], seeds)]
-    with mock.patch.object(montecarlo, "_screen", lambda *args: None):
-        first_hits.append(montecarlo._first_hits(model, cases, ns[-1], seeds))
+    # the pass's screen, where it has one, and the full scan
+    field = Field(model)
+    screen = montecarlo._screen(field, montecarlo._bands(cases))
+    first_hits = [montecarlo._first_hits(field, cases, ns[-1], seeds, screen),
+                  montecarlo._first_hits(field, cases, ns[-1], seeds, None)]
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
         # one column per sensor: whether it alone detects
@@ -344,9 +344,9 @@ def test_no_screen_where_it_cannot_rule_sensors_out(model, r):
 
 
 _BOX = Rectangle(-50.0, 50.0, -50.0, 50.0)
-# (model, S, d, r, the offset of the axis screened): a normal y and a folded
-# y, also at r whose square is subnormal or 0; a folded x, also in the
-# reflected form of a box far in the tail; then uniform x and y, where a
+# (model, S, d, r, the offset of the axis screened first): a normal y and a
+# folded y, also at r whose square is subnormal or 0; a folded x, also in
+# the reflected form of a box far in the tail; then uniform x and y, where a
 # sensor that is not inner is screened by y
 _SCREEN_CASES = [
     (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 5.0, 3.0, 1.0, 1),
@@ -374,9 +374,9 @@ _SCREEN_CASES = [
 
 @pytest.mark.parametrize("model,s,d,r,offset", _SCREEN_CASES)
 def test_screen_rules_out_only_sensors_that_miss(model, s, d, r, offset):
-    # raw values within 300 of either end of the interval that the screen
-    # rules out place the screened coordinate, by the array map the field
-    # uses, where no case detects, whatever the other coordinate
+    # at each stage, raw values within 300 of either end of the interval
+    # that the stage rules out place its coordinate, by the array map the
+    # field uses, where no case detects, whatever the other coordinate
     field = Field(model)
     scenario = IntruderScenario(s, d)
     bands = montecarlo._bands([(scenario, r)])
@@ -384,53 +384,75 @@ def test_screen_rules_out_only_sensors_that_miss(model, s, d, r, offset):
         # a pass whose y band lies within the inner band is not screened
         assert bands[1][1] >= field.outer_min
     screen = montecarlo._screen(field, bands)
-    assert screen[0] == offset
-    _, a, width = screen
-    value, bits, _ = field.axes[offset]
-    shift = 64 - bits
-    ends = (a >> shift, ((a + width + 1) % 2**64) >> shift)
-    ms = sorted({m for end in ends for m in range(end - 300, end + 301)
-                 if 0 <= m < 2**bits and ((m << shift) - a) % 2**64 > width})
-    screened = value(rng.uniforms(np.array(ms, dtype=np.uint64) << np.uint64(shift), bits))
-    # the other coordinate at the ends of its support, of the path and at 0
+    # the other axis is a second stage unless its band holds every draw
     other = model.marginals()[1 - offset]
-    values = [other.lo, other.hi, 0.0] + ([s - d, s] if offset else [-r, r])
-    others = np.clip([v for v in values if math.isfinite(v)], other.lo, other.hi)
-    xs, ys = np.broadcast_arrays(others[:, None], screened) if offset else \
-        np.broadcast_arrays(screened, others[:, None])
-    assert np.all(model.region.contains(xs, ys))
-    with np.errstate(over="ignore"):
-        assert np.all(segment_dist2(xs, ys, scenario) > r * r)
+    lo, hi = bands[1 - offset]
+    assert [stage[0] for stage in screen] == [offset, 1 - offset][
+        :1 if lo <= other.lo and other.hi <= hi else 2]
+    for axis, a, width in screen:
+        value, bits, _ = field.axes[axis]
+        shift = 64 - bits
+        ends = (a >> shift, ((a + width + 1) % 2**64) >> shift)
+        ms = sorted({m for end in ends for m in range(end - 300, end + 301)
+                     if 0 <= m < 2**bits and ((m << shift) - a) % 2**64 > width})
+        screened = value(rng.uniforms(np.array(ms, dtype=np.uint64) << np.uint64(shift), bits))
+        # the other coordinate at the ends of its support, of the path and at 0
+        other = model.marginals()[1 - axis]
+        values = [other.lo, other.hi, 0.0] + ([s - d, s] if axis else [-r, r])
+        others = np.clip([v for v in values if math.isfinite(v)], other.lo, other.hi)
+        xs, ys = np.broadcast_arrays(others[:, None], screened) if axis else \
+            np.broadcast_arrays(screened, others[:, None])
+        assert np.all(model.region.contains(xs, ys))
+        with np.errstate(over="ignore"):
+            assert np.all(segment_dist2(xs, ys, scenario) > r * r)
 
 
 def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
     # the README half-normal row: y's draw decides all but 8% of the
-    # sensors, which also draw x
+    # sensors, and x's draw about half of those that remain
     model = DeploymentModel(DeploymentKind.HALF_NORMAL, _BOX, 10.0)
     cases = [(IntruderScenario(5.0, 5.0), 1.0)]
     seeds = derive_stream_seeds(3, np.arange(2000, dtype=np.uint64))
-    # the raw values drawn at each counter offset within a sensor's block
-    drawn = np.zeros(256, dtype=np.int64)
+    field = Field(model)
+    screen = montecarlo._screen(field, montecarlo._bands(cases))
+    assert [offset for offset, _, _ in screen] == [1, 0]
+    intervals = {offset: (np.uint64(a), np.uint64(width)) for offset, a, width in screen}
+    # at each counter offset within a sensor's block, the raw values read
+    # and those of them within that axis's stage interval
+    drawn, passed = np.zeros(256, dtype=np.int64), np.zeros(2, dtype=np.int64)
     raw_draws = rng.raw_draws
 
-    def counted(seeds, counters):
-        values = raw_draws(seeds, counters)
+    def counted(seeds, counters, *buffers):
+        values = raw_draws(seeds, counters, *buffers)
         offsets = np.broadcast_to(np.asarray(counters, dtype=np.uint64), values.shape) % 256
         drawn[:] += np.bincount(offsets.ravel().astype(np.intp), minlength=256)
+        for offset, (a, width) in intervals.items():
+            passed[offset] += np.count_nonzero((values - a <= width) & (offsets == offset))
         return values
 
+    placed = []
+    place = Field.place
+
+    def counted_place(self, seeds, columns, inner):
+        placed.append(np.size(columns))
+        return place(self, seeds, columns, inner)
+
     monkeypatch.setattr(distributions, "raw_draws", counted)
-    assert montecarlo._screen(Field(model), montecarlo._bands(cases))[0] == 1
-    with mock.patch.object(montecarlo, "_screen", lambda *args: None):
-        full = montecarlo._first_hits(model, cases, 500, seeds)
+    full = montecarlo._first_hits(field, cases, 500, seeds, None)
     examined, other = drawn[1], drawn[0]
     # the full draw reads both offsets for every sensor
     assert examined == other > 0
-    drawn[:] = 0
-    assert np.array_equal(montecarlo._first_hits(model, cases, 500, seeds), full)
-    # the screen reads y's offset for every sensor; a candidate reads both
-    assert drawn[1] == examined + drawn[0]
-    assert 0 < drawn[0] <= 0.1 * examined
+    drawn[:], passed[:] = 0, 0
+    monkeypatch.setattr(Field, "place", counted_place)
+    assert np.array_equal(montecarlo._first_hits(field, cases, 500, seeds, screen), full)
+    survivors = sum(placed)
+    # the screen reads y once for every sensor; x is read once for every y
+    # candidate, and both again for the survivors, whose draws pass both stages
+    assert drawn[1] == examined + survivors
+    assert drawn[0] == passed[1]
+    assert passed[0] == 2 * survivors
+    candidates = drawn[0] - survivors
+    assert 0 < survivors < 0.7 * candidates and candidates <= 0.1 * examined
 
 
 def test_narrow_pass_places_only_inner_sensors(monkeypatch):
@@ -443,6 +465,8 @@ def test_narrow_pass_places_only_inner_sensors(monkeypatch):
     seeds = derive_stream_seeds(3, np.arange(trials, dtype=np.uint64))
     field = Field(model)
     assert montecarlo._bands(cases)[1][1] < field.outer_min
+    screen = montecarlo._screen(field, montecarlo._bands(cases))
+    assert screen == montecarlo._INNER
     placed = []
     place = Field.place
 
@@ -451,12 +475,79 @@ def test_narrow_pass_places_only_inner_sensors(monkeypatch):
         return place(self, seeds, columns, inner)
 
     monkeypatch.setattr(Field, "place", counted)
-    k = montecarlo._first_hits(model, cases, n, seeds)
+    k = montecarlo._first_hits(field, cases, n, seeds, screen)
     assert 0 < sum(placed) <= 0.035 * trials * n
     monkeypatch.setattr(Field, "place", place)
     xs, ys = sample_positions(model, n, seeds)
     hit = detects_any(xs[:, :, None], ys[:, :, None], *cases[0])
     assert k[:, 0].tolist() == np.where(hit.any(axis=1), hit.argmax(axis=1), n).tolist()
+
+
+@pytest.mark.parametrize("model,scenario,rs,offsets", [
+    # a normal y, then x; a folded y, then x; a strip's folded x, then its
+    # uniform y; a truncated box; a banded uniform field screened on x,
+    # where every inner sensor passes the y stage
+    (HALF_NORMAL_MODEL, SCENARIO, [1.0, 0.5], (1, 0)),
+    (DeploymentModel(DeploymentKind.QUADRANT, HalfPlane(), 5.0), SCENARIO, [1.0], (1, 0)),
+    (DeploymentModel(DeploymentKind.STRIP, Rectangle(0.0, 50.0, -5.0, 5.0), 5.0),
+     IntruderScenario(8.0, 1.0), [1.0, 2.0], (0, 1)),
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, _BOX, 10.0), IntruderScenario(5.0, 5.0), [1.0],
+     (1, 0)),
+    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(0.0, 20.0, -5.0, 5.0)),
+     IntruderScenario(5.0, 3.0), [2.0], (0, 1)),
+])
+def test_two_stage_first_hits_equal_the_full_scan(model, scenario, rs, offsets):
+    cases = [(scenario, r) for r in rs]
+    trials, n = 2000, 30
+    seeds = derive_stream_seeds(5, np.arange(trials, dtype=np.uint64))
+    field = Field(model)
+    screen = montecarlo._screen(field, montecarlo._bands(cases))
+    assert tuple(offset for offset, _, _ in screen) == offsets
+    k = montecarlo._first_hits(field, cases, n, seeds, screen)
+    assert np.array_equal(k, montecarlo._first_hits(field, cases, n, seeds, None))
+    xs, ys = sample_positions(model, n, seeds)
+    for c, (scenario, r) in enumerate(cases):
+        hit = detects_any(xs[:, :, None], ys[:, :, None], scenario, r)
+        assert k[:, c].tolist() == np.where(hit.any(axis=1), hit.argmax(axis=1), n).tolist()
+        assert 0 < np.count_nonzero(k[:, c] < n) < trials
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pass_builds_its_screen_once(monkeypatch, workers):
+    # five spans of 64 trials share one field and one screen
+    monkeypatch.setattr(montecarlo, "_BATCH", 64)
+    calls = []
+    screen = montecarlo._screen
+
+    def counted(*args):
+        calls.append(args)
+        return screen(*args)
+
+    monkeypatch.setattr(montecarlo, "_screen", counted)
+    counts = montecarlo._detections(HALF_NORMAL_MODEL, [(SCENARIO, 1.0)], [10, 100], 300, 9,
+                                    workers)
+    assert len(calls) == 1
+    monkeypatch.setattr(montecarlo, "_BATCH", 1 << 15)
+    assert np.array_equal(counts, montecarlo._detections(
+        HALF_NORMAL_MODEL, [(SCENARIO, 1.0)], [10, 100], 300, 9, 1))
+
+
+def test_half_plane_span_peak_memory():
+    # one span of the simulate workload: 2^15 trials on the sigma = 5
+    # half-plane up to N = 100. Tiled screening and the second stage keep its
+    # traced peak under 3.25 MiB; 2^17-draw screen blocks and one stage made
+    # it about 3.5 MiB
+    cases = [(SCENARIO, 1.0)]
+    field = Field(HALF_NORMAL_MODEL)
+    screen = montecarlo._screen(field, montecarlo._bands(cases))
+    seeds = derive_stream_seeds(1000, np.arange(1 << 15, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        montecarlo._first_hits(field, cases, 100, seeds, screen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 2**20
 
 
 def _config(**overrides):
@@ -548,12 +639,12 @@ class TestSweep:
 
     def test_unsamplable_row_does_not_abort(self):
         # sigma = 1 puts no mass in the region, so neither engine can use it
-        config = _config(sigma_values=[1.0], n_values=[10], s_values=[25.0], d_values=[3.0],
-                         region=Rectangle(20.0, 30.0, -5.0, 5.0))
+        config = _config(sigma_values=[1.0], n_values=[10], s_values=[45.0], d_values=[3.0],
+                         region=Rectangle(40.0, 50.0, -5.0, 5.0))
         rows = {row.model: row for row in sweep(config)}
         assert rows["uniform"].status == "ok"
         assert rows["half_normal"].status == (
-            "invalid: region Rectangle(x_min=20.0, x_max=30.0, y_min=-5.0, y_max=5.0) carries "
+            "invalid: region Rectangle(x_min=40.0, x_max=50.0, y_min=-5.0, y_max=5.0) carries "
             "no half_normal deployment mass at sigma=1.0")
         assert rows["half_normal"].p_hat is None
 

@@ -7,6 +7,9 @@ and says so.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,12 +52,12 @@ SWEEP_SHA256 = "65c2b00e04beba16def73be2336537504c796c8222fe79beda27ceeb8ee3087a
 REPORT_BITS = {
     # S = 5, d = 3, r = 1, sigma = 5: nothing is cut off
     "halfplane": (HalfPlane(), 5.0, 3.0, 1.0, 5.0, (
-        "0x1.e2e03ba514647p-5", "0x1.35df846e8d92dp-6", "0x1.6a15a12f21d42p-7",
-        "0x1.6c2ab31411d17p-4", "0x1.3636950dffb9bp-1")),
+        "0x1.e2e03ba514646p-5", "0x1.35df846e8d92dp-6", "0x1.6a15a12f21d42p-7",
+        "0x1.6c2ab31411d16p-4", "0x1.3636950dffb9ap-1")),
     # S = 5, d = 3, r = 1, sigma = 10: renormalized, capsule inside
     "box50": (Rectangle(-50.0, 50.0, -50.0, 50.0), 5.0, 3.0, 1.0, 10.0, (
-        "0x1.24ddfd8bd2987p-6", "0x1.431fdf5f5fd07p-8", "0x1.1a6d140a035e0p-8",
-        "0x1.bc413a662b641p-6", "0x1.ec3bdfd853cbep-3")),
+        "0x1.24ddfd8bd298ap-6", "0x1.431fdf5f5fd07p-8", "0x1.1a6d140a035e0p-8",
+        "0x1.bc413a662b644p-6", "0x1.ec3bdfd853cc1p-3")),
     # S = 6, d = 3, r = 1, sigma = 3: the region clips x below 2 and y below -0.5
     "clip": (Rectangle(2.0, 7.0, -0.5, 9.5), 6.0, 3.0, 1.0, 3.0, (
         "0x1.8f16ac0dccb0bp-3", "0x1.cb0a5a1661f38p-4", "0x1.0a711c2885748p-6",
@@ -71,9 +74,9 @@ p_total=0.08890790894
 p_uniform=
 p_d=0.6058851795
 p_not_detected=0.3941148205
-{"p_rect": 0.058944813245613896, "p_left": 0.018913153961159047, \
-"p_right": 0.011049941733530692, "p_total": 0.08890790894030363, "p_uniform": null, \
-"p_d": 0.6058851794804129, "p_not_detected": 0.39411482051958713}
+{"p_rect": 0.05894481324561389, "p_left": 0.018913153961159047, \
+"p_right": 0.011049941733530692, "p_total": 0.08890790894030362, "p_uniform": null, \
+"p_d": 0.6058851794804128, "p_not_detected": 0.3941148205195872}
 """),
     "analytic_region": ("analytic --sigma 3 -r 1 -S 6 -d 3 -N 10 --region 2 7 -0.5 9.5", """\
 p_rect=0.1948674623
@@ -139,3 +142,15 @@ def test_cli_stdout(name, capsys):
     args, expected = CLI_STDOUT[name]
     assert main(args.split()) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_cli_stdout_in_a_fresh_interpreter():
+    # the command as a process of its own, which freezes the collector at
+    # start: in development mode, with every warning an error, its stdout is
+    # the pin
+    args, expected = CLI_STDOUT["simulate"]
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "hndeploy.cli",
+                           *args.split()], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected and proc.stderr == ""

@@ -70,6 +70,15 @@ def test_mix64_array_matches_scalar():
     assert _mix64_array(values).tolist() == [mix64(int(v)) for v in values]
 
 
+def test_raw_draws_into_buffers_match_fresh_ones():
+    # seeds down a column, counters along a row, as the screen's tiles draw them
+    seeds = np.array([[0], [5], [MASK64]], dtype=np.uint64)
+    counters = np.arange(2**64 - 3, 2**64, dtype=np.uint64)
+    out, scratch = np.empty((2, 3, 3), dtype=np.uint64)
+    assert raw_draws(seeds, counters, out, scratch) is out
+    assert out.tolist() == [[raw_draw(int(s), int(c)) for c in counters] for s in seeds[:, 0]]
+
+
 def test_uniform_in_half_open_unit_interval():
     u = uniform_draws(7, np.arange(100_000, dtype=np.uint64))
     assert np.all(u > 0.0)
