@@ -7,7 +7,10 @@ first-hit index: for each trial and case (scenario, r), the index of the
 first detecting sensor, or the largest N if none detects; the count at any N
 is the number of trials whose index is below N. Sensors are drawn in column
 chunks from the model's Field, and a trial stops drawing once every case
-has detected: the sensors it skips cannot change an index. Every coordinate
+has detected: the sensors it skips cannot change an index. Chunks widen as
+trials detect, and a chunk's live trials go in row blocks of at most a
+fixed number of (trial, column) cells, so that a pass with few live trials
+makes few calls and no call's memory grows with N. Every coordinate
 is placed by a map that is nondecreasing in one raw draw, so the sensors
 that cannot detect in any case are those whose x draw, or whose y draw,
 lies outside an interval of raw values (_screen, computed once per pass): a
@@ -47,14 +50,14 @@ from .rng import (RandomSeed, check_integer, check_real, derive_stream_seed, der
 
 _Z95 = 1.96
 _BATCH = 1 << 15
-# sensor columns per chunk: 4, 8, then 16 each; narrow first chunks let most
-# half-normal trials stop early, and few chunks keep small N in few calls
+# a chunk is 4 sensor columns (inner sensors on a pass that places only
+# those), then twice the last, up to _BUDGET cells (live trial, column) over
+# the live trials: narrow first chunks let most half-normal trials stop
+# early, and wide later ones keep a pass with few live trials in few calls.
+# A chunk's live trials go in row blocks of at most _BUDGET cells, which
+# bounds a call's memory whatever N
 _FIRST_CHUNK = 4
-_MAX_CHUNK = 16
-# a narrow uniform chunk places about this many sensors at a time; any other
-# uniform chunk finds the inner sensors of the next _LOOKAHEAD chunks' width
-_MEMBER_BLOCK = 1 << 15
-_LOOKAHEAD = 8
+_BUDGET = 1 << 19
 # the screen costs one raw draw per sensor and the full draw per candidate.
 # Against the full scan, one thread, 2^15 trials, N = 100: the half-normal y
 # on the sigma = 5 half-plane 0.35-0.39 of the time at 16% candidates,
@@ -133,12 +136,12 @@ def _first_index(predicate, bits: int) -> int:
 
 def _screen(field: Field, bands):
     """How a pass of `field` with the bands (_bands) of its cases rules
-    sensors out: _INNER where the field is banded and its y band lies within
-    the inner band, so that only the inner sensors can detect; None for no
-    screen; else the stages (offset, a, width) of Field.sample. A sensor
-    whose raw draw at counter 256 j + offset satisfies (raw - a) mod 2^64 >
-    width, for some stage, detects in no case, unless offset is 1 and it is
-    inner.
+    sensors out: _INNER where the field is banded, its inner band holds
+    sensors and its y band lies within the inner band, so that only the
+    inner sensors can detect; None for no screen; else the stages (offset,
+    a, width) of Field.sample. A sensor whose raw draw at counter
+    256 j + offset satisfies (raw - a) mod 2^64 > width, for some stage,
+    detects in no case, unless offset is 1 and it is inner.
 
     A stage is an interval of the top bits m of an axis's raw draw, which
     fix the uniform u of the draw: u places x (offset 0) or y (offset 1; of
@@ -154,7 +157,7 @@ def _screen(field: Field, bands):
     _MAX_CANDIDATES of the sensors pass the first stage, as where some r * r
     overflows (every sensor detects).
     """
-    if field.banded and bands[1][1] < field.outer_min:
+    if field.banded and field.share > 0.0 and bands[1][1] < field.outer_min:
         # every sensor that is not inner has |y| >= field.outer_min
         return _INNER
     stages = []
@@ -219,8 +222,11 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
     chunk reads the first stage's raw draw for every sensor, the second's
     for those that pass the first, and places and tests the candidates
     alone, from the same counters; where it is _INNER, the pass places only
-    the inner sensors, since no other can detect, in index windows that
-    hold about 4, 8, then 16 of them; where it is None, every sensor.
+    the inner sensors, since no other can detect, and a chunk counts them,
+    not columns; where it is None, every sensor. Every chunk walks its live
+    trials in row blocks of at most _BUDGET cells (one block, unless the
+    pass places only inner sensors), and a banded field finds each block's
+    inner sensors as it goes.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
@@ -229,8 +235,6 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
     share = field.share if narrow else 1.0
     if field.banded:
         picks = InnerPicks(field, seeds)
-        # the inner sensors from index h0 to horizon, as a (trial x index) mask
-        ahead, h0, horizon = np.zeros((seeds.size, 0), dtype=bool), 0, 0
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
     live = np.arange(seeds.size)
@@ -238,35 +242,28 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
     while live.size and j0 < n_max:
         j1 = min(j0 + math.ceil(chunk / share), n_max)
         k_live = k[live]
-        if narrow:
-            # about _MEMBER_BLOCK inner sensors at a time
-            step = max(1, _MEMBER_BLOCK // chunk)
-            for lo in range(0, live.size, step):
-                block = slice(lo, min(lo + step, live.size))
-                t, j = picks.advance(j0, j1, block)
-                xs, ys = field.place(seeds[live[block]][t], j, True)
-                _scan(xs, ys, (t, j), paths, k_live[block], j0, j1)
-        else:
-            inner = None
+        rows = max(1, _BUDGET // (j1 - j0))
+        for lo in range(0, live.size, rows):
+            block = slice(lo, min(lo + rows, live.size))
+            seeds_block = seeds[live[block]]
             if field.banded:
-                if j1 > horizon:
-                    # the inner sensors from j0 on: the rest of those found, and
-                    # those of this chunk and, past the first, of the next few
-                    end = j1 if j0 == 0 else min(j0 + _LOOKAHEAD * (j1 - j0), n_max)
-                    found = np.zeros((seeds.size, end - j0), dtype=bool)
-                    found[:, :horizon - j0] = ahead[:, j0 - h0:]
-                    t, j = picks.advance(horizon, end, slice(0, live.size))
-                    found[live[t], j - j0] = True
-                    ahead, h0, horizon = found, j0, end
-                inner = ahead[live, j0 - h0:j1 - h0]
-            xs, ys, at = field.sample(seeds[live], j0, j1, inner, screen)
-            _scan(xs, ys, at, paths, k_live, j0, j1)
+                t, j = picks.advance(j0, j1, block)
+            if narrow:
+                xs, ys = field.place(seeds_block[t], j, True)
+                at = (t, j)
+            else:
+                inner = None
+                if field.banded:
+                    inner = np.zeros((seeds_block.size, j1 - j0), dtype=bool)
+                    inner[t, j - j0] = True
+                xs, ys, at = field.sample(seeds_block, j0, j1, inner, screen)
+            _scan(xs, ys, at, paths, k_live[block], j0, j1)
         k[live] = k_live
         going = (k_live == j1).any(axis=1)
         live = live[going]
         if field.banded:
             picks.keep(going)
-        j0, chunk = j1, min(2 * chunk, _MAX_CHUNK)
+        j0, chunk = j1, min(2 * chunk, max(_FIRST_CHUNK, _BUDGET // max(live.size, 1)))
     return k
 
 

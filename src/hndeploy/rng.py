@@ -110,11 +110,6 @@ _MUL1_U64 = np.uint64(_MUL1)
 _MUL2_U64 = np.uint64(_MUL2)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 into a fresh array; z is left as it is."""
-    return _mix64_inplace(np.array(z, dtype=np.uint64))
-
-
 def _mix64_inplace(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """mix64 of every word of the uint64 array z, computed in z itself; each
     shift goes to scratch, an array of z's shape, where it is given."""

@@ -220,8 +220,9 @@ _PROPERTY_CASES = [
        paths=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 1.0),
                                 st.lists(st.floats(0.1, 5.0), min_size=1, max_size=3)),
                       min_size=1, max_size=3),
-       trials=st.integers(1, 200), master=st.integers(0, 2**64 - 1))
-def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, master):
+       trials=st.integers(1, 200), master=st.integers(0, 2**64 - 1),
+       budget=st.sampled_from([7, 64, montecarlo._BUDGET]))
+def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, master, budget):
     kind, region, sigma = case
     model = DeploymentModel(kind, region, sigma)
     cases = [(IntruderScenario(start_s=s, distance_d=s * d_frac), r)
@@ -230,11 +231,15 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    # the pass's screen, where it has one, and the full scan
+    # the pass's screen, where it has one, on the drawn budget (a few cells
+    # split the chunks into many row blocks and widen them once few trials
+    # are live), and the full scan
     field = Field(model)
     screen = montecarlo._screen(field, montecarlo._bands(cases))
-    first_hits = [montecarlo._first_hits(field, cases, ns[-1], seeds, screen),
-                  montecarlo._first_hits(field, cases, ns[-1], seeds, None)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_BUDGET", budget)
+        first_hits = [montecarlo._first_hits(field, cases, ns[-1], seeds, screen)]
+    first_hits.append(montecarlo._first_hits(field, cases, ns[-1], seeds, None))
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
         # one column per sensor: whether it alone detects
@@ -532,22 +537,68 @@ def test_a_pass_builds_its_screen_once(monkeypatch, workers):
         HALF_NORMAL_MODEL, [(SCENARIO, 1.0)], [10, 100], 300, 9, 1))
 
 
+def _first_hits_peak(model, cases, n, trials):
+    """The traced peak of one pass's _first_hits, in MiB, with the field and
+    the screen built before it."""
+    field = Field(model)
+    screen = montecarlo._screen(field, montecarlo._bands(cases))
+    seeds = derive_stream_seeds(1000, np.arange(trials, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        montecarlo._first_hits(field, cases, n, seeds, screen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def test_half_plane_span_peak_memory():
     # one span of the simulate workload: 2^15 trials on the sigma = 5
     # half-plane up to N = 100. Tiled screening and the second stage keep its
     # traced peak under 3.25 MiB; 2^17-draw screen blocks and one stage made
     # it about 3.5 MiB
+    assert _first_hits_peak(HALF_NORMAL_MODEL, [(SCENARIO, 1.0)], 100, 1 << 15) <= 3.25
+
+
+def test_narrow_pass_peak_memory():
+    # the README uniform row, which places only the inner sensors, in row
+    # blocks of _BUDGET cells: about 2.1 MiB, where blocks of 2^15 inner
+    # sensors read about 3.4 MiB
+    model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
+    assert _first_hits_peak(model, [(IntruderScenario(5.0, 5.0), 1.0)], 500, 20_000) <= 2.75
+
+
+@pytest.mark.parametrize("n", [10**6, 10**7])
+def test_one_trial_pass_memory_is_bounded_whatever_n(n):
+    # one live trial draws chunks of up to _BUDGET columns, so the peak
+    # (about 19-21 MiB, mostly the screen's mix of a whole row) does not grow with N
+    assert _first_hits_peak(HALF_NORMAL_MODEL, [(SCENARIO, 1e-9)], n, 1) <= 24
+
+
+def test_one_trial_pass_makes_few_calls(monkeypatch):
+    # a trial that never detects widens its chunks up to _BUDGET columns:
+    # 18 calls to N = 10^6, where chunks of 16 columns made 62,502
+    calls = []
+    sample = Field.sample
+
+    def counted(self, *args):
+        calls.append(args)
+        return sample(self, *args)
+
+    monkeypatch.setattr(Field, "sample", counted)
+    est = estimate_detection(HALF_NORMAL_MODEL, 10**6, SCENARIO, 1e-9, 1, RandomSeed(1))
+    assert est.detected_count == 0 and 0 < len(calls) <= 24
+
+
+def test_massless_inner_band_is_screened():
+    # far from y = 0 the inner band rounds to no length, so it holds no
+    # sensor: the pass screens as any other does, and detects nothing
+    model = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(0.0, 10.0, 1e20, 1e20 + 1e5))
+    field = Field(model)
+    assert field.share == 0.0
     cases = [(SCENARIO, 1.0)]
-    field = Field(HALF_NORMAL_MODEL)
-    screen = montecarlo._screen(field, montecarlo._bands(cases))
-    seeds = derive_stream_seeds(1000, np.arange(1 << 15, dtype=np.uint64))
-    tracemalloc.start()
-    try:
-        montecarlo._first_hits(field, cases, 100, seeds, screen)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * 2**20
+    assert montecarlo._screen(field, montecarlo._bands(cases)) not in (None, montecarlo._INNER)
+    assert estimate_detection(model, 100, SCENARIO, 1.0, 10, RandomSeed(1)).detected_count == 0
 
 
 def _config(**overrides):
