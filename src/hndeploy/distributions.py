@@ -367,7 +367,8 @@ class Field:
         base = np.asarray(columns, dtype=np.uint64) * np.uint64(_BLOCK)
         (x_at, x_bits, _), (y_at, y_bits, _) = self.axes
         xs = x_at(uniforms(raw_draws(seeds, base), x_bits))
-        u = uniforms(raw_draws(seeds, base + np.uint64(1)), y_bits)
+        base += np.uint64(1)
+        u = uniforms(raw_draws(seeds, base), y_bits)
         if inner is None:
             return xs, y_at(u)
         if inner is True:
@@ -390,7 +391,9 @@ class Field:
         [a, a + width], taken mod 2^64, or, where offset is 1 (y), when it is
         inner; a candidate passes every stage. The first stage's draw is read
         for every sensor, each later one's only for the sensors that passed
-        the stages before it. With screen None every sensor is one, x and y
+        the stages before it. The first stage's mask is dropped once its
+        cells are taken, each later stage's counters and draws once its
+        survivors are kept. With screen None every sensor is one, x and y
         are (seeds x columns) grids and the indices None.
         """
         columns = np.arange(start, stop, dtype=np.uint64)
@@ -401,16 +404,22 @@ class Field:
         candidate = _screened(seeds, columns * np.uint64(_BLOCK) + np.uint64(offset), a, width)
         if offset == 1 and inner is not None:
             candidate |= inner
-        cell = _cells(candidate)
-        t, j = np.divmod(cell, stop - start)
+        t, j = np.divmod(_cells(candidate), stop - start)
+        del candidate
         for offset, a, width in later:
-            raw = raw_draws(seeds[t], columns[j] * np.uint64(_BLOCK) + np.uint64(offset))
+            counters = columns[j]
+            counters *= np.uint64(_BLOCK)
+            counters += np.uint64(offset)
+            raw = raw_draws(seeds[t], counters)
+            del counters
             raw -= np.uint64(a)
             passed = raw <= np.uint64(width)
+            del raw
             if offset == 1 and inner is not None:
-                passed |= inner.ravel()[cell]
-            cell, t, j = cell[passed], t[passed], j[passed]
-        flat = None if inner is None else np.flatnonzero(inner.ravel()[cell])
+                passed |= inner[t, j]
+            t, j = t[passed], j[passed]
+            del passed
+        flat = None if inner is None else np.flatnonzero(inner[t, j])
         xs, ys = self.place(seeds[t], columns[j], flat)
         return xs, ys, (t, j + start)
 
@@ -475,18 +484,21 @@ class InnerPicks:
 
 def _screened(seeds: np.ndarray, counters: np.ndarray, a: int, width: int) -> np.ndarray:
     """The (seeds x counters) mask of raw draws in [a, a + width], taken mod
-    2^64, computed in tiles of whole rows, about _SCREEN_BLOCK draws each."""
+    2^64, in tiles of up to _SCREEN_BLOCK draws: whole rows, or row pieces."""
     candidate = np.empty((seeds.size, counters.size), dtype=bool)
-    rows = max(1, _SCREEN_BLOCK // max(counters.size, 1))
+    columns = max(1, min(counters.size, _SCREEN_BLOCK))
+    rows = _SCREEN_BLOCK // columns
     # the tile's draws and the mix's shifts
-    buffers = [np.empty(min(rows, seeds.size) * counters.size, dtype=np.uint64) for _ in range(2)]
+    buffers = [np.empty(min(rows, seeds.size) * columns, dtype=np.uint64) for _ in range(2)]
     for lo in range(0, seeds.size, rows):
         tile = seeds[lo:lo + rows, None]
-        raw, scratch = (b[:tile.size * counters.size].reshape(tile.size, counters.size)
-                        for b in buffers)
-        raw_draws(tile, counters, raw, scratch)
-        raw -= np.uint64(a)
-        np.less_equal(raw, np.uint64(width), out=candidate[lo:lo + rows])
+        for left in range(0, counters.size, columns):
+            piece = counters[left:left + columns]
+            raw, scratch = (b[:tile.size * piece.size].reshape(tile.size, piece.size)
+                            for b in buffers)
+            raw_draws(tile, piece, raw, scratch)
+            raw -= np.uint64(a)
+            np.less_equal(raw, np.uint64(width), out=candidate[lo:lo + rows, left:left + columns])
     return candidate
 
 

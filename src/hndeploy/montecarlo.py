@@ -10,11 +10,12 @@ chunks from the model's Field, and a trial stops drawing once every case
 has detected: the sensors it skips cannot change an index. Chunks widen as
 trials detect, and a chunk's live trials go in row blocks of at most a
 fixed number of (trial, column) cells, so that a pass with few live trials
-makes few calls and no call's memory grows with N. Every coordinate
-is placed by a map that is nondecreasing in one raw draw, so the sensors
-that cannot detect in any case are those whose x draw, or whose y draw,
-lies outside an interval of raw values (_screen, computed once per pass): a
-chunk reads the draw of whichever axis holds fewer candidates for every
+makes few calls and no call's memory grows with N; a block reads its
+seeds as a slice of the live trials' seeds, which shrink with them, not as
+a copy. Every coordinate is placed by a map that is nondecreasing in one
+raw draw, so the sensors that cannot detect in any case are those whose x
+draw, or whose y draw, lies outside an interval of raw values (_screen,
+computed once per pass): a chunk reads the draw of whichever axis holds fewer candidates for every
 sensor, the other axis's draw for the sensors that pass, and places only
 those that pass both in full, from the counters the full field reads them
 from. A field whose axes are both uniform splits its sensors by |y| into an
@@ -224,9 +225,9 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
     alone, from the same counters; where it is _INNER, the pass places only
     the inner sensors, since no other can detect, and a chunk counts them,
     not columns; where it is None, every sensor. Every chunk walks its live
-    trials in row blocks of at most _BUDGET cells (one block, unless the
-    pass places only inner sensors), and a banded field finds each block's
-    inner sensors as it goes.
+    trials' seeds in row blocks (slices) of at most _BUDGET cells (one block
+    unless the pass places only inner sensors), and a banded field finds
+    each block's inner sensors as it goes.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
@@ -237,7 +238,8 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
         picks = InnerPicks(field, seeds)
     # the narrowest unsigned type that holds n_max
     k = np.zeros((seeds.size, len(cases)), dtype=np.min_scalar_type(n_max))
-    live = np.arange(seeds.size)
+    live = np.arange(seeds.size, dtype=np.int32 if seeds.size < 2**31 else np.intp)
+    live_seeds = seeds
     j0, chunk = 0, _FIRST_CHUNK
     while live.size and j0 < n_max:
         j1 = min(j0 + math.ceil(chunk / share), n_max)
@@ -245,7 +247,7 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
         rows = max(1, _BUDGET // (j1 - j0))
         for lo in range(0, live.size, rows):
             block = slice(lo, min(lo + rows, live.size))
-            seeds_block = seeds[live[block]]
+            seeds_block = live_seeds[block]
             if field.banded:
                 t, j = picks.advance(j0, j1, block)
             if narrow:
@@ -260,7 +262,7 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
             _scan(xs, ys, at, paths, k_live[block], j0, j1)
         k[live] = k_live
         going = (k_live == j1).any(axis=1)
-        live = live[going]
+        live, live_seeds = live[going], live_seeds[going]
         if field.banded:
             picks.keep(going)
         j0, chunk = j1, min(2 * chunk, max(_FIRST_CHUNK, _BUDGET // max(live.size, 1)))

@@ -125,13 +125,22 @@ def raw_draws(seeds, counters, out: Optional[np.ndarray] = None,
               scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized raw_draw; `seeds` and `counters` broadcast together. out
     and scratch, uint64 arrays of the broadcast shape, take the draws and
-    the mix's shifts where given, so a loop over tiles allocates nothing."""
+    the mix's shifts, else the draws go to (counters + 1) GOLDEN where it
+    has that shape, or to a fresh array, and the shifts to one fresh array."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
+    shape = np.broadcast(seeds, counters).shape
+    # the scratch before the product, so that freeing it leaves no memory above
+    # the draws for the allocator to give back and fault in again next call
+    if scratch is None:
+        scratch = np.empty(shape, np.uint64)
     with np.errstate(over="ignore"):
-        # out or a fresh array (0-d for scalar inputs), so the mix may overwrite it
-        z = np.asarray(np.add(seeds, (counters + np.uint64(1)) * _GOLDEN_U64, out=out))
-        return _mix64_inplace(z, scratch)
+        # an array (0-d for scalar inputs), so the draws may overwrite it
+        step = np.asarray(counters + np.uint64(1))
+        step *= _GOLDEN_U64
+        if out is None and step.shape == shape:
+            out = step
+        return _mix64_inplace(np.add(seeds, step, out=out), scratch)
 
 
 def derive_stream_seeds(master: int, indices) -> np.ndarray:
@@ -140,13 +149,15 @@ def derive_stream_seeds(master: int, indices) -> np.ndarray:
 
 
 def uniforms(raw: np.ndarray, bits: int = 53) -> np.ndarray:
-    """The uniforms of the raw draws `raw` (a uint64 array, which it
-    overwrites): (m + 1) 2^-53 of m = raw >> 11, in (0, 1], or for bits = 52
+    """The uniforms of the raw draws `raw` (a uint64 array, whose memory
+    they take): (m + 1) 2^-53 of m = raw >> 11, in (0, 1], or for bits = 52
     (m + 1/2) 2^-52 of m = raw >> 12, in the open interval (0, 1). Both are
     nondecreasing in raw."""
     raw >>= np.uint64(64 - bits)
-    # below 2^53, so the conversion, the offset and the power-of-two scale are exact
-    u = raw.astype(np.float64)
+    # below 2^53, so the conversion (into raw's own memory), the offset and
+    # the power-of-two scale are exact
+    u = raw.view(np.float64)
+    np.copyto(u, raw, casting="unsafe")
     u += 1.0 if bits == 53 else 0.5
     u *= 2.0 ** -bits
     return u

@@ -664,18 +664,20 @@ class TestScreenedSampling:
         _check_screened_draw(model, ((offset, *screen), (1 - offset, *_SCREENS[0])))
 
     @pytest.mark.parametrize("kind", [DeploymentKind.HALF_NORMAL, DeploymentKind.UNIFORM])
-    @pytest.mark.parametrize("rows", [1, 3, 40, None])
-    def test_blocks_do_not_change_the_draw(self, monkeypatch, kind, rows):
-        # tiles of 1, 3 and 40 raw draws, and the default tile, which 8,000
-        # deployments of 10 sensors fill more than twice
+    @pytest.mark.parametrize("tile", [1, 3, 7, 10, 25, 40, None])
+    def test_blocks_do_not_change_the_draw(self, monkeypatch, kind, tile):
+        # rows of 10 raw draws in tiles of 1, 3 and 7 draws, which cut each
+        # row into pieces, the last one shorter; of 10, one row; of 25 and
+        # 40, whole rows. The default tile is filled more than twice by 8,000
+        # deployments
         model = DeploymentModel(kind, Rectangle(0.0, 1.0, -1.0, 1.0), 5.0)
         field = Field(model)
-        if rows is None:
+        if tile is None:
             seeds = derive_stream_seeds(7, np.arange(8000, dtype=np.uint64))
             assert seeds.size * 10 > 2 * distributions._SCREEN_BLOCK
         else:
             seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
-            monkeypatch.setattr(distributions, "_SCREEN_BLOCK", rows)
+            monkeypatch.setattr(distributions, "_SCREEN_BLOCK", tile)
         inner = _inner_mask(field, seeds, 2, 12)
         a, width = _SCREENS[2]
         # the screen's mask from the draws of every sensor at once

@@ -554,10 +554,25 @@ def _first_hits_peak(model, cases, n, trials):
 
 def test_half_plane_span_peak_memory():
     # one span of the simulate workload: 2^15 trials on the sigma = 5
-    # half-plane up to N = 100. Tiled screening and the second stage keep its
-    # traced peak under 3.25 MiB; 2^17-draw screen blocks and one stage made
-    # it about 3.5 MiB
-    assert _first_hits_peak(HALF_NORMAL_MODEL, [(SCENARIO, 1.0)], 100, 1 << 15) <= 3.25
+    # half-plane up to N = 100. Its traced peak is about 2.0 MiB, where one
+    # that kept each stage's arrays to the end of the chunk, and a copy of
+    # the live trials' seeds per block, read about 2.6 MiB
+    assert _first_hits_peak(HALF_NORMAL_MODEL, [(SCENARIO, 1.0)], 100, 1 << 15) <= 2.25
+
+
+def test_two_worker_pass_peak_memory():
+    # two spans of the simulate workload at once, on two threads: about
+    # 3.8-4.5 MiB traced, where spans of about 2.6 MiB read 5.0-5.6 MiB. A
+    # first pass imports the thread pool, whose allocations are traced too
+    cases = [(SCENARIO, 1.0)]
+    montecarlo._detections(HALF_NORMAL_MODEL, cases, [100], 2, 1000, 2)
+    tracemalloc.start()
+    try:
+        montecarlo._detections(HALF_NORMAL_MODEL, cases, [100], 1 << 16, 1000, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= 4.75
 
 
 def test_narrow_pass_peak_memory():
@@ -570,9 +585,11 @@ def test_narrow_pass_peak_memory():
 
 @pytest.mark.parametrize("n", [10**6, 10**7])
 def test_one_trial_pass_memory_is_bounded_whatever_n(n):
-    # one live trial draws chunks of up to _BUDGET columns, so the peak
-    # (about 19-21 MiB, mostly the screen's mix of a whole row) does not grow with N
-    assert _first_hits_peak(HALF_NORMAL_MODEL, [(SCENARIO, 1e-9)], n, 1) <= 24
+    # one live trial draws chunks of up to _BUDGET columns, and the screen
+    # mixes such a row in pieces of _SCREEN_BLOCK draws, so the peak (about
+    # 8.5-9.3 MiB; 19-21 MiB where the screen mixed a whole row at once)
+    # does not grow with N
+    assert _first_hits_peak(HALF_NORMAL_MODEL, [(SCENARIO, 1e-9)], n, 1) <= 12
 
 
 def test_one_trial_pass_makes_few_calls(monkeypatch):
