@@ -42,8 +42,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Rectangle
-from .rng import (check_integer, check_real, normal_quantile, normal_quantiles, raw_draws,
-                  uniform_draws, uniforms)
+from .rng import (GOLDEN, check_integer, check_real, normal_quantile, normal_quantiles,
+                  raw_draws, uniforms)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -274,8 +274,8 @@ def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
     field = Field(model)
     inner = None
     if field.banded:
-        t, j = InnerPicks(field, seeds).advance(first, n, slice(0, seeds.size))
-        inner = t * (n - first) + (j - first)
+        t, j = InnerPicks(field, seeds).advance(seeds, first, n, slice(0, seeds.size))
+        inner = np.ravel_multi_index((t, j - first), (seeds.size, n - first))
     return field.place(seeds[:, None], columns, inner)
 
 
@@ -368,7 +368,8 @@ class Field:
         (x_at, x_bits, _), (y_at, y_bits, _) = self.axes
         xs = x_at(uniforms(raw_draws(seeds, base), x_bits))
         base += np.uint64(1)
-        u = uniforms(raw_draws(seeds, base), y_bits)
+        # y's draws over its counters where they have the field's shape
+        u = uniforms(raw_draws(seeds, base, base if base.shape == xs.shape else None), y_bits)
         if inner is None:
             return xs, y_at(u)
         if inner is True:
@@ -404,7 +405,8 @@ class Field:
         candidate = _screened(seeds, columns * np.uint64(_BLOCK) + np.uint64(offset), a, width)
         if offset == 1 and inner is not None:
             candidate |= inner
-        t, j = np.divmod(_cells(candidate), stop - start)
+        t, j = np.divmod(np.flatnonzero(candidate).astype(_index_type(candidate.size)),
+                         stop - start)
         del candidate
         for offset, a, width in later:
             counters = columns[j]
@@ -426,60 +428,70 @@ class Field:
 
 class InnerPicks:
     """The inner sensor indices of a Field's deployments, enumerated
-    by index windows in order."""
+    by index windows in order. It keeps two numbers per deployment, its
+    next inner index and the gaps it has read; each window gets the seeds."""
 
     def __init__(self, field: Field, seeds: np.ndarray):
-        self.field, self.seeds = field, seeds
+        self.field = field
         # each deployment's next inner index, not yet returned, as a float
         # (exact below 2^53; larger ones are past any sensor), and the number
         # of gaps read: the first index is gap 0
         self.gaps = np.zeros(seeds.size, dtype=np.uint64)
-        self.pos = self._gaps(seeds, self.gaps, 1)[0]
+        self.pos = self._gaps(seeds, self.gaps, np.empty((1, seeds.size)))[0]
         if field.share == 0.0:
             self.pos[:] = math.inf
         self.gaps += np.uint64(1)
 
-    def _gaps(self, seeds: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
-        """Gaps first .. first + count - 1 of each deployment, one column each."""
-        counters = np.arange(_GAP_COUNTER, _GAP_COUNTER + count, dtype=np.uint64)[:, None] + first
-        gaps = np.log(uniform_draws(seeds, counters))
+    def _gaps(self, seeds: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Gaps first .. first + len(out) - 1 of each deployment, one column
+        each, written over out, a C-contiguous float64 array."""
+        # raw(s, f + c) is raw(s + f GOLDEN, c): one column of counters serves all
+        shifted = seeds + first * np.uint64(GOLDEN)
+        counters = np.arange(_GAP_COUNTER, _GAP_COUNTER + len(out), dtype=np.uint64)[:, None]
+        gaps = np.log(uniforms(raw_draws(shifted, counters, out.view(np.uint64))), out=out)
         gaps *= self.field._gap_scale
         return np.floor(gaps, out=gaps)
 
-    def advance(self, start: int, stop: int, rows: slice) -> Tuple[np.ndarray, np.ndarray]:
+    def advance(self, seeds: np.ndarray, start: int, stop: int,
+                rows: slice) -> Tuple[np.ndarray, np.ndarray]:
         """(deployment, index) of the inner indices in start .. stop - 1 of the
-        deployments `rows`, in no set order, with deployments counted from
-        rows.start; their walks move on to their first index at or past stop."""
-        found = []
-        live = rows.start + np.flatnonzero(self.pos[rows] < stop)
+        deployments `rows`, whose seeds are `seeds`, in no set order, with
+        deployments counted from rows.start, both in _index_type; their walks
+        move on to their first index at or past stop."""
+        pos, gaps = self.pos[rows], self.gaps[rows]
+        live = np.flatnonzero(pos < stop)
+        t, j = [live[:0]], [pos[:0]]
         # about the gaps that the walks need to pass stop, then twice as many
         # at each step for those that have not
         count = int((stop - start) * self.field.share) + 1
         while live.size:
-            pos = self.pos[live]
-            returned = pos >= start
-            found.append((live[returned] - rows.start, pos[returned]))
-            # floor(gap) + 1 from each index to the next
-            walk = self._gaps(self.seeds[live], self.gaps[live], count)
-            walk += 1.0
-            walk[0] += pos
-            np.cumsum(walk, axis=0, out=walk)
-            # the walk's next index is its first at or past stop, or its last
-            taken = np.minimum(np.count_nonzero(walk < stop, axis=0), count - 1)
-            c, t = np.nonzero((walk >= start) & (np.arange(count)[:, None] < taken))
-            found.append((live[t] - rows.start, walk[c, t]))
-            self.pos[live] = walk[taken, np.arange(live.size)]
-            self.gaps[live] += (taken + 1).astype(np.uint64)
-            live = live[self.pos[live] < stop]
+            # each walk's next index, then floor(gap) + 1 to each next one,
+            # summed by rows (cumsum along so short an axis is slower)
+            walk = np.empty((count + 1, live.size))
+            walk[0] = pos[live]
+            self._gaps(seeds[live], gaps[live], walk[1:])
+            walk[1:] += 1.0
+            for row in range(count):
+                walk[row + 1] += walk[row]
+            # the walk's next index is its first at or past stop, or its
+            # last; the ones before it in start .. stop - 1 are found
+            kept = walk < stop
+            taken = np.minimum(np.count_nonzero(kept, axis=0), count)
+            kept &= walk >= start
+            index = live.astype(_index_type(pos.size))
+            t += [index[found] for found in kept[:-1]]
+            j += [cells[found] for cells, found in zip(walk, kept[:-1])]
+            pos[live] = walk[taken, np.arange(live.size)]
+            gaps[live] += taken.astype(np.uint64)
+            live = live[pos[live] < stop]
             count *= 2
-        if not found:
-            return np.empty(0, np.intp), np.empty(0, np.int64)
-        return (np.concatenate([t for t, _ in found]),
-                np.concatenate([j for _, j in found]).astype(np.int64))
+            del walk, kept  # before the next round's walk is made
+        return (np.concatenate(t, dtype=_index_type(pos.size)),
+                np.concatenate(j, dtype=_index_type(stop), casting="unsafe"))
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop the deployments not selected by the boolean mask `rows`."""
-        self.seeds, self.pos, self.gaps = self.seeds[rows], self.pos[rows], self.gaps[rows]
+        self.pos, self.gaps = self.pos[rows], self.gaps[rows]
 
 
 def _screened(seeds: np.ndarray, counters: np.ndarray, a: int, width: int) -> np.ndarray:
@@ -502,11 +514,9 @@ def _screened(seeds: np.ndarray, counters: np.ndarray, a: int, width: int) -> np
     return candidate
 
 
-def _cells(mask: np.ndarray) -> np.ndarray:
-    """The flat indices of mask's true cells, in the narrowest index type
-    that holds the grid."""
-    index = np.int32 if mask.size <= np.iinfo(np.int32).max else np.intp
-    return np.flatnonzero(mask).astype(index)
+def _index_type(size: int):
+    """The narrowest index type that holds every index below size."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.intp
 
 
 # Stein characterization test-function family: name -> (f, f', f(0))

@@ -202,7 +202,8 @@ def _scan(xs: np.ndarray, ys: np.ndarray, at: Optional[tuple], paths: dict, k: n
             hit = dist2 <= r2
             if at is None:
                 # a row's first hit, or j1 where it has none
-                found = np.where(hit.any(axis=1), hit.argmax(axis=1) + j0, j1)
+                first = hit.argmax(axis=1)
+                found = np.where(hit[np.arange(first.size), first], first + j0, j1)
             else:
                 hit = np.flatnonzero(hit)
                 found = np.full(k.shape[0], j1, dtype=k.dtype)
@@ -227,7 +228,9 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
     not columns; where it is None, every sensor. Every chunk walks its live
     trials' seeds in row blocks (slices) of at most _BUDGET cells (one block
     unless the pass places only inner sensors), and a banded field finds
-    each block's inner sensors as it goes.
+    each block's inner sensors as it goes. An inner-only block holds its
+    sensors' trials, indices (int32 where they fit), x and y, dropped once
+    scanned.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
@@ -249,7 +252,7 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
             block = slice(lo, min(lo + rows, live.size))
             seeds_block = live_seeds[block]
             if field.banded:
-                t, j = picks.advance(j0, j1, block)
+                t, j = picks.advance(seeds_block, j0, j1, block)
             if narrow:
                 xs, ys = field.place(seeds_block[t], j, True)
                 at = (t, j)
@@ -260,6 +263,10 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
                     inner[t, j - j0] = True
                 xs, ys, at = field.sample(seeds_block, j0, j1, inner, screen)
             _scan(xs, ys, at, paths, k_live[block], j0, j1)
+            if narrow:
+                # a screened block's arrays stay: freed first, they are given
+                # back to the system and faulted in again by the next block
+                del xs, ys, at
         k[live] = k_live
         going = (k_live == j1).any(axis=1)
         live, live_seeds = live[going], live_seeds[going]

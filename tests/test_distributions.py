@@ -619,7 +619,7 @@ def _inner_mask(field, seeds, start, stop):
     None for a field that is not banded."""
     if not field.banded:
         return None
-    t, j = InnerPicks(field, seeds).advance(0, stop, slice(0, seeds.size))
+    t, j = InnerPicks(field, seeds).advance(seeds, 0, stop, slice(0, seeds.size))
     mask = np.zeros((seeds.size, stop), dtype=bool)
     mask[t, j] = True
     return mask[:, start:]
@@ -722,8 +722,8 @@ class TestUniformField:
         # deployments, tail bins merged to an expected count of 5 or more
         field = Field(DeploymentModel(DeploymentKind.UNIFORM, region))
         trials, n, rate = 2000, 200, field.share
-        t, _ = InnerPicks(field, derive_stream_seeds(5, np.arange(trials, dtype=np.uint64))
-                          ).advance(0, n, slice(0, trials))
+        seeds = derive_stream_seeds(5, np.arange(trials, dtype=np.uint64))
+        t, _ = InnerPicks(field, seeds).advance(seeds, 0, n, slice(0, trials))
         counts = np.bincount(t, minlength=trials)
         pmf = np.array([math.comb(n, i) * rate ** i * (1.0 - rate) ** (n - i)
                         for i in range(n + 1)]) * trials
@@ -768,7 +768,7 @@ class TestUniformField:
               + list(range(int(step * 2**53) - 3, int(step * 2**53) + 4)) if 0 <= m < 2**53]
         raws = np.array(sorted(set(ms)), dtype=np.uint64) << np.uint64(11)
         monkeypatch.setattr(distributions, "raw_draws",
-                            lambda seeds, counters: _raw_draws_at(raws, counters))
+                            lambda seeds, counters, *_: _raw_draws_at(raws, counters))
         columns = np.arange(raws.size)
         xs, inner_ys = field.place(np.uint64(0), columns, True)
         _, outer_ys = field.place(np.uint64(0), columns, np.empty(0, dtype=np.intp))
@@ -797,7 +797,7 @@ class TestUniformField:
             got = []
             for lo in range(0, live.size, 3):
                 block = slice(lo, min(lo + 3, live.size))
-                t, j = picks.advance(start, stop, block)
+                t, j = picks.advance(seeds[live[block]], start, stop, block)
                 got += zip(live[block][t].tolist(), j.tolist())
             want = [(t, j) for t in live.tolist() for j in reference[t] if start <= j < stop]
             assert sorted(got) == want

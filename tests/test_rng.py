@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,49 @@ def test_uniforms_of_both_widths(bits, lo, hi):
     assert np.all(np.diff(u[:7]) >= 0.0)
     assert uniforms(raw_draws(5, np.arange(10, dtype=np.uint64))).tolist() == \
         uniform_draws(5, np.arange(10, dtype=np.uint64)).tolist()
+
+
+def test_uniforms_convert_a_grid_in_its_own_memory():
+    # a contiguous grid converts as one run, with no copy of the grid (numpy
+    # copies an overlapping 2-D input first: 1.6 MB here); a strided one
+    # converts alike, in its own memory
+    raw = raw_draws(3, np.arange(200_000, dtype=np.uint64))
+    expected = uniforms(raw.copy()).tolist()
+    grid = raw.reshape(2000, 100)
+    tracemalloc.start()
+    try:
+        u = uniforms(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(u, grid) and u.ravel().tolist() == expected
+    assert peak < 1 << 16
+    strided = raw_draws(3, np.arange(200_000, dtype=np.uint64)).reshape(2000, 100)[:, ::2]
+    assert uniforms(strided).ravel().tolist() == expected[::2]
+
+
+def test_raw_draws_into_their_counters():
+    # out may be the counters themselves, and a column of counters against a
+    # row of seeds fills out as a fresh grid would
+    seeds = derive_stream_seeds(8, np.arange(6, dtype=np.uint64))
+    counters = np.arange(6, dtype=np.uint64) * np.uint64(256) + np.uint64(1)
+    expected = [raw_draw(int(s), int(c)) for s, c in zip(seeds, counters)]
+    assert raw_draws(seeds, counters, counters) is counters
+    assert counters.tolist() == expected
+    column = np.arange(2**63, 2**63 + 4, dtype=np.uint64)[:, None]
+    out = np.empty((4, 6), dtype=np.uint64)
+    assert raw_draws(seeds, column, out) is out
+    assert out.tolist() == [[raw_draw(int(s), 2**63 + c) for s in seeds] for c in range(4)]
+
+
+def test_a_seed_shift_is_a_counter_shift():
+    # raw(s + f GOLDEN, c) = raw(s, f + c) mod 2^64, so one column of gap
+    # counters serves deployments at different gaps (InnerPicks)
+    seeds = derive_stream_seeds(9, np.arange(5, dtype=np.uint64))
+    first = np.array([0, 1, 7, 2**40, 2**62 + 3], dtype=np.uint64)
+    shifted = seeds + first * np.uint64(GOLDEN)
+    column = np.arange(2**63, 2**63 + 3, dtype=np.uint64)[:, None]
+    assert raw_draws(shifted, column).tolist() == raw_draws(seeds, first + column).tolist()
 
 
 def _quantile_mismatch(p):
