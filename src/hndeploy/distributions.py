@@ -368,8 +368,7 @@ class Field:
         (x_at, x_bits, _), (y_at, y_bits, _) = self.axes
         xs = x_at(uniforms(raw_draws(seeds, base), x_bits))
         base += np.uint64(1)
-        # y's draws over its counters where they have the field's shape
-        u = uniforms(raw_draws(seeds, base, base if base.shape == xs.shape else None), y_bits)
+        u = uniforms(raw_draws(seeds, base), y_bits)
         if inner is None:
             return xs, y_at(u)
         if inner is True:
@@ -427,9 +426,8 @@ class Field:
 
 
 class InnerPicks:
-    """The inner sensor indices of a Field's deployments, enumerated
-    by index windows in order. It keeps two numbers per deployment, its
-    next inner index and the gaps it has read; each window gets the seeds."""
+    """The inner sensor indices of a Field's deployments, enumerated by
+    index windows in order; each deployment's walk keeps two numbers."""
 
     def __init__(self, field: Field, seeds: np.ndarray):
         self.field = field
@@ -445,8 +443,7 @@ class InnerPicks:
     def _gaps(self, seeds: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gaps first .. first + len(out) - 1 of each deployment, one column
         each, written over out, a C-contiguous float64 array."""
-        # raw(s, f + c) is raw(s + f GOLDEN, c): one column of counters serves all
-        shifted = seeds + first * np.uint64(GOLDEN)
+        shifted = seeds + first * np.uint64(GOLDEN)  # raw(s, f + c) = raw(s + f GOLDEN, c)
         counters = np.arange(_GAP_COUNTER, _GAP_COUNTER + len(out), dtype=np.uint64)[:, None]
         gaps = np.log(uniforms(raw_draws(shifted, counters, out.view(np.uint64))), out=out)
         gaps *= self.field._gap_scale
@@ -455,39 +452,35 @@ class InnerPicks:
     def advance(self, seeds: np.ndarray, start: int, stop: int,
                 rows: slice) -> Tuple[np.ndarray, np.ndarray]:
         """(deployment, index) of the inner indices in start .. stop - 1 of the
-        deployments `rows`, whose seeds are `seeds`, in no set order, with
-        deployments counted from rows.start, both in _index_type; their walks
-        move on to their first index at or past stop."""
+        deployments `rows`, keyed by `seeds`, in no set order, deployments
+        counted from rows.start; their walks move on to their first index at
+        or past stop."""
         pos, gaps = self.pos[rows], self.gaps[rows]
-        live = np.flatnonzero(pos < stop)
+        live = np.flatnonzero(pos < stop).astype(_index_type(pos.size))
         t, j = [live[:0]], [pos[:0]]
         # about the gaps that the walks need to pass stop, then twice as many
         # at each step for those that have not
         count = int((stop - start) * self.field.share) + 1
         while live.size:
-            # each walk's next index, then floor(gap) + 1 to each next one,
-            # summed by rows (cumsum along so short an axis is slower)
+            # each walk's next index, then floor(gap) + 1 to each next one
             walk = np.empty((count + 1, live.size))
             walk[0] = pos[live]
             self._gaps(seeds[live], gaps[live], walk[1:])
             walk[1:] += 1.0
-            for row in range(count):
-                walk[row + 1] += walk[row]
+            np.cumsum(walk, axis=0, out=walk)
             # the walk's next index is its first at or past stop, or its
             # last; the ones before it in start .. stop - 1 are found
             kept = walk < stop
             taken = np.minimum(np.count_nonzero(kept, axis=0), count)
             kept &= walk >= start
-            index = live.astype(_index_type(pos.size))
-            t += [index[found] for found in kept[:-1]]
-            j += [cells[found] for cells, found in zip(walk, kept[:-1])]
+            t.append(np.broadcast_to(live, (count, live.size))[kept[:-1]])
+            j.append(walk[:-1][kept[:-1]])
             pos[live] = walk[taken, np.arange(live.size)]
             gaps[live] += taken.astype(np.uint64)
             live = live[pos[live] < stop]
             count *= 2
             del walk, kept  # before the next round's walk is made
-        return (np.concatenate(t, dtype=_index_type(pos.size)),
-                np.concatenate(j, dtype=_index_type(stop), casting="unsafe"))
+        return np.concatenate(t), np.concatenate(j, dtype=_index_type(stop), casting="unsafe")
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop the deployments not selected by the boolean mask `rows`."""

@@ -228,9 +228,8 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
     not columns; where it is None, every sensor. Every chunk walks its live
     trials' seeds in row blocks (slices) of at most _BUDGET cells (one block
     unless the pass places only inner sensors), and a banded field finds
-    each block's inner sensors as it goes. An inner-only block holds its
-    sensors' trials, indices (int32 where they fit), x and y, dropped once
-    scanned.
+    each block's inner sensors as it goes. An inner-only block's trials,
+    indices (int32 where they fit), x and y are dropped once scanned.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):
@@ -263,10 +262,8 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
                     inner[t, j - j0] = True
                 xs, ys, at = field.sample(seeds_block, j0, j1, inner, screen)
             _scan(xs, ys, at, paths, k_live[block], j0, j1)
-            if narrow:
-                # a screened block's arrays stay: freed first, they are given
-                # back to the system and faulted in again by the next block
-                del xs, ys, at
+            if narrow:  # a screened block's arrays, if freed, would fault in again
+                del xs, ys, at, t, j
         k[live] = k_live
         going = (k_live == j1).any(axis=1)
         live, live_seeds = live[going], live_seeds[going]

@@ -124,21 +124,22 @@ def _mix64_inplace(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.nd
 def raw_draws(seeds, counters, out: Optional[np.ndarray] = None,
               scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized raw_draw; `seeds` and `counters` broadcast together. out
-    and scratch, uint64 arrays of the broadcast shape, take the draws (out
-    may be counters itself) and the mix's shifts, else each goes to a fresh
-    array (0-d for scalar inputs)."""
+    and scratch, uint64 arrays of the broadcast shape, take the draws and
+    the mix's shifts, else the draws go to (counters + 1) GOLDEN where it
+    has that shape, or to a fresh array, and the shifts to one fresh array."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
     shape = np.broadcast(seeds, counters).shape
-    # the scratch before the draws, so that freeing it leaves no memory above
+    # the scratch before the product, so that freeing it leaves no memory above
     # the draws for the allocator to give back and fault in again next call
     if scratch is None:
         scratch = np.empty(shape, np.uint64)
-    out = np.empty(shape, np.uint64) if out is None else out
     with np.errstate(over="ignore"):
-        # (counters + 1) GOLDEN, in out where the counters have its shape
-        step = np.add(counters, np.uint64(1), out=out if counters.shape == shape else None)
+        # an array (0-d for scalar inputs), so the draws may overwrite it
+        step = np.asarray(counters + np.uint64(1))
         step *= _GOLDEN_U64
+        if out is None and step.shape == shape:
+            out = step
         return _mix64_inplace(np.add(seeds, step, out=out), scratch)
 
 
@@ -153,9 +154,8 @@ def uniforms(raw: np.ndarray, bits: int = 53) -> np.ndarray:
     (m + 1/2) 2^-52 of m = raw >> 12, in the open interval (0, 1). Both are
     nondecreasing in raw."""
     raw >>= np.uint64(64 - bits)
-    # below 2^53, so the conversion (into raw's own memory, as one run where
-    # it is contiguous: numpy copies an overlapping grid first), the offset
-    # and the power-of-two scale are exact
+    # below 2^53, so the conversion (into raw's own memory, as one run where it is
+    # contiguous: numpy copies an overlapping grid), offset and scale are exact
     u = raw.view(np.float64)
     run = raw.reshape(-1) if raw.flags.c_contiguous else raw
     np.copyto(run.view(np.float64), run, casting="unsafe")

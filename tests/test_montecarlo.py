@@ -433,10 +433,8 @@ def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
     raw_draws = rng.raw_draws
 
     def counted(seeds, counters, *buffers):
-        # the offsets first: the draws may overwrite their counters
-        offsets = np.asarray(counters, dtype=np.uint64) % np.uint64(256)
         values = raw_draws(seeds, counters, *buffers)
-        offsets = np.broadcast_to(offsets, values.shape)
+        offsets = np.broadcast_to(np.asarray(counters, dtype=np.uint64), values.shape) % 256
         drawn[:] += np.bincount(offsets.ravel().astype(np.intp), minlength=256)
         for offset, (a, width) in intervals.items():
             passed[offset] += np.count_nonzero((values - a <= width) & (offsets == offset))
@@ -584,7 +582,7 @@ def test_two_worker_pass_peak_memory():
 
 def test_narrow_pass_peak_memory():
     # the README uniform row, which places only the inner sensors, in row
-    # blocks of _BUDGET cells: about 1.2 MiB, as the sigma = 10 row's pass.
+    # blocks of _BUDGET cells: about 1.3 MiB (the sigma = 10 row's, 1.2).
     # Blocks that kept their walks' bool grids and int64 indices, and the
     # last block's positions while walking the next, read about 2.1 MiB;
     # blocks of 2^15 inner sensors about 3.4 MiB
@@ -597,8 +595,13 @@ def test_one_trial_pass_memory_is_bounded_whatever_n(n):
     # one live trial draws chunks of up to _BUDGET columns, and the screen
     # mixes such a row in pieces of _SCREEN_BLOCK draws, so the peak (about
     # 8.5-9.3 MiB; 19-21 MiB where the screen mixed a whole row at once)
-    # does not grow with N
-    assert _first_hits_peak(HALF_NORMAL_MODEL, [(SCENARIO, 1e-9)], n, 1) <= 12
+    # does not grow with N. The uniform field places only inner sensors, up
+    # to _BUDGET of them a chunk, each walked as one (gaps x 1) column: about
+    # 0.7 and 9.5 MiB (1.2 and 13.0 MiB with the walk's bool grids and int64
+    # indices)
+    uniform = DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0))
+    for model in (HALF_NORMAL_MODEL, uniform):
+        assert _first_hits_peak(model, [(SCENARIO, 1e-9)], n, 1) <= 12
 
 
 def test_one_trial_pass_makes_few_calls(monkeypatch):

@@ -153,20 +153,6 @@ def test_uniforms_convert_a_grid_in_its_own_memory():
     assert uniforms(strided).ravel().tolist() == expected[::2]
 
 
-def test_raw_draws_into_their_counters():
-    # out may be the counters themselves, and a column of counters against a
-    # row of seeds fills out as a fresh grid would
-    seeds = derive_stream_seeds(8, np.arange(6, dtype=np.uint64))
-    counters = np.arange(6, dtype=np.uint64) * np.uint64(256) + np.uint64(1)
-    expected = [raw_draw(int(s), int(c)) for s, c in zip(seeds, counters)]
-    assert raw_draws(seeds, counters, counters) is counters
-    assert counters.tolist() == expected
-    column = np.arange(2**63, 2**63 + 4, dtype=np.uint64)[:, None]
-    out = np.empty((4, 6), dtype=np.uint64)
-    assert raw_draws(seeds, column, out) is out
-    assert out.tolist() == [[raw_draw(int(s), 2**63 + c) for s in seeds] for c in range(4)]
-
-
 def test_a_seed_shift_is_a_counter_shift():
     # raw(s + f GOLDEN, c) = raw(s, f + c) mod 2^64, so one column of gap
     # counters serves deployments at different gaps (InnerPicks)
