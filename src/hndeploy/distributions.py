@@ -26,9 +26,8 @@ alone, and the rest: which indices are inner comes from Geometric gaps read
 past every sensor's counter block (exact up to the rounding of log, not
 bit-identical to a per-sensor Bernoulli draw), and the y of an inner
 sensor is uniform on the band, that of any other on the rest. The
-addressing makes batched, sequential, column-chunked (sample_positions with
-first > 0), screened (Field.sample) and window-by-window (InnerPicks)
-sampling bit-identical.
+addressing makes batched, sequential, column-chunked and screened
+(Field.sample) and window-by-window (InnerPicks) sampling bit-identical.
 """
 
 from __future__ import annotations
@@ -258,25 +257,21 @@ def halfplane_pdf(x: float, y: float, params: HalfNormalParams) -> float:
     return math.exp(-(x * x + y * y) / (2.0 * s2)) / (math.pi * s2)
 
 
-def sample_positions(model: DeploymentModel, n: int, seeds: np.ndarray,
-                     first: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Sensors first .. n - 1 of each seed's deployment; x and y of shape (len(seeds), n - first).
+def sample_positions(model: DeploymentModel, n: int,
+                     seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The first n sensors of each seed's deployment; x and y of shape (len(seeds), n).
 
     Each seed keys one independent deployment, and sensor j reads counter
-    block j whatever the call, so first = 0 gives the whole field and any
-    other first gives its last n - first columns, bit-identical. The field
-    is placed through its Field.
+    block j whatever the call. The field is placed through its Field.
     """
     n = check_integer("n", n)
-    first = check_integer("first", first, 0, n)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    columns = np.arange(first, n, dtype=np.uint64)
     field = Field(model)
     inner = None
     if field.banded:
-        t, j = InnerPicks(field, seeds).advance(seeds, first, n, slice(0, seeds.size))
-        inner = np.ravel_multi_index((t, j - first), (seeds.size, n - first))
-    return field.place(seeds[:, None], columns, inner)
+        t, j = InnerPicks(field, seeds).advance(seeds, 0, n, slice(0, seeds.size))
+        inner = np.ravel_multi_index((t, j), (seeds.size, n))
+    return field.place(seeds[:, None], np.arange(n, dtype=np.uint64), inner)
 
 
 def _linear(lo: float, hi: float, u):
@@ -379,27 +374,22 @@ class Field:
         return xs, ys
 
     def sample(self, seeds: np.ndarray, start: int, stop: int, inner: Optional[np.ndarray],
-               screen: Optional[Sequence[Tuple[int, int, int]]]
-               ) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+               screen: Sequence[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray, Tuple]:
         """The candidates among sensors start .. stop - 1 of each seed's
         deployment: their x, their y and their (seed, column) indices, in
         row-major order. inner is the (seeds x columns) mask of the inner
         sensors among them, or None for a field that is not banded.
 
-        screen is a sequence of stages (offset, a, width): a sensor passes a
-        stage when the raw draw at counter 256 j + offset lies in
+        screen is a nonempty sequence of stages (offset, a, width): a sensor
+        passes a stage when the raw draw at counter 256 j + offset lies in
         [a, a + width], taken mod 2^64, or, where offset is 1 (y), when it is
         inner; a candidate passes every stage. The first stage's draw is read
         for every sensor, each later one's only for the sensors that passed
         the stages before it. The first stage's mask is dropped once its
         cells are taken, each later stage's counters and draws once its
-        survivors are kept. With screen None every sensor is one, x and y
-        are (seeds x columns) grids and the indices None.
+        survivors are kept.
         """
         columns = np.arange(start, stop, dtype=np.uint64)
-        if screen is None:
-            flat = None if inner is None else np.flatnonzero(inner)
-            return (*self.place(seeds[:, None], columns, flat), None)
         (offset, a, width), *later = screen
         candidate = _screened(seeds, columns * np.uint64(_BLOCK) + np.uint64(offset), a, width)
         if offset == 1 and inner is not None:

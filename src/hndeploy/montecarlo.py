@@ -15,22 +15,24 @@ seeds as a slice of the live trials' seeds, which shrink with them, not as
 a copy. Every coordinate is placed by a map that is nondecreasing in one
 raw draw, so the sensors that cannot detect in any case are those whose x
 draw, or whose y draw, lies outside an interval of raw values (_screen,
-computed once per pass): a chunk reads the draw of whichever axis holds fewer candidates for every
-sensor, the other axis's draw for the sensors that pass, and places only
-those that pass both in full, from the counters the full field reads them
-from. A field whose axes are both uniform splits its sensors by |y| into an
-inner band, a fixed share of them that depends on the model alone, and the
-rest; the inner indices come from Geometric gaps (exact up to the rounding
-of log, not bit-identical to a per-sensor Bernoulli draw). A pass whose
-cases all detect within the inner band enumerates those indices and places
-and tests only the inner sensors, since no other can detect; on any other
-pass of such a field every inner sensor passes the y stage. Trial i always uses
-the substream derive_stream_seed(master, i), and sensor j always reads
-counter block j of it, so estimates are independent of batch size, chunk
-widths, evaluation order and worker count, and each trial's indices equal
-those of its whole field. A sensor field depends on the model and the seed
-only, so one pass serves every (S, d, r) and N of a sweep's (model, sigma)
-group: common random numbers across the scenario grid and N.
+computed once per pass): a chunk reads the draw of whichever axis holds
+fewer candidates for every sensor, even where none is ruled out, the other
+axis's draw, where it rules some out, for the sensors that pass, and
+places only those that pass both in full, from the counters the full field
+reads them from. A field whose axes are both uniform splits its sensors by
+|y| into an inner band, a fixed share of them that depends on the model
+alone, and the rest; the inner indices come from Geometric gaps (exact up
+to the rounding of log, not bit-identical to a per-sensor Bernoulli draw).
+A pass whose cases all detect within the inner band enumerates those
+indices and places and tests only the inner sensors, since no other can
+detect; on any other pass of such a field every inner sensor passes the y
+stage. Trial i always uses the substream derive_stream_seed(master, i),
+and sensor j always reads counter block j of it, so estimates are
+independent of batch size, chunk widths, evaluation order and worker
+count, and each trial's indices equal those of its whole field. A sensor
+field depends on the model and the seed only, so one pass serves every
+(S, d, r) and N of a sweep's (model, sigma) group: common random numbers
+across the scenario grid and N.
 estimate_detection is the same pass with one case and one N.
 """
 
@@ -59,12 +61,6 @@ _BATCH = 1 << 15
 # bounds a call's memory whatever N
 _FIRST_CHUNK = 4
 _BUDGET = 1 << 19
-# the screen costs one raw draw per sensor and the full draw per candidate.
-# Against the full scan, one thread, 2^15 trials, N = 100: the half-normal y
-# on the sigma = 5 half-plane 0.35-0.39 of the time at 16% candidates,
-# 0.44-0.50 at 31%, 0.72-0.81 at 51%, 0.80-0.83 at 62%, 0.94-0.98 at 71%;
-# uniform on [0, 20] x [-5, 5] 0.58-0.63 at r = 1, 0.83-0.85 at r = 2.5
-_MAX_CANDIDATES = 0.6
 # the screen widens each band by this share of its ends plus 2^-500
 _MARGIN = 1e-9
 # the screen of a pass that places only the inner sensors of a banded field
@@ -139,24 +135,23 @@ def _screen(field: Field, bands):
     """How a pass of `field` with the bands (_bands) of its cases rules
     sensors out: _INNER where the field is banded, its inner band holds
     sensors and its y band lies within the inner band, so that only the
-    inner sensors can detect; None for no screen; else the stages (offset,
-    a, width) of Field.sample. A sensor whose raw draw at counter
-    256 j + offset satisfies (raw - a) mod 2^64 > width, for some stage,
-    detects in no case, unless offset is 1 and it is inner.
+    inner sensors can detect; else the stages (offset, a, width) of
+    Field.sample. A sensor whose raw draw at counter 256 j + offset
+    satisfies (raw - a) mod 2^64 > width, for some stage, detects in no
+    case, unless offset is 1 and it is inner.
 
     A stage is an interval of the top bits m of an axis's raw draw, which
     fix the uniform u of the draw: u places x (offset 0) or y (offset 1; of
     a sensor that is not inner). The first stage is the axis whose band
-    holds fewer draws, counting every inner sensor as a y candidate, and the
-    second the other axis, where its band rules any draw out. Each map is
-    nondecreasing in m, and an interval's ends are found by bisection of its
-    scalar twin against the band widened by _MARGIN of its ends plus
-    2^-500, so that neither the rounding of the inverse normal CDF (the
-    twin's and the array's may differ by a few ulps, and the rational pieces
-    need not be monotone to the ulp at their seams) nor a square that
-    underflows can flip a decision. No screen where more than
-    _MAX_CANDIDATES of the sensors pass the first stage, as where some r * r
-    overflows (every sensor detects).
+    holds fewer draws, counting every inner sensor as a y candidate, kept
+    even where it rules no draw out (as where some r * r overflows: every
+    sensor detects), and the second the other axis, where its band rules
+    any draw out. Each map is nondecreasing in m, and an interval's ends are
+    found by bisection of its scalar twin against the band widened by
+    _MARGIN of its ends plus 2^-500, so that neither the rounding of the
+    inverse normal CDF (the twin's and the array's may differ by a few ulps,
+    and the rational pieces need not be monotone to the ulp at their seams)
+    nor a square that underflows can flip a decision.
     """
     if field.banded and field.share > 0.0 and bands[1][1] < field.outer_min:
         # every sensor that is not inner has |y| >= field.outer_min
@@ -172,11 +167,9 @@ def _screen(field: Field, bands):
         count = _first_index(lambda m: at(m) > hi, bits) - start
         stages.append((share + (1.0 - share) * count / (1 << bits), offset, start, count, bits))
     stages.sort()
-    if stages[0][0] > _MAX_CANDIDATES:
-        return None
     screen = []
     for _, offset, start, count, bits in stages:
-        if count == 1 << bits:
+        if screen and count == 1 << bits:
             # a second stage that rules no draw out
             continue
         if count <= 0:
@@ -186,28 +179,22 @@ def _screen(field: Field, bands):
     return tuple(screen)
 
 
-def _scan(xs: np.ndarray, ys: np.ndarray, at: Optional[tuple], paths: dict, k: np.ndarray,
-          j0: int, j1: int) -> None:
+def _scan(xs: np.ndarray, ys: np.ndarray, at: tuple, paths: dict, k: np.ndarray, j0: int,
+          j1: int) -> None:
     """Advance the first-hit indices k (live trials x cases) over sensors
     j0 .. j1 - 1.
 
     xs, ys are the positions of the sensors (rows, columns) = at, in any
-    order; the others cannot detect. For at None they are the whole (live
-    trials x (j1 - j0)) grid. A case with no detection so far has k = j0; it
-    gets the index of its first detecting sensor, or j1 if none detects.
+    order; the others cannot detect. A case with no detection so far has
+    k = j0; it gets the index of its first detecting sensor, or j1 if none
+    detects.
     """
     for scenario, cases in paths.items():
         dist2 = segment_dist2(xs, ys, scenario)
         for r2, c in cases:
-            hit = dist2 <= r2
-            if at is None:
-                # a row's first hit, or j1 where it has none
-                first = hit.argmax(axis=1)
-                found = np.where(hit[np.arange(first.size), first], first + j0, j1)
-            else:
-                hit = np.flatnonzero(hit)
-                found = np.full(k.shape[0], j1, dtype=k.dtype)
-                np.minimum.at(found, at[0][hit], at[1][hit].astype(k.dtype))
+            hit = np.flatnonzero(dist2 <= r2)
+            found = np.full(k.shape[0], j1, dtype=k.dtype)
+            np.minimum.at(found, at[0][hit], at[1][hit].astype(k.dtype))
             np.copyto(k[:, c], found, where=k[:, c] == j0, casting="unsafe")
 
 
@@ -225,11 +212,11 @@ def _first_hits(field: Field, cases: Sequence[Case], n_max: int, seeds: np.ndarr
     for those that pass the first, and places and tests the candidates
     alone, from the same counters; where it is _INNER, the pass places only
     the inner sensors, since no other can detect, and a chunk counts them,
-    not columns; where it is None, every sensor. Every chunk walks its live
-    trials' seeds in row blocks (slices) of at most _BUDGET cells (one block
-    unless the pass places only inner sensors), and a banded field finds
-    each block's inner sensors as it goes. An inner-only block's trials,
-    indices (int32 where they fit), x and y are dropped once scanned.
+    not columns. Every chunk walks its live trials' seeds in row blocks
+    (slices) of at most _BUDGET cells (one block unless the pass places only
+    inner sensors), and a banded field finds each block's inner sensors as
+    it goes. An inner-only block's trials, indices (int32 where they fit),
+    x and y are dropped once scanned.
     """
     paths = {}
     for c, (scenario, r) in enumerate(cases):

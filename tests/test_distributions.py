@@ -514,36 +514,18 @@ class TestSamplerCounterLayout:
                 else:
                     np.testing.assert_array_max_ulp(got, want, maxulp=_NORMAL_MAXULP)
 
-    @pytest.mark.parametrize("kind,region", [
-        (kind, Rectangle(0.0, 1.0, -1.0, 1.0)) for kind in DeploymentKind
-    ] + [(DeploymentKind.HALF_NORMAL, HalfPlane()), (DeploymentKind.QUADRANT, HalfPlane())])
-    def test_chunk_equals_columns_of_full_draw(self, kind, region):
-        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 5.0)
-        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
-        xs, ys = sample_positions(model, 12, seeds)
-        for j0, j1 in [(0, 4), (4, 12), (1, 2), (7, 8), (3, 11), (11, 12)]:
-            chunk_x, chunk_y = sample_positions(model, j1, seeds, j0)
-            assert np.array_equal(chunk_x, xs[:, j0:j1])
-            assert np.array_equal(chunk_y, ys[:, j0:j1])
-
-    @pytest.mark.parametrize("n,first", [(5, -1), (5, 6), (0, 1), (5, 1.0), (5, 0.5),
-                                         (5, True), (2.5, 0), (True, 0), (5.0, 0)])
-    def test_rejects_bad_first_or_n(self, n, first):
+    @pytest.mark.parametrize("n", [-1, 2.5, True, 5.0])
+    def test_rejects_bad_n(self, n):
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0)
-        with pytest.raises(ValueError, match="^(n|first) must be"):
-            sample_positions(model, n, np.array(_CHUNK_SEEDS, dtype=np.uint64), first)
-
-    def test_first_equal_to_n_draws_nothing(self):
-        model = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0)
-        xs, ys = sample_positions(model, 5, np.array(_CHUNK_SEEDS, dtype=np.uint64), 5)
-        assert xs.shape == ys.shape == (len(_CHUNK_SEEDS), 0)
+        with pytest.raises(ValueError, match="^n must be"):
+            sample_positions(model, n, np.array(_CHUNK_SEEDS, dtype=np.uint64))
 
     def test_numpy_integer_counts(self):
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0)
         seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
-        xs, ys = sample_positions(model, np.int64(6), seeds, np.uint64(2))
+        xs, ys = sample_positions(model, np.int64(6), seeds)
         full_x, full_y = sample_positions(model, 6, seeds)
-        assert np.array_equal(xs, full_x[:, 2:]) and np.array_equal(ys, full_y[:, 2:])
+        assert np.array_equal(xs, full_x) and np.array_equal(ys, full_y)
 
 
 def _models(regions, sigmas):

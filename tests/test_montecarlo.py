@@ -227,6 +227,10 @@ _PROPERTY_CASES = [
 @example(case=(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0), None),
          drawn=[60, 13], paths=[(5.0, 1.0, [1.0, 0.5]), (20.0, 0.5, [1.5])], trials=200,
          master=2**63 + 5, budget=7)
+# every sensor detects where r * r overflows: the screen's one stage, x on a
+# strip box, holds every draw, and every sensor is a candidate
+@example(case=(DeploymentKind.STRIP, Rectangle(0.0, 3.0, -3.0, 3.0), 1.0), drawn=[60],
+         paths=[(2.0, 0.5, [0.5, 1e200])], trials=50, master=1, budget=64)
 def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, master, budget):
     kind, region, sigma = case
     model = DeploymentModel(kind, region, sigma)
@@ -236,21 +240,19 @@ def test_chunked_count_equals_full_field_count(case, drawn, paths, trials, maste
     ns = sorted(drawn + [0, drawn[0], 5, 7])
     seeds = np.array([derive_stream_seed(master, i) for i in range(trials)], dtype=np.uint64)
     xs, ys = sample_positions(model, ns[-1], seeds)
-    # the pass's screen, where it has one, on the drawn budget (a few cells
-    # split the chunks into many row blocks and widen them once few trials
-    # are live), and the full scan
+    # the pass's screen on the drawn budget (a few cells split the chunks
+    # into many row blocks and widen them once few trials are live)
     field = Field(model)
     screen = montecarlo._screen(field, montecarlo._bands(cases))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_BUDGET", budget)
-        first_hits = [montecarlo._first_hits(field, cases, ns[-1], seeds, screen)]
-    first_hits.append(montecarlo._first_hits(field, cases, ns[-1], seeds, None))
+        first_hits = montecarlo._first_hits(field, cases, ns[-1], seeds, screen)
     counts = montecarlo._detections(model, cases, ns, trials, master, 1)
     for c, (scenario, r) in enumerate(cases):
         # one column per sensor: whether it alone detects
         hit = detects_any(xs[:, :, None], ys[:, :, None], scenario, r)
         expected_hits = np.where(hit.any(axis=1), hit.argmax(axis=1), ns[-1]).tolist()
-        assert [k[:, c].tolist() for k in first_hits] == [expected_hits] * len(first_hits)
+        assert first_hits[:, c].tolist() == expected_hits
         expected = [np.count_nonzero(detects_any(xs[:, :n], ys[:, :n], scenario, r)) for n in ns]
         assert counts[c].tolist() == expected
         est = estimate_detection(model, drawn[0], scenario, r, trials, RandomSeed(master))
@@ -339,18 +341,36 @@ def test_uniform_narrow_pass_rules_out_only_sensors_that_miss(monkeypatch, r, s,
     assert np.all(segment_dist2(xs, ys, scenario) > r * r)
 
 
-@pytest.mark.parametrize("model,r", [
+@pytest.mark.parametrize("model,r,offset,kept", [
     # every sensor detects where r * r overflows
-    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 1e200),
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0), 1e200, 0, 1.0),
     # x in [-1, 3] holds every x draw, and |y| <= 1 68% of the y draws
-    (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 3.0, -3.0, 3.0), 1.0), 1.0),
+    (DeploymentModel(DeploymentKind.HALF_NORMAL, Rectangle(0.0, 3.0, -3.0, 3.0), 1.0), 1.0, 1,
+     0.6845),
     # x in [-1, 3] holds every x draw of the box, |y| <= 1 every y draw
-    (DeploymentModel(DeploymentKind.STRIP, Rectangle(0.0, 3.0, -1.0, 1.0), 10.0), 1.0),
-    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-2.0, 3.0, -1.0, 1.0)), 1.0),
+    (DeploymentModel(DeploymentKind.STRIP, Rectangle(0.0, 3.0, -1.0, 1.0), 10.0), 1.0, 0, 1.0),
+    # x in [-1, 3] holds 80% of the x draws, |y| <= 1 every y draw
+    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-2.0, 3.0, -1.0, 1.0)), 1.0, 0, 0.8),
 ])
-def test_no_screen_where_it_cannot_rule_sensors_out(model, r):
-    bands = montecarlo._bands([(IntruderScenario(2.0, 2.0), r)])
-    assert montecarlo._screen(Field(model), bands) is None
+def test_screen_where_it_rules_few_or_no_sensors_out(model, r, offset, kept):
+    # the first stage stays, even where it keeps every draw; the other axis,
+    # whose band holds every draw, is dropped. The first hits are those of
+    # the whole fields
+    cases = [(IntruderScenario(2.0, 2.0), r)]
+    field = Field(model)
+    screen = montecarlo._screen(field, montecarlo._bands(cases))
+    ((axis, a, width),) = screen
+    assert axis == offset
+    if kept == 1.0:
+        assert (a, width) == (0, 2**64 - 1)
+    else:
+        assert (width + 1) / 2**64 == pytest.approx(kept, abs=1e-4)
+    trials, n = 500, 20
+    seeds = derive_stream_seeds(5, np.arange(trials, dtype=np.uint64))
+    k = montecarlo._first_hits(field, cases, n, seeds, screen)
+    xs, ys = sample_positions(model, n, seeds)
+    hit = detects_any(xs[:, :, None], ys[:, :, None], *cases[0])
+    assert k[:, 0].tolist() == np.where(hit.any(axis=1), hit.argmax(axis=1), n).tolist()
 
 
 _BOX = Rectangle(-50.0, 50.0, -50.0, 50.0)
@@ -427,10 +447,21 @@ def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
     screen = montecarlo._screen(field, montecarlo._bands(cases))
     assert [offset for offset, _, _ in screen] == [1, 0]
     intervals = {offset: (np.uint64(a), np.uint64(width)) for offset, a, width in screen}
+    # the whole fields' first hits
+    xs, ys = sample_positions(model, 500, seeds)
+    hit = detects_any(xs[:, :, None], ys[:, :, None], *cases[0])
+    full = np.where(hit.any(axis=1), hit.argmax(axis=1), 500)
     # at each counter offset within a sensor's block, the raw values read
-    # and those of them within that axis's stage interval
+    # and those of them within that axis's stage interval; the cells the
+    # first stage mixes, one per sensor examined
     drawn, passed = np.zeros(256, dtype=np.int64), np.zeros(2, dtype=np.int64)
     raw_draws = rng.raw_draws
+    screened = distributions._screened
+    mixed = []
+
+    def counted_screen(seeds, counters, *interval):
+        mixed.append(seeds.size * counters.size)
+        return screened(seeds, counters, *interval)
 
     def counted(seeds, counters, *buffers):
         values = raw_draws(seeds, counters, *buffers)
@@ -448,14 +479,11 @@ def test_screen_draws_the_rest_only_for_candidates(monkeypatch):
         return place(self, seeds, columns, inner)
 
     monkeypatch.setattr(distributions, "raw_draws", counted)
-    full = montecarlo._first_hits(field, cases, 500, seeds, None)
-    examined, other = drawn[1], drawn[0]
-    # the full draw reads both offsets for every sensor
-    assert examined == other > 0
-    drawn[:], passed[:] = 0, 0
+    monkeypatch.setattr(distributions, "_screened", counted_screen)
     monkeypatch.setattr(Field, "place", counted_place)
-    assert np.array_equal(montecarlo._first_hits(field, cases, 500, seeds, screen), full)
-    survivors = sum(placed)
+    assert montecarlo._first_hits(field, cases, 500, seeds, screen)[:, 0].tolist() == \
+        full.tolist()
+    examined, survivors = sum(mixed), sum(placed)
     # the screen reads y once for every sensor; x is read once for every y
     # candidate, and both again for the survivors, whose draws pass both stages
     assert drawn[1] == examined + survivors
@@ -514,7 +542,6 @@ def test_two_stage_first_hits_equal_the_full_scan(model, scenario, rs, offsets):
     screen = montecarlo._screen(field, montecarlo._bands(cases))
     assert tuple(offset for offset, _, _ in screen) == offsets
     k = montecarlo._first_hits(field, cases, n, seeds, screen)
-    assert np.array_equal(k, montecarlo._first_hits(field, cases, n, seeds, None))
     xs, ys = sample_positions(model, n, seeds)
     for c, (scenario, r) in enumerate(cases):
         hit = detects_any(xs[:, :, None], ys[:, :, None], scenario, r)
@@ -626,7 +653,7 @@ def test_massless_inner_band_is_screened():
     field = Field(model)
     assert field.share == 0.0
     cases = [(SCENARIO, 1.0)]
-    assert montecarlo._screen(field, montecarlo._bands(cases)) not in (None, montecarlo._INNER)
+    assert montecarlo._screen(field, montecarlo._bands(cases)) != montecarlo._INNER
     assert estimate_detection(model, 100, SCENARIO, 1.0, 10, RandomSeed(1)).detected_count == 0
 
 
