@@ -496,6 +496,17 @@ _CLIPPING_REGIONS = [Rectangle(-1.1, 0.3, -0.3, 0.1), Rectangle(0.0, 6.0, -2.0, 
                      Rectangle(30.0, 35.0, -1.0, 1.0), Rectangle(-50.0, 50.0, -50.0, 50.0)]
 
 
+def _chunk(model, seeds, j0, j1):
+    """x and y of sensors j0 .. j1 - 1 of each seed's deployment, placed
+    alone: the inner ones are walked over that window only."""
+    field = Field(model)
+    inner = None
+    if field.banded:
+        t, j = InnerPicks(field, seeds).advance(seeds, j0, j1, slice(0, seeds.size))
+        inner = np.ravel_multi_index((t, j - j0), (seeds.size, j1 - j0))
+    return field.place(seeds[:, None], np.arange(j0, j1, dtype=np.uint64), inner)
+
+
 class TestSamplerCounterLayout:
     @pytest.mark.parametrize("kind,region", [
         (kind, Rectangle(0.0, 6.0, -2.0, 2.0)) for kind in DeploymentKind
@@ -514,7 +525,26 @@ class TestSamplerCounterLayout:
                 else:
                     np.testing.assert_array_max_ulp(got, want, maxulp=_NORMAL_MAXULP)
 
-    @pytest.mark.parametrize("n", [-1, 2.5, True, 5.0])
+    @pytest.mark.parametrize("kind,region", [
+        (kind, Rectangle(0.0, 1.0, -1.0, 1.0)) for kind in DeploymentKind
+    ] + [(DeploymentKind.HALF_NORMAL, HalfPlane()), (DeploymentKind.QUADRANT, HalfPlane())])
+    def test_chunk_equals_columns_of_full_draw(self, kind, region):
+        model = DeploymentModel(kind, region, None if kind == DeploymentKind.UNIFORM else 5.0)
+        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
+        xs, ys = sample_positions(model, 12, seeds)
+        for j0, j1 in [(0, 4), (4, 12), (1, 2), (7, 8), (3, 11), (11, 12)]:
+            chunk_x, chunk_y = _chunk(model, seeds, j0, j1)
+            assert np.array_equal(chunk_x, xs[:, j0:j1])
+            assert np.array_equal(chunk_y, ys[:, j0:j1])
+
+    def test_first_equal_to_n_draws_nothing(self):
+        seeds = np.array(_CHUNK_SEEDS, dtype=np.uint64)
+        for model in [DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0),
+                      DeploymentModel(DeploymentKind.UNIFORM, Rectangle(0.0, 1.0, -1.0, 1.0))]:
+            xs, ys = _chunk(model, seeds, 5, 5)
+            assert xs.shape == ys.shape == (len(_CHUNK_SEEDS), 0)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True, 5.0, None, "5", np.float64(5.0)])
     def test_rejects_bad_n(self, n):
         model = DeploymentModel(DeploymentKind.HALF_NORMAL, HalfPlane(), 5.0)
         with pytest.raises(ValueError, match="^n must be"):

@@ -351,6 +351,11 @@ def test_uniform_narrow_pass_rules_out_only_sensors_that_miss(monkeypatch, r, s,
     (DeploymentModel(DeploymentKind.STRIP, Rectangle(0.0, 3.0, -1.0, 1.0), 10.0), 1.0, 0, 1.0),
     # x in [-1, 3] holds 80% of the x draws, |y| <= 1 every y draw
     (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-2.0, 3.0, -1.0, 1.0)), 1.0, 0, 0.8),
+    # every sensor detects where r * r overflows, for the other kinds too
+    (DeploymentModel(DeploymentKind.QUADRANT, HalfPlane(), 5.0), 1e200, 0, 1.0),
+    (DeploymentModel(DeploymentKind.STRIP, Rectangle(-50.0, 50.0, -50.0, 50.0), 5.0), 1e200, 0,
+     1.0),
+    (DeploymentModel(DeploymentKind.UNIFORM, Rectangle(-50.0, 50.0, -50.0, 50.0)), 1e200, 0, 1.0),
 ])
 def test_screen_where_it_rules_few_or_no_sensors_out(model, r, offset, kept):
     # the first stage stays, even where it keeps every draw; the other axis,
